@@ -91,7 +91,9 @@ void Compare(DatasetPreset preset, int k_top, int k_inner, int threads) {
   dist.partitioner.miner.max_kappa = 10;
   dist.partitioner.miner.sample_size = 2000;
   dist.num_threads = threads;
-  auto local = RepartitionWithinRegions(rg, initial.assignment, dist);
+  auto engine = IncrementalRepartitioner::Create(rg, initial.assignment, dist);
+  Result<DistributedRepartitionResult> local =
+      engine.ok() ? engine->Refresh(rg.features()) : engine.status();
 
   std::printf("%-4s initial k=%d (%.2fs), refresh fan-out at %d thread%s\n",
               spec.name.c_str(), initial.k_final, initial_seconds, threads,

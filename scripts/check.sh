@@ -16,13 +16,13 @@
 #   3. build-check-asan    : Debug + -fsanitize=address,undefined; runs the
 #      complete suite under AddressSanitizer (heap/stack overflows,
 #      use-after-free, leaks) — TSan and ASan cannot be combined, hence
-#      the separate tree. The fault-injection and serving suites then run
-#      again, explicitly and verbosely: every injected fault path
-#      (corrupted densities, forced non-convergence, degenerate
-#      embeddings, torn snapshots) must be memory-clean, not just
-#      Status-clean.
+#      the separate tree. The fault-injection, serving, pipeline and
+#      keyed-state codec suites then run again, explicitly and verbosely:
+#      every injected fault path (corrupted densities, forced
+#      non-convergence, degenerate embeddings, torn snapshots, corrupt
+#      checkpoints) must be memory-clean, not just Status-clean.
 #   4. analyze             : tools/rp_analyze over src/, tools/, bench/,
-#      tests/ — the token-level analyzer (all legacy rp_lint rules,
+#      tests/ — the token-level analyzer (the six project rules,
 #      include-graph layering against tools/analyze/layers.txt, header
 #      guards/self-containment, capture-aware ParallelFor audit). The
 #      machine-readable report is archived at
@@ -134,6 +134,14 @@ echo "==> [6d/7] pipeline fault soak under AddressSanitizer (verbose)"
 # there where leak checking does not misfire on the deliberate crash.)
 "${ASAN_DIR}/tests/pipeline_test"
 
+echo "==> [6e/7] keyed-state codec under AddressSanitizer (verbose)"
+# The checkpoint MANIFEST + stages, the rpinc cache and the pipeline journal
+# all decode through the one tag-line codec in common/durable_io, so a
+# parser overrun there would hide under every keyed format; rerun the suites
+# that feed it torn, bit-flipped and trailing-data payloads standalone.
+"${ASAN_DIR}/tests/checkpoint_test"
+"${ASAN_DIR}/tests/artifact_corruption_test"
+
 echo "==> [7/7] Static analysis: rp_analyze + clang-tidy"
 # JSON report is archived next to the build so CI and humans can diff runs;
 # rp_analyze exits 1 on any non-baselined finding, which (set -e) fails the
@@ -153,7 +161,7 @@ if command -v clang-tidy >/dev/null 2>&1; then
   git ls-files 'src/*.cc' 'tools/*.cc' 'bench/*.cc' |
     xargs -P "${JOBS}" -n 8 clang-tidy -p "${RELEASE_DIR}" --quiet
 else
-  echo "    clang-tidy not found on PATH; skipping (rp_lint still ran)."
+  echo "    clang-tidy not found on PATH; skipping (rp_analyze still ran)."
 fi
 
 echo "==> check.sh: all green"

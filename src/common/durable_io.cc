@@ -4,7 +4,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -62,17 +64,7 @@ uint64_t Fnv1a64(std::string_view data, uint64_t basis) {
 }
 
 std::string DoubleToBitsHex(double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return Uint64ToHex(bits);
-}
-
-Result<double> DoubleFromBitsHex(std::string_view hex) {
-  RP_ASSIGN_OR_RETURN(uint64_t bits, Uint64FromHex(hex));
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
+  return Uint64ToHex(std::bit_cast<uint64_t>(value));
 }
 
 std::string Uint64ToHex(uint64_t value) {
@@ -468,6 +460,209 @@ Result<std::string> ReadArtifact(const std::string& path,
     info->enveloped = true;
   }
   return payload;
+}
+
+// --- Tag-line payload codec -------------------------------------------------
+
+LineWriter& LineWriter::Line(std::string_view tag) {
+  if (!out_.empty()) out_.push_back('\n');
+  out_.append(tag);
+  return *this;
+}
+
+LineWriter& LineWriter::Word(std::string_view word) {
+  out_.push_back(' ');
+  out_.append(word);
+  return *this;
+}
+
+LineWriter& LineWriter::Int(int64_t value) {
+  char buffer[24];
+  auto end = std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+  return Word(std::string_view(buffer, static_cast<size_t>(end - buffer)));
+}
+
+LineWriter& LineWriter::Hex(uint64_t value) { return Word(Uint64ToHex(value)); }
+
+LineWriter& LineWriter::Double(double value) {
+  return Word(DoubleToBitsHex(value));
+}
+
+LineWriter& LineWriter::DoubleVec(const std::vector<double>& values) {
+  Int(static_cast<int64_t>(values.size()));
+  for (double v : values) Double(v);
+  return *this;
+}
+
+std::string LineWriter::Finish() {
+  if (!out_.empty()) out_.push_back('\n');
+  return std::move(out_);
+}
+
+LineCursor::LineCursor(std::string payload) : payload_(std::move(payload)) {}
+
+Status LineCursor::Error(const std::string& what) const {
+  if (fields_.empty()) return Status::Corruption("payload: " + what);
+  const auto [begin, end] = fields_[0];
+  return Status::Corruption("payload '" + payload_.substr(begin, end - begin) +
+                            "' line: " + what);
+}
+
+Status LineCursor::Line(std::string_view tag) {
+  if (field_ < fields_.size()) return Error("trailing fields");
+  if (next_line_ >= payload_.size()) {
+    return Status::Corruption("payload truncated before '" +
+                              std::string(tag) + "' line");
+  }
+  const size_t end = std::min(payload_.find('\n', next_line_), payload_.size());
+  fields_.clear();
+  field_ = 0;
+  for (size_t begin = next_line_; begin <= end;) {
+    const size_t space = std::min(payload_.find(' ', begin), end);
+    fields_.emplace_back(begin, space);
+    begin = space + 1;
+  }
+  next_line_ = end + 1;
+  return Tag(tag);
+}
+
+Result<std::string_view> LineCursor::Field(std::string_view tag) {
+  if (!tag.empty()) RP_RETURN_IF_ERROR(Tag(tag));
+  if (field_ >= fields_.size()) return Error("too few fields");
+  const auto [begin, end] = fields_[field_++];
+  if (begin == end) return Error("empty field");
+  return std::string_view(payload_.data() + begin, end - begin);
+}
+
+Status LineCursor::Tag(std::string_view tag) {
+  RP_ASSIGN_OR_RETURN(std::string_view found, Field({}));
+  if (found != tag) {
+    return Error("expected '" + std::string(tag) + "', found '" +
+                 std::string(found) + "'");
+  }
+  return Status::OK();
+}
+
+Result<std::string> LineCursor::WordField(std::string_view tag) {
+  RP_ASSIGN_OR_RETURN(std::string_view field, Field(tag));
+  return std::string(field);
+}
+
+template <typename T>
+Result<T> LineCursor::IntField(std::string_view tag) {
+  RP_ASSIGN_OR_RETURN(std::string_view field, Field(tag));
+  T value = 0;
+  const auto [end, error] =
+      std::from_chars(field.data(), field.data() + field.size(), value);
+  if (error != std::errc() || end != field.data() + field.size()) {
+    return Error("bad integer '" + std::string(field) + "'");
+  }
+  return value;
+}
+
+template Result<int> LineCursor::IntField<int>(std::string_view);
+template Result<int64_t> LineCursor::IntField<int64_t>(std::string_view);
+
+Result<uint64_t> LineCursor::HexField(std::string_view tag) {
+  RP_ASSIGN_OR_RETURN(std::string_view field, Field(tag));
+  // Writers always emit all 16 digits; a shorter field is a torn value.
+  auto value = field.size() == 16 ? Uint64FromHex(field)
+                                  : Status::Corruption("short hex");
+  if (!value.ok()) return Error("bad hex '" + std::string(field) + "'");
+  return *value;
+}
+
+Result<double> LineCursor::DoubleField(std::string_view tag) {
+  RP_ASSIGN_OR_RETURN(uint64_t bits, HexField(tag));
+  return std::bit_cast<double>(bits);
+}
+
+Result<size_t> LineCursor::CountField(std::string_view tag) {
+  RP_ASSIGN_OR_RETURN(int64_t count, IntField<int64_t>(tag));
+  // Bounding the count by the fields actually present keeps a corrupt
+  // count from turning into a huge allocation.
+  if (count < 0 || static_cast<size_t>(count) > fields_.size() - field_) {
+    return Error(StrPrintf("count %lld disagrees with the fields left",
+                           static_cast<long long>(count)));
+  }
+  return static_cast<size_t>(count);
+}
+
+template <typename T>
+Result<std::vector<T>> LineCursor::IntVecField(std::string_view tag) {
+  RP_ASSIGN_OR_RETURN(size_t count, CountField(tag));
+  std::vector<T> values(count);
+  for (T& v : values) {
+    RP_ASSIGN_OR_RETURN(v, IntField<T>());
+  }
+  return values;
+}
+
+template Result<std::vector<int>> LineCursor::IntVecField<int>(
+    std::string_view);
+template Result<std::vector<int64_t>> LineCursor::IntVecField<int64_t>(
+    std::string_view);
+
+Result<std::vector<double>> LineCursor::DoubleVecField(std::string_view tag) {
+  RP_ASSIGN_OR_RETURN(size_t count, CountField(tag));
+  std::vector<double> values(count);
+  for (double& v : values) {
+    RP_ASSIGN_OR_RETURN(v, DoubleField());
+  }
+  return values;
+}
+
+Status LineCursor::Finish() {
+  if (field_ < fields_.size()) return Error("trailing fields");
+  const std::string_view rest = std::string_view(payload_).substr(
+      std::min(next_line_, payload_.size()));
+  if (!Trim(rest).empty()) {
+    return Status::Corruption("payload: data after the last record");
+  }
+  return Status::OK();
+}
+
+Result<int> ReadInt(LineCursor& cursor, std::string_view tag) {
+  RP_RETURN_IF_ERROR(cursor.Line(tag));
+  return cursor.IntField();
+}
+
+Result<double> ReadDouble(LineCursor& cursor, std::string_view tag) {
+  RP_RETURN_IF_ERROR(cursor.Line(tag));
+  return cursor.DoubleField();
+}
+
+Result<std::vector<double>> ReadDoubleVec(LineCursor& cursor,
+                                          std::string_view tag) {
+  RP_RETURN_IF_ERROR(cursor.Line(tag));
+  return cursor.DoubleVecField();
+}
+
+// --- Keyed artifacts --------------------------------------------------------
+
+Result<LineCursor> ReadKeyedArtifact(const std::string& path,
+                                     std::string_view format,
+                                     std::string_view key_tag,
+                                     uint64_t expected_key,
+                                     const RetryOptions& retry) {
+  RP_ASSIGN_OR_RETURN(
+      std::string payload,
+      ReadArtifact(path, {.expected_format = std::string(format),
+                          .require_envelope = true,
+                          .retry = retry}));
+  LineCursor cursor(std::move(payload));
+  Status line = cursor.Line(key_tag);
+  auto key = line.ok() ? cursor.HexField() : Result<uint64_t>(line);
+  if (!key.ok()) {
+    return Status::Corruption(path + ": " + key.status().message());
+  }
+  if (*key != expected_key) {
+    return Status::FailedPrecondition(StrPrintf(
+        "%s: keyed to a different graph/options (%s %s, expected %s)",
+        path.c_str(), std::string(key_tag).c_str(), Uint64ToHex(*key).c_str(),
+        Uint64ToHex(expected_key).c_str()));
+  }
+  return cursor;
 }
 
 }  // namespace roadpart

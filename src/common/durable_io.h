@@ -34,6 +34,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
 
@@ -48,11 +50,10 @@ uint64_t Fnv1a64(const void* data, size_t size,
                  uint64_t basis = kFnv1a64Basis);
 uint64_t Fnv1a64(std::string_view data, uint64_t basis = kFnv1a64Basis);
 
-/// IEEE-754 bit pattern of `value` as 16 lowercase hex digits, and back.
-/// Text serialization that round-trips doubles *bit-exactly* (checkpoint
-/// payloads must reproduce computed values, not decimal approximations).
+/// IEEE-754 bit pattern of `value` as 16 lowercase hex digits: text that
+/// round-trips doubles *bit-exactly* (read back by LineCursor::DoubleField;
+/// resumed state must reproduce computed values, not decimal approximations).
 std::string DoubleToBitsHex(double value);
-Result<double> DoubleFromBitsHex(std::string_view hex);
 
 /// `value` as 16 lowercase hex digits, and back (checksums, fingerprints).
 std::string Uint64ToHex(uint64_t value);
@@ -186,6 +187,110 @@ Result<std::string> ReadArtifact(const std::string& path,
 
 /// Reads an entire file into a string (binary-exact).
 Result<std::string> ReadFileBytes(const std::string& path);
+
+// --- Tag-line payload codec -------------------------------------------------
+//
+// The keyed state formats (checkpoint MANIFEST + stages, "rpinc",
+// "rpjournal") share one payload grammar: lines of single-space-separated
+// fields led by a tag word, with optional inline tags ("region 3 valid 1").
+// Integers are decimal, doubles IEEE-754 bit-pattern hex (bit-exact round
+// trips), vectors a count then that many values. LineCursor decodes
+// strictly: every field must be consumed and no non-empty line may follow
+// the last record — a checksum vouches for bytes, not for meaning.
+
+/// Builds a tag-line payload: Line() starts a new line, every other call
+/// appends one field (or a count-prefixed vector).
+class LineWriter {
+ public:
+  LineWriter& Line(std::string_view tag);
+  LineWriter& Tag(std::string_view tag) { return Word(tag); }
+  LineWriter& Word(std::string_view word);
+  LineWriter& Int(int64_t value);
+  LineWriter& Hex(uint64_t value);
+  LineWriter& Double(double value);
+  template <typename T>
+  LineWriter& IntVec(const std::vector<T>& values) {
+    Int(static_cast<int64_t>(values.size()));
+    for (T v : values) Int(v);
+    return *this;
+  }
+  LineWriter& DoubleVec(const std::vector<double>& values);
+
+  /// The payload, last line terminated.
+  std::string Finish();
+
+ private:
+  std::string out_;
+};
+
+/// Strict sequential decoder over a tag-line payload; every error is a
+/// Corruption naming the line. A `tag` argument is an inline tag word
+/// expected before the value.
+class LineCursor {
+ public:
+  explicit LineCursor(std::string payload);
+
+  /// Moves to the next line and checks its leading tag. The previous line
+  /// must have been fully consumed.
+  Status Line(std::string_view tag);
+
+  Result<std::string> WordField(std::string_view tag = {});
+  /// Decimal integer that must fit T (int or int64_t).
+  template <typename T = int>
+  Result<T> IntField(std::string_view tag = {});
+  Result<uint64_t> HexField(std::string_view tag = {});
+  Result<double> DoubleField(std::string_view tag = {});
+  /// Count-prefixed vectors; the count may not exceed the fields left.
+  template <typename T = int>
+  Result<std::vector<T>> IntVecField(std::string_view tag = {});
+  Result<std::vector<double>> DoubleVecField(std::string_view tag = {});
+
+  /// The current line must be fully consumed and only blank lines remain.
+  Status Finish();
+
+ private:
+  /// Expects the next field of the current line to be `tag`.
+  Status Tag(std::string_view tag);
+  Result<std::string_view> Field(std::string_view tag);
+  Result<size_t> CountField(std::string_view tag);
+  Status Error(const std::string& what) const;
+
+  std::string payload_;
+  size_t next_line_ = 0;  // offset of the first unread line
+  // Fields of the current line as [begin, end) offsets into payload_, so a
+  // moved cursor stays valid.
+  std::vector<std::pair<size_t, size_t>> fields_;
+  size_t field_ = 0;  // next unread field
+};
+
+/// Line readers: Line(tag), then the line's first value ("tag value ..." or
+/// "tag count v0 v1 ..."); any further fields stay readable.
+Result<int> ReadInt(LineCursor& cursor, std::string_view tag);
+Result<double> ReadDouble(LineCursor& cursor, std::string_view tag);
+template <typename T = int>
+Result<std::vector<T>> ReadIntVec(LineCursor& cursor, std::string_view tag) {
+  RP_RETURN_IF_ERROR(cursor.Line(tag));
+  return cursor.IntVecField<T>();
+}
+Result<std::vector<double>> ReadDoubleVec(LineCursor& cursor,
+                                          std::string_view tag);
+
+// --- Keyed artifacts --------------------------------------------------------
+
+/// Loads an enveloped tag-line artifact bound to one computation: verifies
+/// the envelope (which must exist and name `format`), then checks that the
+/// payload's first line is "<key_tag> <hex>" carrying `expected_key`. On
+/// success the cursor is positioned after the key line. Typed failures let
+/// each caller apply its own policy:
+///   kIOError            - missing or unreadable file
+///   kCorruption         - torn envelope or undecodable key line
+///   kFailedPrecondition - another format, or keyed to a different
+///                         graph/options
+Result<LineCursor> ReadKeyedArtifact(const std::string& path,
+                                     std::string_view format,
+                                     std::string_view key_tag,
+                                     uint64_t expected_key,
+                                     const RetryOptions& retry = {});
 
 }  // namespace roadpart
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
 #include <utility>
 
 #include "common/string_util.h"
@@ -23,168 +22,23 @@ std::string StageFormat(CheckpointStage stage) {
   return std::string("checkpoint-") + CheckpointStageName(stage);
 }
 
-// --- Codec building blocks --------------------------------------------------
-//
-// Every payload is a sequence of lines "tag field...". Integers are decimal;
-// doubles are IEEE-754 bit patterns in hex (exact round trip). Vectors carry
-// an explicit count so truncation inside a line is detectable.
-
-void AppendIntVec(std::ostringstream& out, const char* tag,
-                  const std::vector<int>& values) {
-  out << tag << " " << values.size();
-  for (int v : values) out << " " << v;
-  out << "\n";
-}
-
-void AppendDoubleVec(std::ostringstream& out, const char* tag,
-                     const std::vector<double>& values) {
-  out << tag << " " << values.size();
-  for (double v : values) out << " " << DoubleToBitsHex(v);
-  out << "\n";
-}
-
-void AppendInt64Vec(std::ostringstream& out, const char* tag,
-                    const std::vector<int64_t>& values) {
-  out << tag << " " << values.size();
-  for (int64_t v : values) out << " " << v;
-  out << "\n";
-}
-
-/// Sequential reader over the payload lines of one stage artifact.
-class LineCursor {
- public:
-  explicit LineCursor(std::string_view payload) : in_(std::string(payload)) {}
-
-  /// Reads the next line and checks its leading tag.
-  Result<std::istringstream> Line(const char* tag) {
-    std::string line;
-    if (!std::getline(in_, line)) {
-      return Status::Corruption(
-          StrPrintf("checkpoint payload truncated before '%s' line", tag));
-    }
-    std::istringstream fields(line);
-    std::string found;
-    if (!(fields >> found) || found != tag) {
-      return Status::Corruption(
-          StrPrintf("checkpoint payload: expected '%s' line, found '%s'", tag,
-                    found.c_str()));
-    }
-    return fields;
-  }
-
- private:
-  std::istringstream in_;
-};
-
-Result<int> ReadInt(LineCursor& cursor, const char* tag) {
-  RP_ASSIGN_OR_RETURN(std::istringstream fields, cursor.Line(tag));
-  int value = 0;
-  if (!(fields >> value)) {
-    return Status::Corruption(StrPrintf("checkpoint '%s' field unreadable",
-                                        tag));
-  }
-  return value;
-}
-
-Result<double> ReadDouble(LineCursor& cursor, const char* tag) {
-  RP_ASSIGN_OR_RETURN(std::istringstream fields, cursor.Line(tag));
-  std::string hex;
-  if (!(fields >> hex)) {
-    return Status::Corruption(StrPrintf("checkpoint '%s' field unreadable",
-                                        tag));
-  }
-  auto value = DoubleFromBitsHex(hex);
-  if (!value.ok()) {
-    return Status::Corruption(StrPrintf("checkpoint '%s' has bad bits-hex",
-                                        tag));
-  }
-  return *value;
-}
-
-Result<std::vector<int>> ReadIntVec(LineCursor& cursor, const char* tag) {
-  RP_ASSIGN_OR_RETURN(std::istringstream fields, cursor.Line(tag));
-  size_t count = 0;
-  if (!(fields >> count)) {
-    return Status::Corruption(StrPrintf("checkpoint '%s' missing count", tag));
-  }
-  std::vector<int> values(count);
-  for (size_t i = 0; i < count; ++i) {
-    if (!(fields >> values[i])) {
-      return Status::Corruption(
-          StrPrintf("checkpoint '%s' truncated at entry %zu/%zu", tag, i,
-                    count));
-    }
-  }
-  return values;
-}
-
-Result<std::vector<int64_t>> ReadInt64Vec(LineCursor& cursor,
-                                          const char* tag) {
-  RP_ASSIGN_OR_RETURN(std::istringstream fields, cursor.Line(tag));
-  size_t count = 0;
-  if (!(fields >> count)) {
-    return Status::Corruption(StrPrintf("checkpoint '%s' missing count", tag));
-  }
-  std::vector<int64_t> values(count);
-  for (size_t i = 0; i < count; ++i) {
-    if (!(fields >> values[i])) {
-      return Status::Corruption(
-          StrPrintf("checkpoint '%s' truncated at entry %zu/%zu", tag, i,
-                    count));
-    }
-  }
-  return values;
-}
-
-Result<std::vector<double>> ReadDoubleVec(LineCursor& cursor,
-                                          const char* tag) {
-  RP_ASSIGN_OR_RETURN(std::istringstream fields, cursor.Line(tag));
-  size_t count = 0;
-  if (!(fields >> count)) {
-    return Status::Corruption(StrPrintf("checkpoint '%s' missing count", tag));
-  }
-  std::vector<double> values(count);
-  std::string hex;
-  for (size_t i = 0; i < count; ++i) {
-    if (!(fields >> hex)) {
-      return Status::Corruption(
-          StrPrintf("checkpoint '%s' truncated at entry %zu/%zu", tag, i,
-                    count));
-    }
-    auto value = DoubleFromBitsHex(hex);
-    if (!value.ok()) {
-      return Status::Corruption(
-          StrPrintf("checkpoint '%s' entry %zu has bad bits-hex", tag, i));
-    }
-    values[i] = *value;
-  }
-  return values;
-}
-
-void AppendEigen(std::ostringstream& out, const EigenSolveDiagnostics& eigen) {
-  out << "eigen " << static_cast<int>(eigen.solver_path) << " " << eigen.solves
-      << " " << eigen.lanczos_restarts << " "
-      << DoubleToBitsHex(eigen.worst_ritz_residual) << " "
-      << (eigen.all_converged ? 1 : 0) << "\n";
+void AppendEigen(LineWriter& out, const EigenSolveDiagnostics& eigen) {
+  out.Line("eigen").Int(static_cast<int>(eigen.solver_path)).Int(eigen.solves)
+      .Int(eigen.lanczos_restarts).Double(eigen.worst_ritz_residual)
+      .Int(eigen.all_converged ? 1 : 0);
 }
 
 Result<EigenSolveDiagnostics> ReadEigen(LineCursor& cursor) {
-  RP_ASSIGN_OR_RETURN(std::istringstream fields, cursor.Line("eigen"));
-  int path = 0;
-  int converged = 0;
-  std::string residual_hex;
   EigenSolveDiagnostics eigen;
-  if (!(fields >> path >> eigen.solves >> eigen.lanczos_restarts >>
-        residual_hex >> converged) ||
-      path < 0 || path > static_cast<int>(SolverPath::kBestEffort)) {
-    return Status::Corruption("checkpoint 'eigen' line unreadable");
-  }
-  auto residual = DoubleFromBitsHex(residual_hex);
-  if (!residual.ok()) {
-    return Status::Corruption("checkpoint 'eigen' residual has bad bits-hex");
+  RP_ASSIGN_OR_RETURN(int path, ReadInt(cursor, "eigen"));
+  RP_ASSIGN_OR_RETURN(eigen.solves, cursor.IntField());
+  RP_ASSIGN_OR_RETURN(eigen.lanczos_restarts, cursor.IntField());
+  RP_ASSIGN_OR_RETURN(eigen.worst_ritz_residual, cursor.DoubleField());
+  RP_ASSIGN_OR_RETURN(int converged, cursor.IntField());
+  if (path < 0 || path > static_cast<int>(SolverPath::kBestEffort)) {
+    return Status::Corruption("checkpoint 'eigen' solver path out of range");
   }
   eigen.solver_path = static_cast<SolverPath>(path);
-  eigen.worst_ritz_residual = *residual;
   eigen.all_converged = converged != 0;
   return eigen;
 }
@@ -253,32 +107,35 @@ Status CheckpointStore::Initialize() {
     return Status::IOError("cannot create checkpoint directory " +
                            options_.dir + ": " + ec.message());
   }
-  const std::string manifest_payload =
-      StrPrintf("input %s\noptions %s\n",
-                Uint64ToHex(manifest_.input_fingerprint).c_str(),
-                Uint64ToHex(manifest_.options_hash).c_str());
   bool fresh = true;
   if (options_.resume) {
-    ArtifactReadOptions read_options;
-    read_options.expected_format = kManifestFormat;
-    read_options.require_envelope = true;
-    read_options.retry = options_.retry;
-    auto existing = ReadArtifact(ManifestPath(), read_options);
-    if (existing.ok()) {
-      if (*existing == manifest_payload) {
-        resuming_ = true;
-        fresh = false;
-      } else {
-        warnings_.push_back(
-            "checkpoint manifest belongs to a different run (input or "
-            "options changed); recomputing all stages");
+    // The manifest is keyed by the input fingerprint; its options hash is
+    // the second field that must agree.
+    auto existing = [&]() -> Status {
+      RP_ASSIGN_OR_RETURN(
+          LineCursor cursor,
+          ReadKeyedArtifact(ManifestPath(), kManifestFormat, "input",
+                            manifest_.input_fingerprint, options_.retry));
+      RP_RETURN_IF_ERROR(cursor.Line("options"));
+      RP_ASSIGN_OR_RETURN(uint64_t options_hash, cursor.HexField());
+      RP_RETURN_IF_ERROR(cursor.Finish());
+      if (options_hash != manifest_.options_hash) {
+        return Status::FailedPrecondition("options changed");
       }
-    } else if (existing.status().code() != StatusCode::kIOError) {
-      // Torn / corrupt / foreign manifest. A missing one (kIOError) is just
-      // a first run and not worth a warning.
+      return Status::OK();
+    }();
+    if (existing.ok()) {
+      resuming_ = true;
+      fresh = false;
+    } else if (existing.code() == StatusCode::kFailedPrecondition) {
+      warnings_.push_back(
+          "checkpoint manifest belongs to a different run (input or "
+          "options changed); recomputing all stages");
+    } else if (existing.code() != StatusCode::kIOError) {
+      // Torn / corrupt manifest. A missing one (kIOError) is just a first
+      // run and not worth a warning.
       warnings_.push_back("checkpoint manifest failed verification (" +
-                          existing.status().ToString() +
-                          "); recomputing all stages");
+                          existing.ToString() + "); recomputing all stages");
     }
   }
   if (fresh) {
@@ -288,8 +145,11 @@ Status CheckpointStore::Initialize() {
     for (CheckpointStage stage : kAllStages) {
       (void)std::remove(StagePath(stage).c_str());
     }
+    LineWriter out;
+    out.Line("input").Hex(manifest_.input_fingerprint);
+    out.Line("options").Hex(manifest_.options_hash);
     RP_RETURN_IF_ERROR(WriteArtifact(ManifestPath(), kManifestFormat,
-                                     kCheckpointVersion, manifest_payload,
+                                     kCheckpointVersion, out.Finish(),
                                      options_.retry));
   }
   return Status::OK();
@@ -297,11 +157,10 @@ Status CheckpointStore::Initialize() {
 
 std::optional<std::string> CheckpointStore::LoadStage(CheckpointStage stage) {
   if (!enabled() || !resuming_) return std::nullopt;
-  ArtifactReadOptions read_options;
-  read_options.expected_format = StageFormat(stage);
-  read_options.require_envelope = true;
-  read_options.retry = options_.retry;
-  auto payload = ReadArtifact(StagePath(stage), read_options);
+  auto payload = ReadArtifact(StagePath(stage),
+                              {.expected_format = StageFormat(stage),
+                               .require_envelope = true,
+                               .retry = options_.retry});
   if (payload.ok()) return std::move(*payload);
   if (payload.status().code() != StatusCode::kIOError) {
     warnings_.push_back(StrPrintf(
@@ -328,43 +187,39 @@ Status CheckpointStore::SaveStage(CheckpointStage stage,
 // --- Mining checkpoint ------------------------------------------------------
 
 std::string EncodeMiningCheckpoint(const MiningCheckpoint& checkpoint) {
-  std::ostringstream out;
-  out << "fallback " << (checkpoint.roadgraph_fallback ? 1 : 0) << "\n";
-  out << "supernodes " << checkpoint.num_supernodes << "\n";
-  out << "module2 " << DoubleToBitsHex(checkpoint.module2_seconds) << "\n";
+  LineWriter out;
+  out.Line("fallback").Int(checkpoint.roadgraph_fallback ? 1 : 0);
+  out.Line("supernodes").Int(checkpoint.num_supernodes);
+  out.Line("module2").Double(checkpoint.module2_seconds);
   const SupergraphMiningReport& report = checkpoint.report;
-  out << "threshold " << DoubleToBitsHex(report.threshold) << "\n";
-  out << "sweep-shape " << report.effective_max_kappa << " "
-      << report.chosen_kappa << " " << report.supernodes_before_stability
-      << " " << report.supernodes_after_stability << "\n";
-  out << "phase-seconds " << DoubleToBitsHex(report.sweep_seconds) << " "
-      << DoubleToBitsHex(report.cluster_seconds) << " "
-      << DoubleToBitsHex(report.superlink_seconds) << "\n";
-  AppendIntVec(out, "kappas", report.kappas);
-  AppendDoubleVec(out, "mcg", report.mcg);
-  AppendIntVec(out, "shortlisted", report.shortlisted_kappas);
-  AppendIntVec(out, "components", report.component_counts);
-  AppendDoubleVec(out, "stability-values", report.stability_values);
+  out.Line("threshold").Double(report.threshold);
+  out.Line("sweep-shape").Int(report.effective_max_kappa)
+      .Int(report.chosen_kappa).Int(report.supernodes_before_stability)
+      .Int(report.supernodes_after_stability);
+  out.Line("phase-seconds").Double(report.sweep_seconds)
+      .Double(report.cluster_seconds).Double(report.superlink_seconds);
+  out.Line("kappas").IntVec(report.kappas);
+  out.Line("mcg").DoubleVec(report.mcg);
+  out.Line("shortlisted").IntVec(report.shortlisted_kappas);
+  out.Line("components").IntVec(report.component_counts);
+  out.Line("stability-values").DoubleVec(report.stability_values);
   if (!checkpoint.roadgraph_fallback && checkpoint.supergraph.has_value()) {
     const Supergraph& sg = *checkpoint.supergraph;
-    out << "supergraph " << sg.num_road_nodes() << " " << sg.num_supernodes()
-        << "\n";
+    out.Line("supergraph").Int(sg.num_road_nodes()).Int(sg.num_supernodes());
     for (const Supernode& sn : sg.supernodes()) {
-      out << "sn " << DoubleToBitsHex(sn.feature) << " " << sn.members.size();
-      for (int v : sn.members) out << " " << v;
-      out << "\n";
+      out.Line("sn").Double(sn.feature).IntVec(sn.members);
     }
     const CsrGraph& links = sg.links();
-    out << "links " << links.num_nodes() << "\n";
-    AppendInt64Vec(out, "offsets", links.offsets());
-    AppendIntVec(out, "neighbors", links.neighbors());
-    AppendDoubleVec(out, "weights", links.weights());
+    out.Line("links").Int(links.num_nodes());
+    out.Line("offsets").IntVec(links.offsets());
+    out.Line("neighbors").IntVec(links.neighbors());
+    out.Line("weights").DoubleVec(links.weights());
   }
-  return out.str();
+  return out.Finish();
 }
 
 Result<MiningCheckpoint> DecodeMiningCheckpoint(std::string_view payload) {
-  LineCursor cursor(payload);
+  LineCursor cursor{std::string(payload)};
   MiningCheckpoint checkpoint;
   RP_ASSIGN_OR_RETURN(int fallback, ReadInt(cursor, "fallback"));
   checkpoint.roadgraph_fallback = fallback != 0;
@@ -374,28 +229,15 @@ Result<MiningCheckpoint> DecodeMiningCheckpoint(std::string_view payload) {
                       ReadDouble(cursor, "module2"));
   SupergraphMiningReport& report = checkpoint.report;
   RP_ASSIGN_OR_RETURN(report.threshold, ReadDouble(cursor, "threshold"));
-  {
-    RP_ASSIGN_OR_RETURN(std::istringstream fields,
-                        cursor.Line("sweep-shape"));
-    if (!(fields >> report.effective_max_kappa >> report.chosen_kappa >>
-          report.supernodes_before_stability >>
-          report.supernodes_after_stability)) {
-      return Status::Corruption("checkpoint 'sweep-shape' line unreadable");
-    }
-  }
-  {
-    RP_ASSIGN_OR_RETURN(std::istringstream fields,
-                        cursor.Line("phase-seconds"));
-    std::string sweep_hex, cluster_hex, superlink_hex;
-    if (!(fields >> sweep_hex >> cluster_hex >> superlink_hex)) {
-      return Status::Corruption("checkpoint 'phase-seconds' line unreadable");
-    }
-    RP_ASSIGN_OR_RETURN(report.sweep_seconds, DoubleFromBitsHex(sweep_hex));
-    RP_ASSIGN_OR_RETURN(report.cluster_seconds,
-                        DoubleFromBitsHex(cluster_hex));
-    RP_ASSIGN_OR_RETURN(report.superlink_seconds,
-                        DoubleFromBitsHex(superlink_hex));
-  }
+  RP_ASSIGN_OR_RETURN(report.effective_max_kappa,
+                      ReadInt(cursor, "sweep-shape"));
+  RP_ASSIGN_OR_RETURN(report.chosen_kappa, cursor.IntField());
+  RP_ASSIGN_OR_RETURN(report.supernodes_before_stability, cursor.IntField());
+  RP_ASSIGN_OR_RETURN(report.supernodes_after_stability, cursor.IntField());
+  RP_ASSIGN_OR_RETURN(report.sweep_seconds,
+                      ReadDouble(cursor, "phase-seconds"));
+  RP_ASSIGN_OR_RETURN(report.cluster_seconds, cursor.DoubleField());
+  RP_ASSIGN_OR_RETURN(report.superlink_seconds, cursor.DoubleField());
   RP_ASSIGN_OR_RETURN(report.kappas, ReadIntVec(cursor, "kappas"));
   RP_ASSIGN_OR_RETURN(report.mcg, ReadDoubleVec(cursor, "mcg"));
   RP_ASSIGN_OR_RETURN(report.shortlisted_kappas,
@@ -404,47 +246,29 @@ Result<MiningCheckpoint> DecodeMiningCheckpoint(std::string_view payload) {
                       ReadIntVec(cursor, "components"));
   RP_ASSIGN_OR_RETURN(report.stability_values,
                       ReadDoubleVec(cursor, "stability-values"));
-  if (checkpoint.roadgraph_fallback) return checkpoint;
+  if (checkpoint.roadgraph_fallback) {
+    RP_RETURN_IF_ERROR(cursor.Finish());
+    return checkpoint;
+  }
 
-  int num_road_nodes = 0;
-  int num_supernodes = 0;
-  {
-    RP_ASSIGN_OR_RETURN(std::istringstream fields, cursor.Line("supergraph"));
-    if (!(fields >> num_road_nodes >> num_supernodes) || num_road_nodes < 0 ||
-        num_supernodes < 0) {
-      return Status::Corruption("checkpoint 'supergraph' line unreadable");
-    }
+  RP_ASSIGN_OR_RETURN(int num_road_nodes, ReadInt(cursor, "supergraph"));
+  RP_ASSIGN_OR_RETURN(int num_supernodes, cursor.IntField());
+  if (num_road_nodes < 0 || num_supernodes < 0) {
+    return Status::Corruption("checkpoint 'supergraph' sizes are negative");
   }
   std::vector<Supernode> supernodes(num_supernodes);
-  for (int s = 0; s < num_supernodes; ++s) {
-    RP_ASSIGN_OR_RETURN(std::istringstream fields, cursor.Line("sn"));
-    std::string feature_hex;
-    size_t count = 0;
-    if (!(fields >> feature_hex >> count)) {
-      return Status::Corruption(
-          StrPrintf("checkpoint supernode line %d unreadable", s));
-    }
-    auto feature = DoubleFromBitsHex(feature_hex);
-    if (!feature.ok()) {
-      return Status::Corruption(
-          StrPrintf("checkpoint supernode %d has bad feature bits", s));
-    }
-    supernodes[s].feature = *feature;
-    supernodes[s].members.resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (!(fields >> supernodes[s].members[i])) {
-        return Status::Corruption(
-            StrPrintf("checkpoint supernode %d member list truncated", s));
-      }
-    }
+  for (Supernode& sn : supernodes) {
+    RP_ASSIGN_OR_RETURN(sn.feature, ReadDouble(cursor, "sn"));
+    RP_ASSIGN_OR_RETURN(sn.members, cursor.IntVecField());
   }
   RP_ASSIGN_OR_RETURN(int link_nodes, ReadInt(cursor, "links"));
   RP_ASSIGN_OR_RETURN(std::vector<int64_t> offsets,
-                      ReadInt64Vec(cursor, "offsets"));
+                      ReadIntVec<int64_t>(cursor, "offsets"));
   RP_ASSIGN_OR_RETURN(std::vector<int> neighbors,
                       ReadIntVec(cursor, "neighbors"));
   RP_ASSIGN_OR_RETURN(std::vector<double> weights,
                       ReadDoubleVec(cursor, "weights"));
+  RP_RETURN_IF_ERROR(cursor.Finish());
   if (link_nodes != num_supernodes ||
       offsets.size() != static_cast<size_t>(link_nodes) + 1 ||
       neighbors.size() != weights.size()) {
@@ -469,17 +293,17 @@ Result<MiningCheckpoint> DecodeMiningCheckpoint(std::string_view payload) {
 // --- Cut checkpoint ---------------------------------------------------------
 
 std::string EncodeCutCheckpoint(const CutCheckpoint& checkpoint) {
-  std::ostringstream out;
-  out << "k-final " << checkpoint.k_final << "\n";
-  out << "k-prime " << checkpoint.k_prime << "\n";
-  out << "objective " << DoubleToBitsHex(checkpoint.objective) << "\n";
+  LineWriter out;
+  out.Line("k-final").Int(checkpoint.k_final);
+  out.Line("k-prime").Int(checkpoint.k_prime);
+  out.Line("objective").Double(checkpoint.objective);
   AppendEigen(out, checkpoint.eigen);
-  AppendIntVec(out, "assignment", checkpoint.assignment);
-  return out.str();
+  out.Line("assignment").IntVec(checkpoint.assignment);
+  return out.Finish();
 }
 
 Result<CutCheckpoint> DecodeCutCheckpoint(std::string_view payload) {
-  LineCursor cursor(payload);
+  LineCursor cursor{std::string(payload)};
   CutCheckpoint checkpoint;
   RP_ASSIGN_OR_RETURN(checkpoint.k_final, ReadInt(cursor, "k-final"));
   RP_ASSIGN_OR_RETURN(checkpoint.k_prime, ReadInt(cursor, "k-prime"));
@@ -487,26 +311,27 @@ Result<CutCheckpoint> DecodeCutCheckpoint(std::string_view payload) {
   RP_ASSIGN_OR_RETURN(checkpoint.eigen, ReadEigen(cursor));
   RP_ASSIGN_OR_RETURN(checkpoint.assignment,
                       ReadIntVec(cursor, "assignment"));
+  RP_RETURN_IF_ERROR(cursor.Finish());
   return checkpoint;
 }
 
 // --- Final checkpoint -------------------------------------------------------
 
 std::string EncodeFinalCheckpoint(const FinalCheckpoint& checkpoint) {
-  std::ostringstream out;
-  out << "k-final " << checkpoint.k_final << "\n";
-  out << "k-prime " << checkpoint.k_prime << "\n";
-  out << "supernodes " << checkpoint.num_supernodes << "\n";
-  out << "objective " << DoubleToBitsHex(checkpoint.objective) << "\n";
-  out << "module2 " << DoubleToBitsHex(checkpoint.module2_seconds) << "\n";
-  out << "module3 " << DoubleToBitsHex(checkpoint.module3_seconds) << "\n";
+  LineWriter out;
+  out.Line("k-final").Int(checkpoint.k_final);
+  out.Line("k-prime").Int(checkpoint.k_prime);
+  out.Line("supernodes").Int(checkpoint.num_supernodes);
+  out.Line("objective").Double(checkpoint.objective);
+  out.Line("module2").Double(checkpoint.module2_seconds);
+  out.Line("module3").Double(checkpoint.module3_seconds);
   AppendEigen(out, checkpoint.eigen);
-  AppendIntVec(out, "assignment", checkpoint.assignment);
-  return out.str();
+  out.Line("assignment").IntVec(checkpoint.assignment);
+  return out.Finish();
 }
 
 Result<FinalCheckpoint> DecodeFinalCheckpoint(std::string_view payload) {
-  LineCursor cursor(payload);
+  LineCursor cursor{std::string(payload)};
   FinalCheckpoint checkpoint;
   RP_ASSIGN_OR_RETURN(checkpoint.k_final, ReadInt(cursor, "k-final"));
   RP_ASSIGN_OR_RETURN(checkpoint.k_prime, ReadInt(cursor, "k-prime"));
@@ -520,6 +345,7 @@ Result<FinalCheckpoint> DecodeFinalCheckpoint(std::string_view payload) {
   RP_ASSIGN_OR_RETURN(checkpoint.eigen, ReadEigen(cursor));
   RP_ASSIGN_OR_RETURN(checkpoint.assignment,
                       ReadIntVec(cursor, "assignment"));
+  RP_RETURN_IF_ERROR(cursor.Finish());
   return checkpoint;
 }
 

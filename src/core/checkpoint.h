@@ -120,8 +120,9 @@ class CheckpointStore {
 
 // --- Stage payload codecs ---------------------------------------------------
 //
-// Text, line-oriented, every double as an IEEE bit-pattern hex field. The
-// codecs are exact inverses: Decode(Encode(x)) reproduces x bit-for-bit.
+// The tag-line codec of common/durable_io.h (every double as an IEEE
+// bit-pattern hex field). The codecs are exact inverses: Decode(Encode(x))
+// reproduces x bit-for-bit, and Decode rejects trailing data as Corruption.
 
 /// Module-2 result. When `roadgraph_fallback` is set the mined supergraph
 /// stayed below k supernodes even at the strictest stability setting and the

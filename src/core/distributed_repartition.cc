@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "common/durable_io.h"
@@ -356,130 +355,74 @@ Result<DistributedRepartitionResult> IncrementalRepartitioner::Refresh(
 }
 
 Status IncrementalRepartitioner::SaveCache(const std::string& path) const {
-  std::ostringstream payload;
-  payload << "key " << Uint64ToHex(CacheKey()) << "\n";
-  payload << "regions " << regions_.size() << " refreshes " << refreshes_
-          << "\n";
+  LineWriter out;
+  out.Line("key").Hex(CacheKey());
+  out.Line("regions").Int(static_cast<int64_t>(regions_.size()))
+      .Tag("refreshes").Int(refreshes_);
   for (size_t r = 0; r < cache_.size(); ++r) {
     const RegionCache& c = cache_[r];
-    payload << "region " << r << " valid " << (c.valid ? 1 : 0)
-            << " repartitioned " << (c.repartitioned ? 1 : 0) << " k " << c.k
-            << " spread " << DoubleToBitsHex(c.spread_at_cut) << "\n";
-    payload << "labels " << c.local.size();
-    for (int x : c.local) payload << " " << x;
-    payload << "\n";
-    payload << "boundary " << c.boundary_at_cut.size();
-    for (double x : c.boundary_at_cut) payload << " " << DoubleToBitsHex(x);
-    payload << "\n";
-    payload << "warm " << c.warm.size();
-    for (double x : c.warm) payload << " " << DoubleToBitsHex(x);
-    payload << "\n";
+    out.Line("region").Int(static_cast<int64_t>(r))
+        .Tag("valid").Int(c.valid ? 1 : 0)
+        .Tag("repartitioned").Int(c.repartitioned ? 1 : 0)
+        .Tag("k").Int(c.k)
+        .Tag("spread").Double(c.spread_at_cut);
+    out.Line("labels").IntVec(c.local);
+    out.Line("boundary").DoubleVec(c.boundary_at_cut);
+    out.Line("warm").DoubleVec(c.warm);
   }
-  return WriteArtifact(path, kCacheFormat, kCacheVersion, payload.str(),
+  return WriteArtifact(path, kCacheFormat, kCacheVersion, out.Finish(),
                        options_.partitioner.checkpoint.retry);
 }
 
-Result<bool> IncrementalRepartitioner::LoadCache(const std::string& path) {
-  ArtifactReadOptions read;
-  read.expected_format = kCacheFormat;
-  read.require_envelope = true;
-  read.retry = options_.partitioner.checkpoint.retry;
-  auto payload = ReadArtifact(path, read);
-  if (!payload.ok()) {
-    warnings_.push_back("incremental cache not adopted (" +
-                        payload.status().ToString() + "); cold start");
-    return false;
-  }
-
-  // Strict line-oriented decode into a scratch cache; only a fully valid
-  // artifact whose key matches this engine is adopted.
-  std::istringstream in(*payload);
-  auto fail = [&](const std::string& why) -> Result<bool> {
-    warnings_.push_back("incremental cache undecodable (" + why +
-                        "); cold start");
-    return false;
-  };
-  std::string tag, hex;
-  if (!(in >> tag >> hex) || tag != "key") return fail("missing key line");
-  auto key = Uint64FromHex(hex);
-  if (!key.ok()) return fail("bad key");
-  if (*key != CacheKey()) {
-    warnings_.push_back(
-        "incremental cache keyed to a different graph/options; cold start");
-    return false;
-  }
-  size_t stored_regions = 0;
+bool IncrementalRepartitioner::LoadCache(const std::string& path) {
+  // Decode into a scratch cache; only a fully valid artifact whose key
+  // matches this engine is adopted.
+  std::vector<RegionCache> scratch(regions_.size());
   int stored_refreshes = 0;
-  if (!(in >> tag >> stored_regions) || tag != "regions") {
-    return fail("missing regions line");
-  }
-  if (!(in >> tag >> stored_refreshes) || tag != "refreshes") {
-    return fail("missing refreshes field");
-  }
-  if (stored_regions != regions_.size()) return fail("region count mismatch");
-
-  std::vector<RegionCache> scratch(stored_regions);
-  for (size_t r = 0; r < stored_regions; ++r) {
-    size_t id = 0;
-    int valid = 0, repartitioned = 0, k = 0;
-    RegionCache& c = scratch[r];
-    if (!(in >> tag >> id) || tag != "region" || id != r) {
-      return fail("bad region header");
+  Status loaded = [&]() -> Status {
+    RP_ASSIGN_OR_RETURN(
+        LineCursor in,
+        ReadKeyedArtifact(path, kCacheFormat, "key", CacheKey(),
+                          options_.partitioner.checkpoint.retry));
+    RP_ASSIGN_OR_RETURN(int stored_regions, ReadInt(in, "regions"));
+    RP_ASSIGN_OR_RETURN(stored_refreshes, in.IntField("refreshes"));
+    if (stored_regions != num_regions()) {
+      return Status::Corruption("region count mismatch");
     }
-    if (!(in >> tag >> valid) || tag != "valid") return fail("bad valid");
-    if (!(in >> tag >> repartitioned) || tag != "repartitioned") {
-      return fail("bad repartitioned");
-    }
-    if (!(in >> tag >> k) || tag != "k" || k < 0) return fail("bad k");
-    if (!(in >> tag >> hex) || tag != "spread") return fail("bad spread");
-    auto spread = DoubleFromBitsHex(hex);
-    if (!spread.ok()) return fail("bad spread bits");
-    c.valid = valid != 0;
-    c.repartitioned = repartitioned != 0;
-    c.k = k;
-    c.spread_at_cut = *spread;
-
-    size_t count = 0;
-    if (!(in >> tag >> count) || tag != "labels") return fail("bad labels");
-    if (count != regions_[r].size() && c.valid) {
-      return fail("label count mismatch");
-    }
-    c.local.resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (!(in >> c.local[i]) || c.local[i] < 0 || c.local[i] >= std::max(c.k, 1)) {
-        return fail("bad label value");
+    for (size_t r = 0; r < scratch.size(); ++r) {
+      RegionCache& c = scratch[r];
+      RP_ASSIGN_OR_RETURN(int id, ReadInt(in, "region"));
+      RP_ASSIGN_OR_RETURN(int valid, in.IntField("valid"));
+      RP_ASSIGN_OR_RETURN(int repartitioned, in.IntField("repartitioned"));
+      RP_ASSIGN_OR_RETURN(c.k, in.IntField("k"));
+      RP_ASSIGN_OR_RETURN(c.spread_at_cut, in.DoubleField("spread"));
+      if (id != static_cast<int>(r) || c.k < 0) {
+        return Status::Corruption("bad region header");
       }
+      c.valid = valid != 0;
+      c.repartitioned = repartitioned != 0;
+      RP_ASSIGN_OR_RETURN(c.local, ReadIntVec(in, "labels"));
+      if (c.valid && c.local.size() != regions_[r].size()) {
+        return Status::Corruption("label count mismatch");
+      }
+      for (int label : c.local) {
+        if (label < 0 || label >= std::max(c.k, 1)) {
+          return Status::Corruption("bad label value");
+        }
+      }
+      RP_ASSIGN_OR_RETURN(c.boundary_at_cut, ReadDoubleVec(in, "boundary"));
+      RP_ASSIGN_OR_RETURN(c.warm, ReadDoubleVec(in, "warm"));
     }
-    if (!(in >> tag >> count) || tag != "boundary") return fail("bad boundary");
-    c.boundary_at_cut.resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (!(in >> hex)) return fail("short boundary row");
-      auto bits = DoubleFromBitsHex(hex);
-      if (!bits.ok()) return fail("bad boundary bits");
-      c.boundary_at_cut[i] = *bits;
-    }
-    if (!(in >> tag >> count) || tag != "warm") return fail("bad warm");
-    c.warm.resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (!(in >> hex)) return fail("short warm row");
-      auto bits = DoubleFromBitsHex(hex);
-      if (!bits.ok()) return fail("bad warm bits");
-      c.warm[i] = *bits;
-    }
+    return in.Finish();
+  }();
+  if (!loaded.ok()) {
+    warnings_.push_back("incremental cache not adopted (" +
+                        loaded.ToString() + "); cold start");
+    return false;
   }
   cache_ = std::move(scratch);
   refreshes_ = stored_refreshes;
   return true;
-}
-
-Result<DistributedRepartitionResult> RepartitionWithinRegions(
-    const RoadGraph& road_graph, const std::vector<int>& previous_assignment,
-    const DistributedRepartitionOptions& options) {
-  RP_ASSIGN_OR_RETURN(
-      IncrementalRepartitioner engine,
-      IncrementalRepartitioner::Create(road_graph, previous_assignment,
-                                       options));
-  return engine.Refresh(road_graph.features());
 }
 
 }  // namespace roadpart

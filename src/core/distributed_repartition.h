@@ -23,8 +23,9 @@
 ///    same region seeds its Lanczos from it (LanczosOptions::warm_start).
 ///    A warm vector that no longer fits (the ASG supergraph changed order)
 ///    or fails validation is silently dropped — the PR-3 fallback ladder is
-///    untouched. The cache can ride PR 5's durable envelopes across process
-///    restarts via SaveCache/LoadCache (format "rpinc").
+///    untouched. The cache survives process restarts via
+///    SaveCache/LoadCache (the keyed "rpinc" format; see "Keyed state
+///    formats" in DESIGN.md).
 ///
 ///  - Deterministic parallel fan-out. Dirty regions run through
 ///    ParallelForTasks with one outcome slot per region and a serial merge
@@ -141,16 +142,14 @@ class IncrementalRepartitioner {
       const std::vector<double>& densities);
 
   /// Persists the engine's incremental state (cached cuts + warm embeddings)
-  /// as a checksummed durable artifact (format "rpinc"), keyed by the bound
-  /// topology, region assignment, and output-affecting options.
+  /// as an "rpinc" artifact keyed by the bound topology, region assignment,
+  /// and output-affecting options.
   Status SaveCache(const std::string& path) const;
 
   /// Restores state saved by SaveCache. Returns true when the cache was
-  /// adopted; a missing, corrupt, or differently-keyed cache returns false
-  /// (with a warning recorded) and leaves the engine cold — it never fails
-  /// the engine. Typed I/O corruption still surfaces as false, not error,
-  /// because a cold start is always a safe answer.
-  Result<bool> LoadCache(const std::string& path);
+  /// adopted; any rejected cache returns false with one warning recorded
+  /// and leaves the engine cold — never an error.
+  bool LoadCache(const std::string& path);
 
   int num_regions() const { return static_cast<int>(regions_.size()); }
   int num_refreshes() const { return refreshes_; }
@@ -184,16 +183,6 @@ class IncrementalRepartitioner {
   int refreshes_ = 0;
   std::vector<std::string> warnings_;
 };
-
-/// One-shot form, kept for Section 6.4 experiments and callers without an
-/// interval loop: equivalent to Create() + a single Refresh() on the graph's
-/// own features. With no cached cuts, `trigger_ratio` acts as an absolute
-/// spread threshold (a region is re-cut when its spread exceeds
-/// trigger_ratio × global scale; <= 0 re-cuts everything), matching the
-/// historical behavior of this entry point.
-Result<DistributedRepartitionResult> RepartitionWithinRegions(
-    const RoadGraph& road_graph, const std::vector<int>& previous_assignment,
-    const DistributedRepartitionOptions& options);
 
 }  // namespace roadpart
 

@@ -29,17 +29,12 @@ std::string SnapshotPath(const std::string& state_dir, int t) {
   return StrPrintf("%s/snap-%06d.rpsnap", state_dir.c_str(), t);
 }
 
-/// Most recent non-published entry's reason, "none" when every interval so
-/// far published (what `!health` reports as last_error).
-std::string LastReason(const PipelineJournal& journal) {
-  for (auto it = journal.entries.rbegin(); it != journal.entries.rend();
-       ++it) {
-    if (it->outcome != PipelineIntervalOutcome::kPublished) return it->reason;
-  }
-  return "none";
-}
-
-PipelineFeedStats FeedStats(const PipelineJournal& journal) {
+/// One pass over the journal: outcome counts, staleness and the most recent
+/// non-published reason ("none" when every interval so far published — what
+/// `!health` reports as last_error), plus the summed retries when `retries`
+/// is given.
+PipelineFeedStats FeedStats(const PipelineJournal& journal,
+                            int64_t* retries = nullptr) {
   PipelineFeedStats feed;
   feed.intervals = static_cast<int64_t>(journal.entries.size());
   for (const PipelineJournalEntry& e : journal.entries) {
@@ -49,37 +44,29 @@ PipelineFeedStats FeedStats(const PipelineJournal& journal) {
         break;
       case PipelineIntervalOutcome::kDegraded:
         ++feed.degraded;
+        feed.last_reason = e.reason;
         break;
       case PipelineIntervalOutcome::kQuarantined:
         ++feed.quarantined;
+        feed.last_reason = e.reason;
         break;
     }
+    if (retries != nullptr) *retries += e.retries;
   }
   feed.staleness = journal.staleness;
-  feed.last_reason = LastReason(journal);
   return feed;
 }
 
 PipelineStats StatsFromJournal(const PipelineJournal& journal,
                                int64_t resumed) {
   PipelineStats stats;
-  stats.intervals = static_cast<int64_t>(journal.entries.size());
-  for (const PipelineJournalEntry& e : journal.entries) {
-    switch (e.outcome) {
-      case PipelineIntervalOutcome::kPublished:
-        ++stats.published;
-        break;
-      case PipelineIntervalOutcome::kDegraded:
-        ++stats.degraded;
-        break;
-      case PipelineIntervalOutcome::kQuarantined:
-        ++stats.quarantined;
-        break;
-    }
-    stats.retries += e.retries;
-  }
+  const PipelineFeedStats feed = FeedStats(journal, &stats.retries);
+  stats.intervals = feed.intervals;
+  stats.published = feed.published;
+  stats.degraded = feed.degraded;
+  stats.quarantined = feed.quarantined;
   stats.resumed = resumed;
-  stats.staleness = journal.staleness;
+  stats.staleness = feed.staleness;
   return stats;
 }
 
@@ -237,7 +224,7 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
     if (e.refreshed) ++journaled_refreshes;
   }
   if (journaled_refreshes > 0) {
-    RP_ASSIGN_OR_RETURN(bool adopted, engine.LoadCache(cache_path));
+    bool adopted = engine.LoadCache(cache_path);
     drain_engine_warnings();
     if (adopted && engine.num_refreshes() != journaled_refreshes) {
       result.warnings.push_back(StrPrintf(

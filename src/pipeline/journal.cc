@@ -1,6 +1,5 @@
 #include "pipeline/journal.h"
 
-#include <sstream>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -11,6 +10,59 @@ namespace {
 
 constexpr const char* kJournalFormat = "rpjournal";
 constexpr int kJournalVersion = 1;
+
+/// Decodes the payload after the key line into `j`; any malformed or
+/// out-of-range field is an error naming what failed.
+Status DecodeJournal(LineCursor& in, PipelineJournal& j) {
+  RP_ASSIGN_OR_RETURN(j.k_top, ReadInt(in, "ktop"));
+  if (j.k_top <= 0) return Status::Corruption("bad ktop");
+  RP_ASSIGN_OR_RETURN(j.regions, ReadIntVec(in, "regions"));
+  for (int r : j.regions) {
+    if (r < 0 || r >= j.k_top) return Status::Corruption("bad region id");
+  }
+  RP_ASSIGN_OR_RETURN(j.tracker_next_id, ReadInt(in, "tracker"));
+  if (j.tracker_next_id < 0) return Status::Corruption("bad tracker watermark");
+  RP_ASSIGN_OR_RETURN(j.tracker_reference, in.IntVecField());
+  for (int label : j.tracker_reference) {
+    if (label < 0 || label >= j.tracker_next_id) {
+      return Status::Corruption("bad tracker label");
+    }
+  }
+  RP_RETURN_IF_ERROR(in.Line("last_published"));
+  RP_ASSIGN_OR_RETURN(j.last_published_path, in.WordField());
+  RP_ASSIGN_OR_RETURN(j.last_published_ans, in.DoubleField("ans"));
+  RP_ASSIGN_OR_RETURN(j.staleness, in.IntField<int64_t>("staleness"));
+  if (j.staleness < 0) return Status::Corruption("bad staleness");
+  RP_ASSIGN_OR_RETURN(int count, ReadInt(in, "intervals"));
+  if (count < 0) return Status::Corruption("bad interval count");
+  for (int i = 0; i < count; ++i) {
+    PipelineJournalEntry& e = j.entries.emplace_back();
+    RP_ASSIGN_OR_RETURN(e.index, ReadInt(in, "interval"));
+    if (e.index != i) return Status::Corruption("bad interval header");
+    RP_ASSIGN_OR_RETURN(e.timestamp_seconds, in.DoubleField("ts"));
+    RP_ASSIGN_OR_RETURN(e.input_fingerprint, in.HexField("input"));
+    RP_ASSIGN_OR_RETURN(std::string outcome, in.WordField("outcome"));
+    RP_ASSIGN_OR_RETURN(e.outcome, ParsePipelineOutcome(outcome));
+    RP_ASSIGN_OR_RETURN(e.reason, in.WordField("reason"));
+    RP_ASSIGN_OR_RETURN(int refreshed, in.IntField("refreshed"));
+    if (refreshed != 0 && refreshed != 1) {
+      return Status::Corruption("bad refreshed flag");
+    }
+    e.refreshed = refreshed != 0;
+    RP_ASSIGN_OR_RETURN(e.retries, in.IntField("retries"));
+    if (e.retries < 0) return Status::Corruption("bad retries");
+    RP_ASSIGN_OR_RETURN(e.staleness, in.IntField<int64_t>("staleness"));
+    if (e.staleness < 0) return Status::Corruption("bad entry staleness");
+    RP_ASSIGN_OR_RETURN(e.ans, in.DoubleField("ans"));
+    RP_ASSIGN_OR_RETURN(e.churn, in.DoubleField("churn"));
+    RP_ASSIGN_OR_RETURN(e.snapshot_path, in.WordField("snapshot"));
+    const bool published = e.outcome == PipelineIntervalOutcome::kPublished;
+    if (published != (e.snapshot_path != "-")) {
+      return Status::Corruption("snapshot path inconsistent with outcome");
+    }
+  }
+  return in.Finish();
+}
 
 }  // namespace
 
@@ -37,31 +89,30 @@ Result<PipelineIntervalOutcome> ParsePipelineOutcome(std::string_view name) {
 
 Status SaveJournal(const PipelineJournal& journal, const std::string& path,
                    const RetryOptions& retry) {
-  std::ostringstream payload;
-  payload << "key " << Uint64ToHex(journal.key) << "\n";
-  payload << "ktop " << journal.k_top << "\n";
-  payload << "regions " << journal.regions.size();
-  for (int r : journal.regions) payload << " " << r;
-  payload << "\n";
-  payload << "tracker " << journal.tracker_next_id << " "
-          << journal.tracker_reference.size();
-  for (int l : journal.tracker_reference) payload << " " << l;
-  payload << "\n";
-  payload << "last_published " << journal.last_published_path << " ans "
-          << DoubleToBitsHex(journal.last_published_ans) << " staleness "
-          << journal.staleness << "\n";
-  payload << "intervals " << journal.entries.size() << "\n";
+  LineWriter out;
+  out.Line("key").Hex(journal.key);
+  out.Line("ktop").Int(journal.k_top);
+  out.Line("regions").IntVec(journal.regions);
+  out.Line("tracker").Int(journal.tracker_next_id)
+      .IntVec(journal.tracker_reference);
+  out.Line("last_published").Word(journal.last_published_path)
+      .Tag("ans").Double(journal.last_published_ans)
+      .Tag("staleness").Int(journal.staleness);
+  out.Line("intervals").Int(static_cast<int64_t>(journal.entries.size()));
   for (const PipelineJournalEntry& e : journal.entries) {
-    payload << "interval " << e.index << " ts "
-            << DoubleToBitsHex(e.timestamp_seconds) << " input "
-            << Uint64ToHex(e.input_fingerprint) << " outcome "
-            << PipelineOutcomeName(e.outcome) << " reason " << e.reason
-            << " refreshed " << (e.refreshed ? 1 : 0) << " retries "
-            << e.retries << " staleness " << e.staleness << " ans "
-            << DoubleToBitsHex(e.ans) << " churn " << DoubleToBitsHex(e.churn)
-            << " snapshot " << e.snapshot_path << "\n";
+    out.Line("interval").Int(e.index)
+        .Tag("ts").Double(e.timestamp_seconds)
+        .Tag("input").Hex(e.input_fingerprint)
+        .Tag("outcome").Word(PipelineOutcomeName(e.outcome))
+        .Tag("reason").Word(e.reason)
+        .Tag("refreshed").Int(e.refreshed ? 1 : 0)
+        .Tag("retries").Int(e.retries)
+        .Tag("staleness").Int(e.staleness)
+        .Tag("ans").Double(e.ans)
+        .Tag("churn").Double(e.churn)
+        .Tag("snapshot").Word(e.snapshot_path);
   }
-  return WriteArtifact(path, kJournalFormat, kJournalVersion, payload.str(),
+  return WriteArtifact(path, kJournalFormat, kJournalVersion, out.Finish(),
                        retry);
 }
 
@@ -77,117 +128,19 @@ std::optional<PipelineJournal> LoadJournal(const std::string& path,
     return std::nullopt;
   };
 
-  ArtifactReadOptions read;
-  read.expected_format = kJournalFormat;
-  read.require_envelope = true;
-  read.retry = retry;
-  auto payload = ReadArtifact(path, read);
-  if (!payload.ok()) return warn(payload.status().ToString());
+  auto cursor = ReadKeyedArtifact(path, kJournalFormat, "key", expected_key,
+                                  retry);
+  if (!cursor.ok()) return warn(cursor.status().ToString());
   if (RP_FAULT_FIRES(FaultSite::kPipelineJournalCorruption)) {
     // A journal whose bytes verified but whose producer is suspect (e.g. a
     // mid-upgrade writer); the loader must treat it like any torn file.
     return warn("journal declared corrupt after verification (injected)");
   }
-
-  // Strict token decode into a scratch journal; only a fully valid artifact
-  // carrying the expected key is adopted.
-  std::istringstream in(*payload);
+  // Decode into a scratch journal; only a fully valid one is adopted.
   PipelineJournal j;
-  std::string tag, word;
-  if (!(in >> tag >> word) || tag != "key") return warn("missing key line");
-  auto key = Uint64FromHex(word);
-  if (!key.ok()) return warn("bad key");
-  if (*key != expected_key) {
-    return warn("journal keyed to a different graph/options");
-  }
-  j.key = *key;
-  if (!(in >> tag >> j.k_top) || tag != "ktop" || j.k_top <= 0) {
-    return warn("bad ktop line");
-  }
-  size_t count = 0;
-  if (!(in >> tag >> count) || tag != "regions") return warn("bad regions");
-  j.regions.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    if (!(in >> j.regions[i]) || j.regions[i] < 0 ||
-        j.regions[i] >= j.k_top) {
-      return warn("bad region id");
-    }
-  }
-  if (!(in >> tag >> j.tracker_next_id >> count) || tag != "tracker" ||
-      j.tracker_next_id < 0) {
-    return warn("bad tracker line");
-  }
-  j.tracker_reference.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    if (!(in >> j.tracker_reference[i]) || j.tracker_reference[i] < 0 ||
-        j.tracker_reference[i] >= j.tracker_next_id) {
-      return warn("bad tracker label");
-    }
-  }
-  if (!(in >> tag >> j.last_published_path) || tag != "last_published") {
-    return warn("bad last_published line");
-  }
-  if (!(in >> tag >> word) || tag != "ans") return warn("bad baseline ans");
-  auto baseline = DoubleFromBitsHex(word);
-  if (!baseline.ok()) return warn("bad baseline ans bits");
-  j.last_published_ans = *baseline;
-  if (!(in >> tag >> j.staleness) || tag != "staleness" || j.staleness < 0) {
-    return warn("bad staleness");
-  }
-  if (!(in >> tag >> count) || tag != "intervals") {
-    return warn("bad intervals line");
-  }
-  j.entries.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    PipelineJournalEntry& e = j.entries[i];
-    if (!(in >> tag >> e.index) || tag != "interval" ||
-        e.index != static_cast<int>(i)) {
-      return warn("bad interval header");
-    }
-    if (!(in >> tag >> word) || tag != "ts") return warn("bad ts");
-    auto ts = DoubleFromBitsHex(word);
-    if (!ts.ok()) return warn("bad ts bits");
-    e.timestamp_seconds = *ts;
-    if (!(in >> tag >> word) || tag != "input") return warn("bad input");
-    auto fp = Uint64FromHex(word);
-    if (!fp.ok()) return warn("bad input fingerprint");
-    e.input_fingerprint = *fp;
-    if (!(in >> tag >> word) || tag != "outcome") return warn("bad outcome");
-    auto outcome = ParsePipelineOutcome(word);
-    if (!outcome.ok()) return warn("unknown outcome token");
-    e.outcome = *outcome;
-    if (!(in >> tag >> e.reason) || tag != "reason" || e.reason.empty()) {
-      return warn("bad reason");
-    }
-    int refreshed = 0;
-    if (!(in >> tag >> refreshed) || tag != "refreshed" ||
-        (refreshed != 0 && refreshed != 1)) {
-      return warn("bad refreshed flag");
-    }
-    e.refreshed = refreshed != 0;
-    if (!(in >> tag >> e.retries) || tag != "retries" || e.retries < 0) {
-      return warn("bad retries");
-    }
-    if (!(in >> tag >> e.staleness) || tag != "staleness" ||
-        e.staleness < 0) {
-      return warn("bad entry staleness");
-    }
-    if (!(in >> tag >> word) || tag != "ans") return warn("bad entry ans");
-    auto ans = DoubleFromBitsHex(word);
-    if (!ans.ok()) return warn("bad entry ans bits");
-    e.ans = *ans;
-    if (!(in >> tag >> word) || tag != "churn") return warn("bad churn");
-    auto churn = DoubleFromBitsHex(word);
-    if (!churn.ok()) return warn("bad churn bits");
-    e.churn = *churn;
-    if (!(in >> tag >> e.snapshot_path) || tag != "snapshot") {
-      return warn("bad snapshot path");
-    }
-    const bool published = e.outcome == PipelineIntervalOutcome::kPublished;
-    if (published != (e.snapshot_path != "-")) {
-      return warn("snapshot path inconsistent with outcome");
-    }
-  }
+  j.key = expected_key;
+  Status decoded = DecodeJournal(*cursor, j);
+  if (!decoded.ok()) return warn(decoded.ToString());
   return j;
 }
 

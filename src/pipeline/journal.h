@@ -18,18 +18,13 @@
 /// one — never a torn file. Full-rewrite journaling also self-heals: if one
 /// interval's write fails, the next interval's rewrite repairs the file.
 ///
-/// Versioning: the envelope records format "rpjournal" version 1; any
-/// layout change bumps the version and old readers refuse the file as a
-/// cold restart (never an error). Doubles are stored as IEEE-754 bit
-/// patterns, so a resumed run sees bit-exact quality baselines and replayed
-/// series are byte-identical. Paths stored in the journal must not contain
-/// whitespace (the payload is token-oriented); the pipeline only writes
-/// paths it derived from its own state directory.
-///
-/// Failure policy mirrors the incremental cache (core "rpinc"): a missing,
-/// corrupt, differently-keyed, or injected-corrupt (fault site
-/// kPipelineJournalCorruption) journal loads as "no journal" with a warning
-/// — a cold restart is always a safe answer, so LoadJournal never fails.
+/// Format, versioning and the missing/corrupt/mismatch policy are shared
+/// with the other keyed state formats: see the "Keyed state formats" table
+/// in DESIGN.md and the tag-line codec in common/durable_io.h. Paths stored
+/// in the journal must not contain whitespace (fields are space-separated);
+/// the pipeline only writes paths it derived from its own state directory.
+/// The fault site kPipelineJournalCorruption rejects a verified journal like
+/// a torn one — LoadJournal never fails.
 
 #include <cstdint>
 #include <optional>
@@ -94,11 +89,9 @@ struct PipelineJournal {
 Status SaveJournal(const PipelineJournal& journal, const std::string& path,
                    const RetryOptions& retry = {});
 
-/// Loads a journal saved by SaveJournal when it exists, verifies, decodes,
-/// and carries key `expected_key`. Anything else — missing file, torn
-/// artifact, undecodable payload, key mismatch, injected corruption —
-/// returns nullopt with one warning line appended to `warnings`: the caller
-/// cold-restarts, which is always safe.
+/// Loads a journal saved by SaveJournal that verifies, decodes strictly,
+/// and carries key `expected_key`. Anything else returns nullopt with one
+/// warning line appended to `warnings`: the caller cold-restarts.
 std::optional<PipelineJournal> LoadJournal(const std::string& path,
                                            uint64_t expected_key,
                                            const RetryOptions& retry,

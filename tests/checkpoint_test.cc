@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "roadpart/roadpart.h"
@@ -79,7 +80,7 @@ TEST(CheckpointTest, CanonicalOptionsStringIgnoresPureKnobs) {
 
 // --- Stage codecs ---
 
-TEST(CheckpointCodecTest, CutRoundTripIsBitExact) {
+CutCheckpoint SampleCut() {
   CutCheckpoint cut;
   cut.assignment = {0, 2, 1, 1, 0, 3};
   cut.k_final = 4;
@@ -90,16 +91,10 @@ TEST(CheckpointCodecTest, CutRoundTripIsBitExact) {
   cut.eigen.lanczos_restarts = 7;
   cut.eigen.worst_ritz_residual = 2.4061e-15;
   cut.eigen.all_converged = false;
-  auto back = DecodeCutCheckpoint(EncodeCutCheckpoint(cut));
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->assignment, cut.assignment);
-  EXPECT_EQ(back->k_final, cut.k_final);
-  EXPECT_EQ(back->k_prime, cut.k_prime);
-  EXPECT_TRUE(BitEqual(back->objective, cut.objective));
-  ExpectEigenEqual(back->eigen, cut.eigen);
+  return cut;
 }
 
-TEST(CheckpointCodecTest, FinalRoundTripIsBitExact) {
+FinalCheckpoint SampleFinal() {
   FinalCheckpoint fin;
   fin.assignment = {1, 0, 0, 2};
   fin.k_final = 3;
@@ -111,6 +106,50 @@ TEST(CheckpointCodecTest, FinalRoundTripIsBitExact) {
   fin.eigen.solver_path = SolverPath::kDense;
   fin.eigen.solves = 4;
   fin.eigen.all_converged = true;
+  return fin;
+}
+
+// Three supernodes over five road nodes, linked 0-1-2.
+MiningCheckpoint SampleMining() {
+  MiningCheckpoint mining;
+  mining.num_supernodes = 3;
+  mining.module2_seconds = 0.0421;
+  SupergraphMiningReport& report = mining.report;
+  report.kappas = {2, 3};
+  report.mcg = {0.5, 0.75};
+  report.shortlisted_kappas = {3};
+  report.component_counts = {3};
+  report.threshold = 0.625;
+  report.effective_max_kappa = 3;
+  report.chosen_kappa = 3;
+  report.supernodes_before_stability = 3;
+  report.supernodes_after_stability = 3;
+  report.stability_values = {1.0, 0.5, 1.0};
+  report.sweep_seconds = 0.001;
+  report.cluster_seconds = 0.002;
+  report.superlink_seconds = 0.004;
+  std::vector<Supernode> supernodes = {
+      {{0, 1}, 0.25}, {{2}, 0.5}, {{3, 4}, 0.75}};
+  CsrGraph links = CsrGraph::FromRawParts(3, {0, 1, 3, 4}, {1, 0, 2, 1},
+                                          {0.5, 0.5, 0.125, 0.125});
+  mining.supergraph =
+      Supergraph::Create(std::move(supernodes), std::move(links), 5).value();
+  return mining;
+}
+
+TEST(CheckpointCodecTest, CutRoundTripIsBitExact) {
+  const CutCheckpoint cut = SampleCut();
+  auto back = DecodeCutCheckpoint(EncodeCutCheckpoint(cut));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->assignment, cut.assignment);
+  EXPECT_EQ(back->k_final, cut.k_final);
+  EXPECT_EQ(back->k_prime, cut.k_prime);
+  EXPECT_TRUE(BitEqual(back->objective, cut.objective));
+  ExpectEigenEqual(back->eigen, cut.eigen);
+}
+
+TEST(CheckpointCodecTest, FinalRoundTripIsBitExact) {
+  const FinalCheckpoint fin = SampleFinal();
   auto back = DecodeFinalCheckpoint(EncodeFinalCheckpoint(fin));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->assignment, fin.assignment);
@@ -171,6 +210,59 @@ TEST(CheckpointCodecTest, MiningRoundTripReproducesSupergraphExactly) {
   }
 }
 
+// The on-disk stage format is pinned byte for byte: a codec change that
+// alters these bytes strands every checkpoint written before it.
+TEST(CheckpointCodecTest, PayloadBytesArePinned) {
+  EXPECT_EQ(EncodeCutCheckpoint(SampleCut()),
+            "k-final 4\n"
+            "k-prime 5\n"
+            "objective 3fd5555555555555\n"
+            "eigen 3 3 7 3ce5ac16bfd2646e 0\n"
+            "assignment 6 0 2 1 1 0 3\n");
+  EXPECT_EQ(EncodeFinalCheckpoint(SampleFinal()),
+            "k-final 3\n"
+            "k-prime 3\n"
+            "supernodes 17\n"
+            "objective 8000000000000000\n"
+            "module2 3fbf9add37c1215e\n"
+            "module3 000730d67819e8d2\n"
+            "eigen 1 4 0 0000000000000000 1\n"
+            "assignment 4 1 0 0 2\n");
+  const std::string report_lines =
+      "supernodes 3\n"
+      "module2 3fa58e219652bd3c\n"
+      "threshold 3fe4000000000000\n"
+      "sweep-shape 3 3 3 3\n"
+      "phase-seconds 3f50624dd2f1a9fc 3f60624dd2f1a9fc 3f70624dd2f1a9fc\n"
+      "kappas 2 2 3\n"
+      "mcg 2 3fe0000000000000 3fe8000000000000\n"
+      "shortlisted 1 3\n"
+      "components 1 3\n"
+      "stability-values 3 3ff0000000000000 3fe0000000000000 "
+      "3ff0000000000000\n";
+  const MiningCheckpoint mining = SampleMining();
+  const std::string encoded = EncodeMiningCheckpoint(mining);
+  EXPECT_EQ(encoded,
+            "fallback 0\n" + report_lines +
+                "supergraph 5 3\n"
+                "sn 3fd0000000000000 2 0 1\n"
+                "sn 3fe0000000000000 1 2\n"
+                "sn 3fe8000000000000 2 3 4\n"
+                "links 3\n"
+                "offsets 4 0 1 3 4\n"
+                "neighbors 4 1 0 2 1\n"
+                "weights 4 3fe0000000000000 3fe0000000000000 "
+                "3fc0000000000000 3fc0000000000000\n");
+  auto back = DecodeMiningCheckpoint(encoded);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(EncodeMiningCheckpoint(*back), encoded);
+
+  MiningCheckpoint fallback = mining;
+  fallback.roadgraph_fallback = true;
+  fallback.supergraph.reset();
+  EXPECT_EQ(EncodeMiningCheckpoint(fallback), "fallback 1\n" + report_lines);
+}
+
 TEST(CheckpointCodecTest, GarbageDecodesAsCorruption) {
   EXPECT_EQ(DecodeCutCheckpoint("").status().code(), StatusCode::kCorruption);
   EXPECT_EQ(DecodeCutCheckpoint("nonsense 1 2 3\n").status().code(),
@@ -179,6 +271,10 @@ TEST(CheckpointCodecTest, GarbageDecodesAsCorruption) {
             StatusCode::kCorruption);
   EXPECT_EQ(DecodeFinalCheckpoint("k-final notanint\n").status().code(),
             StatusCode::kCorruption);
+  // Doubles are always written as 16 hex digits; a shorter field is torn.
+  std::string torn = EncodeCutCheckpoint(SampleCut());
+  torn.replace(torn.find("3fd5555555555555"), 16, "3fd5");
+  EXPECT_EQ(DecodeCutCheckpoint(torn).status().code(), StatusCode::kCorruption);
 }
 
 // --- Store policies ---
@@ -261,6 +357,72 @@ TEST(CheckpointStoreTest, CorruptStageFileDegradesToRecompute) {
   EXPECT_TRUE(reader.resuming());
   EXPECT_FALSE(reader.LoadStage(CheckpointStage::kMining).has_value());
   EXPECT_FALSE(reader.warnings().empty());  // degradation is reported
+  std::filesystem::remove_all(options.dir);
+}
+
+TEST(CheckpointStoreTest, ManifestBytesArePinned) {
+  CheckpointOptions options;
+  options.dir = FreshDir("store_manifest_bytes");
+  CheckpointStore store(options, RunManifest{0x1234, 0x5678});
+  ASSERT_TRUE(store.Initialize().ok());
+  auto payload = ReadArtifact(store.ManifestPath());
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  EXPECT_EQ(*payload,
+            "input 0000000000001234\n"
+            "options 0000000000005678\n");
+  std::filesystem::remove_all(options.dir);
+}
+
+// Trailing data inside an intact envelope is corruption, not slack: extra
+// fields on a line and junk lines after the last record are both refused.
+TEST(CheckpointStoreTest, TrailingDataInValidEnvelopeIsCorruption) {
+  CheckpointOptions options;
+  options.dir = FreshDir("store_trailing");
+  const RunManifest manifest{0x1234, 0x5678};
+  CheckpointStore writer(options, manifest);
+  ASSERT_TRUE(writer.Initialize().ok());
+  const std::string cut = EncodeCutCheckpoint(SampleCut());
+  const std::string final_payload = EncodeFinalCheckpoint(SampleFinal());
+  ASSERT_TRUE(WriteArtifact(writer.StagePath(CheckpointStage::kCut),
+                            "checkpoint-cut", 1,
+                            "k-final 4 99\n" + cut.substr(cut.find('\n') + 1) +
+                                "junk line\n")
+                  .ok());
+  ASSERT_TRUE(WriteArtifact(writer.StagePath(CheckpointStage::kFinal),
+                            "checkpoint-final", 1, final_payload + "junk\n")
+                  .ok());
+
+  options.resume = true;
+  CheckpointStore reader(options, manifest);
+  ASSERT_TRUE(reader.Initialize().ok());
+  ASSERT_TRUE(reader.resuming());
+  auto cut_payload = reader.LoadStage(CheckpointStage::kCut);
+  ASSERT_TRUE(cut_payload.has_value());
+  EXPECT_EQ(DecodeCutCheckpoint(*cut_payload).status().code(),
+            StatusCode::kCorruption);
+  auto final_stage = reader.LoadStage(CheckpointStage::kFinal);
+  ASSERT_TRUE(final_stage.has_value());
+  EXPECT_EQ(DecodeFinalCheckpoint(*final_stage).status().code(),
+            StatusCode::kCorruption);
+  const std::string mining = EncodeMiningCheckpoint(SampleMining());
+  EXPECT_EQ(DecodeMiningCheckpoint(mining + "sn 3fd0000000000000 0\n")
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+
+  // A manifest with a junk line after its two fields fails verification
+  // instead of reading as a different run.
+  ASSERT_TRUE(WriteArtifact(reader.ManifestPath(), "checkpoint-manifest", 1,
+                            "input 0000000000001234\n"
+                            "options 0000000000005678\n"
+                            "junk\n")
+                  .ok());
+  CheckpointStore junk(options, manifest);
+  ASSERT_TRUE(junk.Initialize().ok());
+  EXPECT_FALSE(junk.resuming());
+  ASSERT_EQ(junk.warnings().size(), 1u);
+  EXPECT_NE(junk.warnings()[0].find("failed verification"), std::string::npos)
+      << junk.warnings()[0];
   std::filesystem::remove_all(options.dir);
 }
 

@@ -59,7 +59,8 @@ TEST(BitsHexTest, DoubleRoundTripIsBitExact) {
   for (double v : values) {
     std::string hex = DoubleToBitsHex(v);
     ASSERT_EQ(hex.size(), 16u);
-    auto back = DoubleFromBitsHex(hex);
+    LineCursor cursor(LineWriter().Line("x").Double(v).Finish());
+    auto back = ReadDouble(cursor, "x");
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(std::memcmp(&v, &*back, sizeof(double)), 0) << hex;
   }

@@ -50,7 +50,9 @@ TEST(DistributedRepartitionTest, SplitsEveryRegion) {
   options.partitioner.scheme = Scheme::kAG;
   options.partitioner.k = 2;
   options.partitioner.seed = 9;
-  auto result = RepartitionWithinRegions(s.graph, s.initial, options);
+  auto engine = IncrementalRepartitioner::Create(s.graph, s.initial, options);
+  ASSERT_TRUE(engine.ok());
+  auto result = engine->Refresh(s.graph.features());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // 3 regions x 2 sub-partitions (regions can fall back to staying whole).
   EXPECT_GE(result->k_final, 3);
@@ -68,7 +70,9 @@ TEST(DistributedRepartitionTest, SubPartitionsNestInsideRegions) {
   options.partitioner.scheme = Scheme::kAG;
   options.partitioner.k = 2;
   options.partitioner.seed = 11;
-  auto result = RepartitionWithinRegions(s.graph, s.initial, options);
+  auto engine = IncrementalRepartitioner::Create(s.graph, s.initial, options);
+  ASSERT_TRUE(engine.ok());
+  auto result = engine->Refresh(s.graph.features());
   ASSERT_TRUE(result.ok());
   // A refreshed label never spans two old regions.
   std::vector<int> owner(result->k_final, -1);
@@ -86,7 +90,9 @@ TEST(DistributedRepartitionTest, KOneKeepsRegions) {
   Fixture s = MakeSetup(7);
   DistributedRepartitionOptions options;
   options.partitioner.k = 1;
-  auto result = RepartitionWithinRegions(s.graph, s.initial, options);
+  auto engine = IncrementalRepartitioner::Create(s.graph, s.initial, options);
+  ASSERT_TRUE(engine.ok());
+  auto result = engine->Refresh(s.graph.features());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->k_final, 3);
   EXPECT_EQ(result->regions_repartitioned, 0);
@@ -98,7 +104,9 @@ TEST(DistributedRepartitionTest, TriggerSkipsUniformRegions) {
   options.partitioner.scheme = Scheme::kAG;
   options.partitioner.k = 2;
   options.trigger_ratio = 100.0;  // nothing is THAT spread out
-  auto result = RepartitionWithinRegions(s.graph, s.initial, options);
+  auto engine = IncrementalRepartitioner::Create(s.graph, s.initial, options);
+  ASSERT_TRUE(engine.ok());
+  auto result = engine->Refresh(s.graph.features());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->regions_repartitioned, 0);
   EXPECT_EQ(result->k_final, 3);
@@ -107,12 +115,14 @@ TEST(DistributedRepartitionTest, TriggerSkipsUniformRegions) {
 TEST(DistributedRepartitionTest, Validation) {
   Fixture s = MakeSetup(9);
   DistributedRepartitionOptions options;
-  EXPECT_FALSE(RepartitionWithinRegions(s.graph, {0, 1}, options).ok());
+  EXPECT_FALSE(IncrementalRepartitioner::Create(s.graph, {0, 1}, options).ok());
   std::vector<int> negative = s.initial;
   negative[0] = -1;
-  EXPECT_FALSE(RepartitionWithinRegions(s.graph, negative, options).ok());
+  EXPECT_FALSE(
+      IncrementalRepartitioner::Create(s.graph, negative, options).ok());
   options.partitioner.k = 0;
-  EXPECT_FALSE(RepartitionWithinRegions(s.graph, s.initial, options).ok());
+  EXPECT_FALSE(
+      IncrementalRepartitioner::Create(s.graph, s.initial, options).ok());
 }
 
 TEST(DistributedRepartitionTest, FasterThanGlobalRepartitioning) {
@@ -123,7 +133,9 @@ TEST(DistributedRepartitionTest, FasterThanGlobalRepartitioning) {
   options.partitioner.scheme = Scheme::kAG;
   options.partitioner.k = 2;
   options.partitioner.seed = 3;
-  auto local = RepartitionWithinRegions(s.graph, s.initial, options);
+  auto engine = IncrementalRepartitioner::Create(s.graph, s.initial, options);
+  ASSERT_TRUE(engine.ok());
+  auto local = engine->Refresh(s.graph.features());
   ASSERT_TRUE(local.ok());
 
   PartitionerOptions global;
@@ -140,7 +152,7 @@ TEST(DistributedRepartitionTest, FasterThanGlobalRepartitioning) {
 }
 
 // ---------------------------------------------------------------------------
-// IncrementalRepartitioner: the interval engine behind the one-shot wrapper.
+// IncrementalRepartitioner across intervals.
 
 DistributedRepartitionOptions IncrementalOptions() {
   DistributedRepartitionOptions options;
@@ -270,9 +282,7 @@ TEST(IncrementalRepartitionerTest, SaveLoadCacheRoundTrip) {
   // A fresh engine that adopts the cache must continue the history exactly.
   auto b = IncrementalRepartitioner::Create(s.graph, s.initial, options);
   ASSERT_TRUE(b.ok());
-  auto adopted = b->LoadCache(path);
-  ASSERT_TRUE(adopted.ok());
-  EXPECT_TRUE(*adopted);
+  EXPECT_TRUE(b->LoadCache(path));
   EXPECT_EQ(b->num_refreshes(), a->num_refreshes());
   auto from_a = a->Refresh(series[2]);
   auto from_b = b->Refresh(series[2]);
@@ -292,9 +302,7 @@ TEST(IncrementalRepartitionerTest, SaveLoadCacheRoundTrip) {
   ASSERT_TRUE(AtomicWriteFile(bad_path, blob).ok());
   auto c = IncrementalRepartitioner::Create(s.graph, s.initial, options);
   ASSERT_TRUE(c.ok());
-  auto rejected = c->LoadCache(bad_path);
-  ASSERT_TRUE(rejected.ok());
-  EXPECT_FALSE(*rejected);
+  EXPECT_FALSE(c->LoadCache(bad_path));
   EXPECT_FALSE(c->warnings().empty());
 
   // Differently-keyed options (another trigger) must not adopt the cache.
@@ -302,10 +310,37 @@ TEST(IncrementalRepartitionerTest, SaveLoadCacheRoundTrip) {
   other.trigger_ratio = 0.25;
   auto d = IncrementalRepartitioner::Create(s.graph, s.initial, other);
   ASSERT_TRUE(d.ok());
-  auto mismatched = d->LoadCache(path);
-  ASSERT_TRUE(mismatched.ok());
-  EXPECT_FALSE(*mismatched);
+  EXPECT_FALSE(d->LoadCache(path));
   EXPECT_EQ(d->num_refreshes(), 0);
+}
+
+// A valid envelope around an rpinc payload with trailing data (an extra
+// field on the header line, or a junk line after the last region) is
+// refused like any corrupt cache: warning, cold start, never an error.
+TEST(IncrementalRepartitionerTest, TrailingDataInValidCacheColdStarts) {
+  Fixture s = MakeSetup(15);
+  std::vector<std::vector<double>> series = MakeSeries(s, 1);
+  DistributedRepartitionOptions options = IncrementalOptions();
+  auto a = IncrementalRepartitioner::Create(s.graph, s.initial, options);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(a->Refresh(series[0]).ok());
+  const std::string path = testing::TempDir() + "/rpinc_trailing.cache";
+  ASSERT_TRUE(a->SaveCache(path).ok());
+  auto payload = ReadArtifact(path);
+  ASSERT_TRUE(payload.ok());
+  // One extra field on the last region's warm-vector line.
+  std::string widened = *payload;
+  widened.insert(widened.size() - 1, " 0000000000000000");
+
+  for (const std::string& mutated : {*payload + "region 99 junk\n", widened}) {
+    ASSERT_TRUE(WriteArtifact(path, "rpinc", 1, mutated).ok());
+    auto engine = IncrementalRepartitioner::Create(s.graph, s.initial, options);
+    ASSERT_TRUE(engine.ok());
+    EXPECT_FALSE(engine->LoadCache(path));
+    EXPECT_EQ(engine->num_refreshes(), 0);
+    ASSERT_EQ(engine->warnings().size(), 1u);
+    EXPECT_NE(engine->warnings()[0].find("cold start"), std::string::npos);
+  }
 }
 
 TEST(IncrementalRepartitionerTest, WarmStartCorruptionFaultColdStarts) {

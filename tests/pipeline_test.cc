@@ -175,6 +175,60 @@ TEST(PipelineJournalTest, RoundTripIsBitExact) {
   EXPECT_FALSE(loaded->entries[2].refreshed);
 }
 
+// The rpjournal v1 payload is pinned byte for byte: resumed runs read
+// journals written by earlier builds.
+TEST(PipelineJournalTest, PayloadBytesArePinned) {
+  const std::string path = TempPath("journal_golden.rpj");
+  ASSERT_TRUE(SaveJournal(SampleJournal(), path).ok());
+  ArtifactInfo info;
+  auto payload = ReadArtifact(path, {}, &info);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  EXPECT_EQ(info.format, "rpjournal");
+  EXPECT_EQ(info.version, 1);
+  EXPECT_EQ(*payload,
+            "key feedfacecafe1234\n"
+            "ktop 3\n"
+            "regions 6 0 1 2 1 0 2\n"
+            "tracker 4 6 0 1 2 3 0 2\n"
+            "last_published state/snap-000001.rpsnap ans 3fbf9add3746f65e "
+            "staleness 2\n"
+            "intervals 3\n"
+            "interval 0 ts 405e000000000000 input 00000000abcdef12 outcome "
+            "published reason none refreshed 1 retries 0 staleness 0 ans "
+            "3fd0000000000000 churn 0000000000000000 snapshot "
+            "state/snap-000000.rpsnap\n"
+            "interval 1 ts 406e000000000000 input 00000000abcdef12 outcome "
+            "degraded reason ans-regression refreshed 1 retries 1 staleness 1 "
+            "ans 3fe0000000000000 churn 3fd0000000000000 snapshot -\n"
+            "interval 2 ts 4076800000000000 input 00000000abcdef12 outcome "
+            "quarantined reason deadline-exceeded refreshed 0 retries 0 "
+            "staleness 2 ans 3fe0000000000000 churn 3fd0000000000000 "
+            "snapshot -\n");
+}
+
+// A checksum only vouches for the bytes; the decoder must still refuse a
+// valid envelope whose payload carries extra fields or records.
+TEST(PipelineJournalTest, TrailingDataInValidEnvelopeColdRestarts) {
+  const PipelineJournal j = SampleJournal();
+  const std::string path = TempPath("journal_trailing.rpj");
+  ASSERT_TRUE(SaveJournal(j, path).ok());
+  auto payload = ReadArtifact(path);
+  ASSERT_TRUE(payload.ok());
+  // One extra field on the last record line.
+  std::string widened = *payload;
+  widened.insert(widened.size() - 1, " trailing");
+  for (const std::string& mutated :
+       {*payload + "interval 99 garbage trailing\n", widened}) {
+    ASSERT_TRUE(WriteArtifact(path, "rpjournal", 1, mutated).ok());
+    std::vector<std::string> warnings;
+    EXPECT_FALSE(LoadJournal(path, j.key, {}, &warnings).has_value());
+    ASSERT_EQ(warnings.size(), 1u);
+    EXPECT_NE(warnings[0].find("pipeline journal not adopted"),
+              std::string::npos)
+        << warnings[0];
+  }
+}
+
 TEST(PipelineJournalTest, MissingKeyedOrTornJournalsColdRestart) {
   const PipelineJournal j = SampleJournal();
   const std::string path = TempPath("journal_torn.rpj");

@@ -170,6 +170,17 @@ TEST(StripTest, PreservesShapeAndBlanksLiteralContents) {
   EXPECT_EQ(out.find("hide"), std::string::npos);
   EXPECT_NE(out.find("int x = 1;"), std::string::npos);
   EXPECT_NE(out.find('"'), std::string::npos);  // delimiters stay
+
+  // Escaped quotes stay inside the literal; block comments span lines.
+  out = StripCommentsAndStrings("const char* s = \"a\\\"rand(\"; int x;");
+  EXPECT_EQ(out.find("rand"), std::string::npos);
+  EXPECT_NE(out.find("int x;"), std::string::npos);
+  const std::string block = "/* block\n   rand() */ int b;\nchar c = 'q';\n";
+  out = StripCommentsAndStrings(block);
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 3);
+  EXPECT_EQ(out.find("rand"), std::string::npos);
+  EXPECT_EQ(out.find('q'), std::string::npos);
+  EXPECT_NE(out.find("int b;"), std::string::npos);
 }
 
 TEST(StripTest, RawStringContentsDoNotLeakIntoCode) {
@@ -196,11 +207,27 @@ TEST(NondeterminismRule, FlagsRandSrandRandomDeviceAndWallClockSeed) {
                       "int f() { srand(time(nullptr)); return rand(); }\n"
                       "std::random_device rd;\n");
   EXPECT_EQ(CountRule(findings, "banned-nondeterminism"), 4);
+  // Benches and tools are held to the same rule; NULL seeds count too.
+  EXPECT_EQ(CountRule(Analyze("bench/b.cc", "srand(42);"),
+                      "banned-nondeterminism"),
+            1);
+  EXPECT_EQ(CountRule(Analyze("tools/t.cc", "std::random_device rd;"),
+                      "banned-nondeterminism"),
+            1);
+  EXPECT_GE(CountRule(Analyze("src/core/x.cc", "Rng r(time(NULL));"),
+                      "banned-nondeterminism"),
+            1);
 }
 
 TEST(NondeterminismRule, RngModuleIsExempt) {
   auto findings = Analyze("src/common/rng.cc", "int f() { return rand(); }\n");
   EXPECT_EQ(CountRule(findings, "banned-nondeterminism"), 0);
+  // The sanctioned Rng and similarly named identifiers are clean anywhere.
+  EXPECT_TRUE(Analyze("src/core/x.cc",
+                      "Rng rng(seed); rng.NextDouble();\n"
+                      "int operand = grand(1);\n"
+                      "double t = time(now);\n")
+                  .empty());
 }
 
 TEST(NondeterminismRule, RegressionNoFiringInsideRawStringOrComment) {
@@ -220,6 +247,12 @@ TEST(PrintRule, FlagsPrintfFamilyAndStreamsUnderSrc) {
   auto findings = Analyze("src/core/a.cc",
                       "void f() { printf(\"x\"); std::cout << 1; }\n");
   EXPECT_EQ(CountRule(findings, "print-in-library"), 2);
+  // stderr is no exception, and src/serve/ is library code too.
+  EXPECT_EQ(CountRule(Analyze("src/serve/snapshot.cc",
+                              "void f() { std::cerr << 1; "
+                              "std::fprintf(stderr, \"bad\\n\"); }\n"),
+                      "print-in-library"),
+            2);
 }
 
 TEST(PrintRule, ToolsAndLoggingSinkAreExempt) {
@@ -227,6 +260,16 @@ TEST(PrintRule, ToolsAndLoggingSinkAreExempt) {
   EXPECT_EQ(CountRule(Analyze("tools/foo.cc", src), "print-in-library"), 0);
   EXPECT_EQ(CountRule(Analyze("src/common/logging.cc", src), "print-in-library"),
             0);
+  EXPECT_EQ(CountRule(Analyze("bench/b.cc", src), "print-in-library"), 0);
+  EXPECT_EQ(CountRule(Analyze("tools/rp_serve.cc",
+                              "void f() { std::fprintf(stderr, \"x\"); }\n"),
+                      "print-in-library"),
+            0);
+  // The logging macro is the sanctioned path; snprintf formats, not prints.
+  EXPECT_TRUE(Analyze("src/core/x.cc",
+                      "void f() { RP_LOG(Info) << \"x\"; }\n"
+                      "void g() { std::vsnprintf(out, n, fmt, args); }\n")
+                  .empty());
 }
 
 TEST(PrintRule, RegressionNoFiringInsideSplicedComment) {
@@ -244,6 +287,10 @@ TEST(DiscardedStatusRule, FlagsBareAndMemberChainCalls) {
                       "void f() { SaveThing(p); obj.SaveThing(q); }\n",
                       {"SaveThing"});
   EXPECT_EQ(CountRule(findings, "discarded-status"), 2);
+  EXPECT_EQ(CountRule(Analyze("src/x.cc", "void f() { io::SaveThing(p, q); }\n",
+                              {"SaveThing"}),
+                      "discarded-status"),
+            1);
 }
 
 TEST(DiscardedStatusRule, HandledCallsAreNotFlagged) {
@@ -252,6 +299,9 @@ TEST(DiscardedStatusRule, HandledCallsAreNotFlagged) {
                       "  Status s = SaveThing(p);\n"
                       "  RP_CHECK_OK(SaveThing(q));\n"
                       "  if (SaveThing(r).ok()) return;\n"
+                      "  (void)SaveThing(s);\n"
+                      "  Other(t);\n"  // unknown names are not guessed at
+                      "  return SaveThing(u);\n"
                       "}\n",
                       {"SaveThing"});
   EXPECT_EQ(CountRule(findings, "discarded-status"), 0);
@@ -277,6 +327,22 @@ TEST(ParallelForRule, FlagsCompoundAssignToRefCapture) {
       "}\n");
   ASSERT_EQ(CountRule(findings, "parallelfor-shared-mutation"), 1);
   EXPECT_EQ(findings[0].line, 3);
+  // Blocked bodies, increments, member fields, and the mining kappa sweep's
+  // arg-max (which belongs after the join) are all shared accumulation.
+  for (const char* body :
+       {"ParallelForBlocked(n, 64, [&](int64_t b, int64_t e) {\n"
+        "  total += Work(b, e);\n"
+        "});\n",
+        "ParallelFor(n, [&](int i) { ++count; });\n",
+        "ParallelFor(n, [&](int i) { acc.total += w[i]; });\n",
+        "ParallelForTasks(num_sweep, [&](int i) {\n"
+        "  best_mcg += Score(i);\n"
+        "});\n"}) {
+    EXPECT_EQ(CountRule(Analyze("src/core/supergraph_miner.cc", body),
+                        "parallelfor-shared-mutation"),
+              1)
+        << body;
+  }
 }
 
 TEST(ParallelForRule, FlagsPlainAssignToRefCapture) {
@@ -311,6 +377,22 @@ TEST(ParallelForRule, PerSlotWritesAreSanctioned) {
       "  });\n"
       "}\n");
   EXPECT_EQ(CountRule(findings, "parallelfor-shared-mutation"), 0);
+  // The supergraph-mining fast path: per-kappa slots written by index,
+  // consumed serially after the join; blocked bodies writing their range.
+  findings = Analyze(
+      "src/core/supergraph_miner.cc",
+      "ParallelForTasks(num_sweep, [&](int i) {\n"
+      "  rep.kappas[i] = i + 2;\n"
+      "  mcg[i] = Score(values, i + 2);\n"
+      "});\n"
+      "ParallelForTasks(num_shortlisted, [&](int i) {\n"
+      "  sweep_status[i] = Cluster(workspace, kappas[i]);\n"
+      "  evaluated[i] = 1;\n"
+      "});\n"
+      "ParallelForBlocked(n, 64, [&](int64_t b, int64_t e) {\n"
+      "  for (int64_t i = b; i < e; ++i) sums[i] += x[i];\n"
+      "});\n");
+  EXPECT_EQ(CountRule(findings, "parallelfor-shared-mutation"), 0);
 }
 
 TEST(ParallelForRule, BodyLocalsAndValueCapturesAreSafe) {
@@ -321,6 +403,26 @@ TEST(ParallelForRule, BodyLocalsAndValueCapturesAreSafe) {
       "  ParallelFor(0, n, [=](size_t i) { int acc = seed; acc += i; });\n"
       "  ParallelFor(0, n, [seed](size_t i) { int acc = seed; acc += i; });\n"
       "}\n");
+  EXPECT_EQ(CountRule(findings, "parallelfor-shared-mutation"), 0);
+  // Lambda-local accumulators and containers, flushed to an indexed slot
+  // or returned through the sanctioned blocked-reduction helper.
+  findings = Analyze(
+      "src/core/a.cc",
+      "ParallelForBlocked(n, 64, [&](int64_t b, int64_t e) {\n"
+      "  double acc = 0.0;\n"
+      "  for (int64_t i = b; i < e; ++i) acc += x[i];\n"
+      "  partial[b / 64] = acc;\n"
+      "});\n"
+      "ParallelFor(n, [&](int i) {\n"
+      "  std::vector<int> local;\n"
+      "  local.push_back(i);\n"
+      "  Consume(i, local);\n"
+      "});\n"
+      "double s = ParallelBlockedSum(n, 64, [&](int64_t b, int64_t e) {\n"
+      "  double acc = 0.0;\n"
+      "  for (int64_t i = b; i < e; ++i) acc += x[i];\n"
+      "  return acc;\n"
+      "});\n");
   EXPECT_EQ(CountRule(findings, "parallelfor-shared-mutation"), 0);
 }
 
@@ -362,6 +464,13 @@ TEST(ParallelForRule, ServeRuntimeSharedStatsMutationIsFlagged) {
       "    stats.served += 1;\n"
       "  });\n"
       "}\n");
+  EXPECT_EQ(CountRule(findings, "parallelfor-shared-mutation"), 1);
+  // Appending straight to the shared output would make the answer order
+  // depend on thread scheduling.
+  findings = Analyze("src/serve/serve_loop.cc",
+                     "ParallelForTasks(num_batches, [&](int b) {\n"
+                     "  output += RenderBatch(snapshot, b);\n"
+                     "});\n");
   EXPECT_EQ(CountRule(findings, "parallelfor-shared-mutation"), 1);
 }
 
@@ -435,13 +544,24 @@ TEST(EigenRule, FlagsEigenvectorUseWithoutConvergenceMention) {
       Analyze("src/core/a.cc", "void f(const EigenResult& r) {\n"
                            "  auto v = r.eigenvectors;\n"
                            "}\n");
-  EXPECT_EQ(CountRule(findings, "unchecked-eigen-convergence"), 1);
+  ASSERT_EQ(CountRule(findings, "unchecked-eigen-convergence"), 1);
+  EXPECT_EQ(findings[0].line, 2);
+  // Pointer access counts, outside src/ too.
+  EXPECT_EQ(CountRule(Analyze("bench/b.cc", "auto y = eig->eigenvectors;\n"),
+                      "unchecked-eigen-convergence"),
+            1);
 }
 
 TEST(EigenRule, ConvergenceMentionAnywhereInFileSilencesIt) {
   auto findings =
       Analyze("src/core/a.cc", "void f(const EigenResult& r) {\n"
                            "  if (!r.converged) return;\n"
+                           "  auto v = r.eigenvectors;\n"
+                           "}\n");
+  EXPECT_EQ(CountRule(findings, "unchecked-eigen-convergence"), 0);
+  findings =
+      Analyze("src/core/a.cc", "void f(const EigenResult& r) {\n"
+                           "  if (r.max_residual > 1e-6) Abort();\n"
                            "  auto v = r.eigenvectors;\n"
                            "}\n");
   EXPECT_EQ(CountRule(findings, "unchecked-eigen-convergence"), 0);
@@ -459,6 +579,11 @@ TEST(EigenRule, RegressionCommentMentionDoesNotCountAsUse) {
   auto findings =
       Analyze("src/core/a.cc", "/* r.eigenvectors is consumed below */\nint x;\n");
   EXPECT_TRUE(findings.empty()) << findings[0].ToString();
+  // Only member access to the exact field name counts.
+  findings = Analyze("src/core/a.cc",
+                     "auto y = ExtremeEigenvectors(op, k, end, options);\n"
+                     "int eigenvectors = 3;\n");
+  EXPECT_TRUE(findings.empty()) << findings[0].ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -469,6 +594,9 @@ TEST(OfstreamRule, FlagsOfstreamAndFopenUnderSrc) {
   auto findings = Analyze("src/core/io.cc",
                       "void f() { std::ofstream o(p); fopen(p, m); }\n");
   EXPECT_EQ(CountRule(findings, "raw-ofstream-write"), 2);
+  EXPECT_EQ(CountRule(Analyze("src/temporal/s.cc", "ofstream out(p);\n"),
+                      "raw-ofstream-write"),
+            1);
 }
 
 TEST(OfstreamRule, TestsAndDurableIoAreExempt) {
@@ -477,6 +605,13 @@ TEST(OfstreamRule, TestsAndDurableIoAreExempt) {
   EXPECT_EQ(CountRule(Analyze("src/common/durable_io.cc", src),
                       "raw-ofstream-write"),
             0);
+  EXPECT_EQ(CountRule(Analyze("tools/cli.cc", src), "raw-ofstream-write"), 0);
+  EXPECT_EQ(CountRule(Analyze("bench/b.cc", src), "raw-ofstream-write"), 0);
+  // The sanctioned write path and similarly named identifiers are clean.
+  EXPECT_TRUE(Analyze("src/network/io.cc",
+                      "AtomicFileWriter out(path);\n"
+                      "int my_ofstream_count = 0;\n")
+                  .empty());
 }
 
 TEST(OfstreamRule, RegressionNoFiringInsideStringOrSplicedComment) {
@@ -594,6 +729,18 @@ TEST(CatalogTest, EveryRuleHasStableIdAndSeverity) {
 TEST(FindingTest, ToStringMatchesLegacyFormat) {
   Finding f{"src/a.cc", 7, "print-in-library", Severity::kError, "msg", false};
   EXPECT_EQ(f.ToString(), "src/a.cc:7: [print-in-library] msg");
+  // Line numbers are physical lines of the original, comments included.
+  std::vector<Finding> findings = Analyze("src/core/x.cc",
+                                          "// line 1 comment\n"
+                                          "/* line 2\n"
+                                          "   line 3 */\n"
+                                          "int v = rand();\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 4);
+  EXPECT_EQ(findings[0].ToString().rfind("src/core/x.cc:4: "
+                                         "[banned-nondeterminism]",
+                                         0),
+            0u);
 }
 
 TEST(StatusNamesTest, CollectsStatusAndResultReturningDeclarations) {
@@ -604,6 +751,13 @@ TEST(StatusNamesTest, CollectsStatusAndResultReturningDeclarations) {
           "Result<std::map<int, int>> Nested();\n");
   std::vector<std::string> names = CollectStatusFunctionNames(lexed);
   EXPECT_EQ(names, (std::vector<std::string>{"Load", "Nested", "Save"}));
+  // Constructors, forward declarations and mentions in comments are not
+  // Status-returning functions.
+  EXPECT_TRUE(CollectStatusFunctionNames(
+                  Lex("// Returns Status Save(x) on failure.\n"
+                      "class Result;\n"
+                      "Result(Status s);\n"))
+                  .empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ Result<AnalyzeReport> AnalyzeTree(const std::string& repo_root,
                                   const AnalyzeOptions& options);
 
 /// Runs only the per-file (token-level) rules on one in-memory source —
-/// the entry point for fixture tests and the rp_lint compatibility shim.
+/// the entry point for fixture tests.
 std::vector<Finding> AnalyzeSource(
     const std::string& path, const std::string& source,
     const std::vector<std::string>& status_function_names);
