@@ -8,7 +8,7 @@
 #      (_Exit rp_pipeline at every interval boundary; the resumed journal
 #      must be byte-identical at several thread counts).
 #   2. build-check-tsan    : Debug + -fsanitize=thread,undefined; runs the
-#      parallel/determinism/lanczos/serve differential suites (the ones
+#      parallel/determinism/lanczos/eigen/serve differential suites (the ones
 #      that exercise the deterministic parallel runtime) under
 #      ThreadSanitizer.
 #      Set RP_CHECK_TSAN_ALL=1 to run the *entire* suite under TSan
@@ -94,9 +94,11 @@ else
   # fan-out with per-slot outcomes) and the interval label tracker it
   # feeds; 'temporal' covers the interval driver over snapshot series;
   # 'pipeline' covers the supervised refresh->publish->serve loop (threaded
-  # refreshes hot-swapped into the serving runtime mid-soak).
+  # refreshes hot-swapped into the serving runtime mid-soak); 'eigen' covers
+  # the shared QL routine and the inverse iteration behind the Lanczos Ritz
+  # vectors (linalg_eigen_test), run under UBSan as well.
   ctest --test-dir "${TSAN_DIR}" --output-on-failure -j "${JOBS}" \
-    -R 'parallel|determinism|lanczos|mining|serve|distributed|tracker|temporal|pipeline'
+    -R 'parallel|determinism|lanczos|eigen|mining|serve|distributed|tracker|temporal|pipeline'
 fi
 
 echo "==> [5/7] Configure + build ASan+UBSan tree (${ASAN_DIR})"

@@ -274,14 +274,19 @@ Result<MiningCheckpoint> DecodeMiningCheckpoint(std::string_view payload) {
       neighbors.size() != weights.size()) {
     return Status::Corruption("checkpoint supergraph arrays are inconsistent");
   }
-  // Adopting the raw arrays skips the sort-and-merge pass; the checksum has
-  // already vouched for the bytes, and Supergraph::Create re-validates the
-  // member partition.
-  CsrGraph links = CsrGraph::FromRawParts(link_nodes, std::move(offsets),
-                                          std::move(neighbors),
-                                          std::move(weights));
+  // Adopting the raw arrays skips the sort-and-merge pass. The checksum only
+  // vouches that the bytes are the ones written, not that they form a
+  // graph, so the CSR invariants are validated here (Supergraph::Create then
+  // re-validates the member partition).
+  auto links = CsrGraph::FromUntrustedParts(link_nodes, std::move(offsets),
+                                            std::move(neighbors),
+                                            std::move(weights));
+  if (!links.ok()) {
+    return Status::Corruption("checkpoint superlinks fail validation: " +
+                              links.status().ToString());
+  }
   auto supergraph = Supergraph::Create(std::move(supernodes),
-                                       std::move(links), num_road_nodes);
+                                       std::move(*links), num_road_nodes);
   if (!supergraph.ok()) {
     return Status::Corruption("checkpoint supergraph fails validation: " +
                               supergraph.status().ToString());

@@ -76,6 +76,19 @@ CsrGraph CsrGraph::FromRawParts(int num_nodes, std::vector<int64_t> offsets,
   return g;
 }
 
+Result<CsrGraph> CsrGraph::FromUntrustedParts(int num_nodes,
+                                              std::vector<int64_t> offsets,
+                                              std::vector<int> neighbors,
+                                              std::vector<double> weights) {
+  CsrGraph g;
+  g.num_nodes_ = num_nodes;
+  g.offsets_ = std::move(offsets);
+  g.neighbors_ = std::move(neighbors);
+  g.weights_ = std::move(weights);
+  RP_RETURN_IF_ERROR(g.Validate());
+  return g;
+}
+
 Status CsrGraph::Validate() const {
   if (num_nodes_ < 0) return Status::Internal("negative node count");
   // A default-constructed graph keeps all arrays empty; that is valid.

@@ -35,6 +35,14 @@ class CsrGraph {
                                std::vector<int> neighbors,
                                std::vector<double> weights);
 
+  /// FromRawParts for arrays nobody vouches for (e.g. decoded from disk):
+  /// runs Validate() on them and returns its first violation instead of
+  /// adopting a malformed graph, in every build type.
+  static Result<CsrGraph> FromUntrustedParts(int num_nodes,
+                                             std::vector<int64_t> offsets,
+                                             std::vector<int> neighbors,
+                                             std::vector<double> weights);
+
   /// Full structural audit of the CSR representation: offset array shape and
   /// monotonicity, strictly-sorted in-bounds neighbor rows, no self-loops,
   /// finite weights, and adjacency symmetry (every (u,v,w) has a matching

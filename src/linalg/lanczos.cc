@@ -15,23 +15,190 @@ namespace roadpart {
 
 namespace {
 
-// Rows per task when assembling Ritz vectors x = V s. Each row is a serial
-// inner product over the Krylov basis, so results are thread-count
-// invariant. The reorthogonalization passes parallelize through the blocked
-// Dot/Axpy kernels of dense_matrix.cc with the same guarantee.
-constexpr int64_t kRitzRowGrain = 256;
+// Task sizes of the parallel kernels. Every dot product below is one serial
+// sum in index order, and every element receives its updates in basis-row
+// order, so results depend on neither these constants nor the thread count.
+constexpr int64_t kProjectionWork = int64_t{1} << 15;  // multiply-adds/task
+constexpr int64_t kElementGrain = 4096;  // elements per update/Ritz task
 
-// One Lanczos run with full reorthogonalization and Krylov dimension up to
-// `m_max`. Returns the Krylov basis (rows of `basis`), and the tridiagonal
-// coefficients. Stops early on happy breakdown (invariant subspace), in which
-// case the subspace is exact.
+// DGKS criterion: a second Gram-Schmidt pass runs only when the first one
+// removed more than this share of the vector's norm (||w'|| < ||w|| / sqrt 2).
+constexpr double kDgksRatio = 0.7071067811865476;
+
+double SerialDot(const double* a, const double* b, int n) {
+  double acc = 0.0;
+  for (int i = 0; i < n; ++i) acc += a[i] * b[i];
+  return acc;
+}
+
+// h[j] = <v_j, w> for the m contiguous rows of `basis`. Tasks own groups of
+// rows; four rows share each pass over w, each with its own accumulator.
+void Project(const double* basis, int m, int n, const double* w, double* h) {
+  const int64_t rows_per_task =
+      std::max<int64_t>(4, (kProjectionWork / std::max(n, 1) + 3) / 4 * 4);
+  ParallelForBlocked(m, rows_per_task, [&](int64_t begin, int64_t end) {
+    int64_t j = begin;
+    for (; j + 4 <= end; j += 4) {
+      const double* v0 = basis + j * n;
+      const double* v1 = v0 + n;
+      const double* v2 = v1 + n;
+      const double* v3 = v2 + n;
+      double s0 = 0.0;
+      double s1 = 0.0;
+      double s2 = 0.0;
+      double s3 = 0.0;
+      for (int i = 0; i < n; ++i) {
+        const double x = w[i];
+        s0 += v0[i] * x;
+        s1 += v1[i] * x;
+        s2 += v2[i] * x;
+        s3 += v3[i] * x;
+      }
+      h[j] = s0;
+      h[j + 1] = s1;
+      h[j + 2] = s2;
+      h[j + 3] = s3;
+    }
+    for (; j < end; ++j) h[j] = SerialDot(basis + j * n, w, n);
+  });
+}
+
+// w -= sum_j h[j] v_j over element blocks, rows applied in order.
+void SubtractProjections(const double* basis, int m, int n, const double* h,
+                         double* w) {
+  ParallelForBlocked(n, kElementGrain, [&](int64_t begin, int64_t end) {
+    int j = 0;
+    for (; j + 4 <= m; j += 4) {
+      const double* v0 = basis + static_cast<int64_t>(j) * n;
+      const double* v1 = v0 + n;
+      const double* v2 = v1 + n;
+      const double* v3 = v2 + n;
+      for (int64_t i = begin; i < end; ++i) {
+        w[i] = w[i] - h[j] * v0[i] - h[j + 1] * v1[i] - h[j + 2] * v2[i] -
+               h[j + 3] * v3[i];
+      }
+    }
+    for (; j < m; ++j) {
+      const double* v = basis + static_cast<int64_t>(j) * n;
+      for (int64_t i = begin; i < end; ++i) w[i] -= h[j] * v[i];
+    }
+  });
+}
+
+// A Lanczos factorization A V^T = V^T T + beta_m v_{m+1} e_m^T with full
+// reorthogonalization, grown in place. The basis rows v_1..v_m form one
+// contiguous row-major block; T has diagonal `alpha` and couplings `beta`,
+// where beta[j] couples rows j and j+1 and beta[m-1] is the trailing beta_m
+// of the residual estimates. `residual` is beta_m v_{m+1}, kept so growth
+// resumes where a checkpoint stopped it. Any prefix of the first m' rows is
+// itself the factorization a build stopped at m' would have produced.
 struct KrylovFactorization {
-  std::vector<std::vector<double>> basis;  // v_1 .. v_m, each length n
-  std::vector<double> alpha;               // m diagonal entries
-  std::vector<double> beta;                // m-1 couplings (+ trailing beta_m)
-  double trailing_beta = 0.0;              // beta_m for residual estimates
-  bool exhausted_space = false;            // happy breakdown hit
+  int n = 0;
+  std::vector<double> basis;
+  std::vector<double> alpha;
+  std::vector<double> beta;
+  std::vector<double> residual;
+  std::vector<double> h;  // projection coefficients, scratch
+  bool exhausted = false;  // the basis spans the whole space
+
+  int size() const { return static_cast<int>(alpha.size()); }
+  const double* row(int j) const {
+    return basis.data() + static_cast<size_t>(j) * n;
+  }
+
+  // residual -= V V^T residual: classical Gram-Schmidt against every row,
+  // repeated once under the DGKS test. Returns the resulting norm.
+  double Orthogonalize() {
+    const int m = static_cast<int>(basis.size() / n);
+    h.resize(m);
+    double norm = std::sqrt(SerialDot(residual.data(), residual.data(), n));
+    for (int pass = 0; pass < 2; ++pass) {
+      Project(basis.data(), m, n, residual.data(), h.data());
+      SubtractProjections(basis.data(), m, n, h.data(), residual.data());
+      const double projected =
+          std::sqrt(SerialDot(residual.data(), residual.data(), n));
+      const bool enough = projected >= kDgksRatio * norm;
+      norm = projected;
+      if (enough) break;
+    }
+    return norm;
+  }
+
+  // Turns the residual into the next unit basis row. After a breakdown
+  // (beta_m negligible: the basis spans an invariant subspace) the row is a
+  // fresh random direction orthogonal to the basis, and beta_m becomes the
+  // zero coupling of a decoupled block. Returns false, marking the
+  // factorization exhausted, when no such direction exists.
+  bool AppendNextRow(Rng& rng) {
+    const int m = size();
+    double norm;
+    if (m == 0) {
+      norm = std::sqrt(SerialDot(residual.data(), residual.data(), n));
+      RP_CHECK(norm > 0.0);
+    } else if (beta[m - 1] >= 1e-13 * (std::fabs(alpha[m - 1]) + 1.0)) {
+      norm = beta[m - 1];
+    } else {
+      beta[m - 1] = 0.0;
+      norm = 0.0;
+      for (int attempt = 0; attempt < 5 && m < n && norm <= 1e-10;
+           ++attempt) {
+        for (double& x : residual) x = rng.NextDouble() - 0.5;
+        norm = Orthogonalize();
+      }
+      if (norm <= 1e-10) {
+        exhausted = true;
+        return false;
+      }
+    }
+    const double inv = 1.0 / norm;
+    const size_t offset = basis.size();
+    basis.resize(offset + n);
+    for (int i = 0; i < n; ++i) basis[offset + i] = residual[i] * inv;
+    return true;
+  }
+
+  // One Lanczos step on the newest basis row v_j: alpha_j, then the
+  // reorthogonalized residual and its norm beta_j.
+  void Step(const LinearOperator& op) {
+    const int j = static_cast<int>(basis.size() / n) - 1;
+    const double* v = row(j);
+    op.Apply(v, residual.data());
+    if (j > 0) {
+      const double* prev = row(j - 1);
+      const double b = beta[j - 1];
+      for (int i = 0; i < n; ++i) residual[i] -= b * prev[i];
+    }
+    const double a = SerialDot(residual.data(), v, n);
+    // A NaN here (operator bug, non-finite matrix entry) would quietly turn
+    // the whole Krylov basis — and the final embedding — into garbage.
+    RP_DCHECK(std::isfinite(a));
+    for (int i = 0; i < n; ++i) residual[i] -= a * v[i];
+    alpha.push_back(a);
+    const double b = Orthogonalize();
+    RP_DCHECK(std::isfinite(b));
+    beta.push_back(b);
+  }
+
+  // Grows the factorization to `m_target` rows, or fewer when exhausted.
+  // Capacity grows with the target, never to the cap up front.
+  void GrowTo(const LinearOperator& op, int m_target, Rng& rng) {
+    basis.reserve(static_cast<size_t>(m_target) * n);
+    while (size() < m_target && !exhausted && AppendNextRow(rng)) Step(op);
+  }
 };
+
+KrylovFactorization StartFactorization(int n, std::vector<double> start) {
+  KrylovFactorization kf;
+  kf.n = n;
+  kf.residual = std::move(start);
+  return kf;
+}
+
+std::vector<double> RandomStart(int n, Rng& rng) {
+  std::vector<double> v(n);
+  for (double& x : v) x = rng.NextDouble() - 0.5;
+  return v;
+}
 
 // True when `warm` can legally seed a Krylov build for an order-n operator:
 // right dimension, fully finite, non-negligible norm. Anything else must be
@@ -44,89 +211,76 @@ bool UsableWarmStart(const std::vector<double>* warm, int n) {
   return Norm2(*warm) > 1e-300;
 }
 
-KrylovFactorization BuildKrylov(const LinearOperator& op, int m_max, Rng& rng,
-                                const std::vector<double>* warm_start) {
-  const int n = op.Dim();
-  KrylovFactorization kf;
+// The convergence test at a checkpoint: the Ritz values of T_m at the
+// requested end and the worst residual estimate |beta_m s_mi|, from the
+// eigenvalues and the last row of T_m's eigenvectors only — O(m^2).
+struct Checkpoint {
+  std::vector<double> ritz_values;  // k, ascending
+  double worst_residual = 0.0;
+  bool converged = false;
+};
 
-  std::vector<double> v(n);
-  if (warm_start != nullptr) {
-    v = *warm_start;  // validated by the caller via UsableWarmStart
-  } else {
-    for (double& x : v) x = rng.NextDouble() - 0.5;
+Result<Checkpoint> CheckConvergence(const KrylovFactorization& kf, int k,
+                                    SpectrumEnd end, double tolerance,
+                                    bool forced_nonconvergence) {
+  const int m = kf.size();
+  if (m < k) return Status::Internal("Krylov subspace smaller than k");
+  std::vector<double> sub(kf.beta.begin(), kf.beta.begin() + (m - 1));
+  RP_ASSIGN_OR_RETURN(EigenResult tri,
+                      TridiagonalEigenRows(kf.alpha, sub, {m - 1}));
+
+  double spectral_scale = std::max(std::fabs(tri.eigenvalues.front()),
+                                   std::fabs(tri.eigenvalues.back()));
+  if (spectral_scale == 0.0) spectral_scale = 1.0;
+
+  Checkpoint cp;
+  const double trailing_beta = kf.beta[m - 1];  // 0 once exhausted
+  for (int c = 0; c < k; ++c) {
+    const int i = (end == SpectrumEnd::kSmallest) ? c : m - k + c;
+    cp.ritz_values.push_back(tri.eigenvalues[i]);
+    cp.worst_residual =
+        std::max(cp.worst_residual,
+                 std::fabs(trailing_beta * tri.eigenvectors(0, i)));
   }
-  double nv = Norm2(v);
-  RP_CHECK(nv > 0.0);
-  Scale(1.0 / nv, v);
+  cp.converged = !forced_nonconvergence &&
+                 (kf.exhausted || m == kf.n ||
+                  cp.worst_residual <= tolerance * spectral_scale);
+  return cp;
+}
 
-  std::vector<double> w(n, 0.0);
-  double beta_prev = 0.0;
-
-  for (int j = 0; j < m_max; ++j) {
-    kf.basis.push_back(v);
-    op.Apply(v.data(), w.data());
-    if (j > 0) Axpy(-beta_prev, kf.basis[j - 1], w);
-    double alpha = Dot(w, v);
-    // A NaN here (operator bug, non-finite matrix entry) would quietly turn
-    // the whole Krylov basis — and the final embedding — into garbage.
-    RP_DCHECK(std::isfinite(alpha));
-    Axpy(-alpha, v, w);
-    kf.alpha.push_back(alpha);
-
-    // Full reorthogonalization, run twice for numerical safety.
-    for (int pass = 0; pass < 2; ++pass) {
-      for (const auto& u : kf.basis) {
-        double proj = Dot(w, u);
-        if (proj != 0.0) Axpy(-proj, u, w);
+// Ritz vectors x = V_m^T y of the first m rows for the given Ritz values,
+// with y from inverse iteration on T_m, as the unit columns of an n x k
+// matrix.
+Result<DenseMatrix> RitzVectors(const KrylovFactorization& kf, int m,
+                                const std::vector<double>& ritz_values) {
+  const int n = kf.n;
+  const int k = static_cast<int>(ritz_values.size());
+  std::vector<double> alpha(kf.alpha.begin(), kf.alpha.begin() + m);
+  std::vector<double> sub(kf.beta.begin(), kf.beta.begin() + (m - 1));
+  RP_ASSIGN_OR_RETURN(DenseMatrix y,
+                      TridiagonalInverseIteration(alpha, sub, ritz_values));
+  DenseMatrix x(n, k);
+  ParallelForBlocked(n, kElementGrain, [&](int64_t begin, int64_t end) {
+    for (int j = 0; j < m; ++j) {
+      const double* v = kf.row(j);
+      const double* yj = y.Row(j);
+      for (int64_t r = begin; r < end; ++r) {
+        double* xr = x.Row(static_cast<int>(r));
+        for (int c = 0; c < k; ++c) xr[c] += v[r] * yj[c];
       }
     }
-
-    double beta = Norm2(w);
-    RP_DCHECK(std::isfinite(beta));
-    kf.trailing_beta = beta;
-    if (j + 1 == m_max) break;
-
-    if (beta < 1e-13 * (std::fabs(alpha) + 1.0)) {
-      // Invariant subspace found. Try to continue with a fresh random
-      // direction orthogonal to the basis; if the whole space is spanned,
-      // stop.
-      if (static_cast<int>(kf.basis.size()) >= n) {
-        kf.exhausted_space = true;
-        kf.trailing_beta = 0.0;
-        break;
-      }
-      bool found = false;
-      for (int attempt = 0; attempt < 5 && !found; ++attempt) {
-        for (double& x : w) x = rng.NextDouble() - 0.5;
-        for (int pass = 0; pass < 2; ++pass) {
-          for (const auto& u : kf.basis) {
-            double proj = Dot(w, u);
-            if (proj != 0.0) Axpy(-proj, u, w);
-          }
-        }
-        double nw = Norm2(w);
-        if (nw > 1e-10) {
-          Scale(1.0 / nw, w);
-          found = true;
-        }
-      }
-      if (!found) {
-        kf.exhausted_space = true;
-        kf.trailing_beta = 0.0;
-        break;
-      }
-      kf.beta.push_back(0.0);  // decoupled block
-      v = w;
-      beta_prev = 0.0;
-      continue;
+  });
+  // Normalize (the basis is orthonormal, so the norms are already near 1).
+  for (int c = 0; c < k; ++c) {
+    double sq = 0.0;
+    for (int r = 0; r < n; ++r) sq += x(r, c) * x(r, c);
+    const double norm = std::sqrt(sq);
+    RP_DCHECK(std::isfinite(norm));
+    if (norm > 0.0) {
+      for (int r = 0; r < n; ++r) x(r, c) /= norm;
     }
-
-    kf.beta.push_back(beta);
-    beta_prev = beta;
-    Scale(1.0 / beta, w);
-    v = w;
   }
-  return kf;
+  return x;
 }
 
 }  // namespace
@@ -151,98 +305,50 @@ Result<EigenResult> LanczosEigen(const LinearOperator& op, int k,
   const bool forced_nonconvergence =
       RP_FAULT_FIRES(FaultSite::kLanczosNonConvergence);
 
+  // The best checkpoint so far. Its Ritz vectors are built once, at the end,
+  // from the factorization prefix of `best_m` rows; best_m == 0 means they
+  // are already in best.eigenvectors (or no checkpoint ran yet).
   EigenResult best;
   best.converged = false;
   best.max_residual = HUGE_VAL;
+  int best_m = 0;
   int restarts_used = 0;
 
-  // Warm start applies to the first build only; every restart reseeds from
-  // the rng so a misleading warm vector costs at most one restart.
-  const std::vector<double>* warm =
-      UsableWarmStart(options.warm_start, n) ? options.warm_start : nullptr;
+  bool warm = UsableWarmStart(options.warm_start, n);
+  KrylovFactorization kf = StartFactorization(
+      n, warm ? *options.warm_start : RandomStart(n, rng));
 
-  for (int restart = 0; restart <= options.max_restarts; ++restart) {
-    restarts_used = restart;
+  for (int checkpoint = 0; checkpoint <= options.max_restarts; ++checkpoint) {
+    restarts_used = checkpoint;
     const int m_max = std::min({m_target, options.max_subspace, n});
-    KrylovFactorization kf =
-        BuildKrylov(op, m_max, rng, restart == 0 ? warm : nullptr);
-    const int m = static_cast<int>(kf.alpha.size());
-    if (m < k) {
-      return Status::Internal("Krylov subspace smaller than k");
-    }
-
-    std::vector<double> sub(kf.beta.begin(), kf.beta.begin() + (m - 1));
-    RP_ASSIGN_OR_RETURN(EigenResult tri,
-                        TridiagonalEigenDecompose(kf.alpha, sub));
-
-    // Select the k Ritz pairs at the requested end (tri is ascending).
-    std::vector<int> sel(k);
-    for (int i = 0; i < k; ++i) {
-      sel[i] = (end == SpectrumEnd::kSmallest) ? i : m - k + i;
-    }
-
-    double spectral_scale = std::max(std::fabs(tri.eigenvalues.front()),
-                                     std::fabs(tri.eigenvalues.back()));
-    if (spectral_scale == 0.0) spectral_scale = 1.0;
-
-    double worst = 0.0;
-    for (int i : sel) {
-      double res = std::fabs(kf.trailing_beta * tri.eigenvectors(m - 1, i));
-      worst = std::max(worst, res);
-    }
-    bool converged =
-        !forced_nonconvergence &&
-        (kf.exhausted_space || m == n ||
-         worst <= options.tolerance * spectral_scale);
-
-    if (worst < best.max_residual || converged) {
-      EigenResult out;
-      out.eigenvalues.resize(k);
-      out.eigenvectors = DenseMatrix(n, k);
-      for (int c = 0; c < k; ++c) {
-        int i = sel[c];
-        out.eigenvalues[c] = tri.eigenvalues[i];
-        // Ritz vector x = V * s_i, row-blocked (each row is an independent
-        // serial inner product over the basis).
-        ParallelForBlocked(n, kRitzRowGrain, [&](int64_t begin, int64_t end) {
-          for (int64_t r = begin; r < end; ++r) {
-            double acc = 0.0;
-            for (int j = 0; j < m; ++j) {
-              acc += kf.basis[j][r] * tri.eigenvectors(j, i);
-            }
-            out.eigenvectors(static_cast<int>(r), c) = acc;
-          }
-        });
-        // Normalize (full reorthogonalization keeps this near 1 already).
-        // Deterministic blocked reduction: partials combined in block order.
-        double norm = std::sqrt(ParallelBlockedSum(
-            n, kRitzRowGrain, [&](int64_t begin, int64_t end) {
-              double acc = 0.0;
-              for (int64_t r = begin; r < end; ++r) {
-                double v = out.eigenvectors(static_cast<int>(r), c);
-                acc += v * v;
-              }
-              return acc;
-            }));
-        RP_DCHECK(std::isfinite(norm));
-        if (norm > 0.0) {
-          ParallelForBlocked(n, kRitzRowGrain,
-                             [&](int64_t begin, int64_t end) {
-                               for (int64_t r = begin; r < end; ++r) {
-                                 out.eigenvectors(static_cast<int>(r), c) /=
-                                     norm;
-                               }
-                             });
-        }
-      }
-      out.converged = converged;
-      out.max_residual = worst;
-      best = std::move(out);
+    kf.GrowTo(op, m_max, rng);
+    RP_ASSIGN_OR_RETURN(Checkpoint cp,
+                        CheckConvergence(kf, k, end, options.tolerance,
+                                         forced_nonconvergence));
+    if (cp.worst_residual < best.max_residual || cp.converged) {
+      best.eigenvalues = std::move(cp.ritz_values);
+      best.max_residual = cp.worst_residual;
+      best.converged = cp.converged;
+      best_m = kf.size();
     }
 
     if (best.converged) break;
     if (m_max >= std::min(n, options.max_subspace)) break;
     m_target = std::min({2 * m_target, options.max_subspace, n});
+    if (warm) {
+      // A warm-started factorization that missed its first checkpoint is
+      // discarded once, and the rest of the ladder grows a cold one from the
+      // seeded rng, so a misleading warm vector costs one checkpoint.
+      RP_ASSIGN_OR_RETURN(best.eigenvectors,
+                          RitzVectors(kf, best_m, best.eigenvalues));
+      best_m = 0;
+      kf = StartFactorization(n, RandomStart(n, rng));
+      warm = false;
+    }
+  }
+  if (best_m > 0) {
+    RP_ASSIGN_OR_RETURN(best.eigenvectors,
+                        RitzVectors(kf, best_m, best.eigenvalues));
   }
 
   best.restarts_used = restarts_used;

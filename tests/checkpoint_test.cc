@@ -373,6 +373,49 @@ TEST(CheckpointStoreTest, ManifestBytesArePinned) {
   std::filesystem::remove_all(options.dir);
 }
 
+// A mining stage whose envelope and sizes are intact but whose superlink
+// arrays are not an undirected graph — an asymmetric weight, a one-way
+// link, a neighbor out of range — decodes as Corruption in every build type
+// instead of reaching the graph's debug-only audit.
+TEST(CheckpointStoreTest, MalformedSuperlinksInValidEnvelopeAreCorruption) {
+  const std::string good = EncodeMiningCheckpoint(SampleMining());
+  const std::string neighbors = "neighbors 4 1 0 2 1\n";
+  const std::string weights =
+      "weights 4 3fe0000000000000 3fe0000000000000 3fc0000000000000 "
+      "3fc0000000000000\n";
+  ASSERT_NE(good.find(neighbors), std::string::npos);
+  ASSERT_NE(good.find(weights), std::string::npos);
+  auto edit = [&](const std::string& from, const std::string& to) {
+    std::string payload = good;
+    payload.replace(payload.find(from), from.size(), to);
+    return payload;
+  };
+  const std::vector<std::string> malformed = {
+      edit(weights,
+           "weights 4 3fe0000000000000 3fd0000000000000 3fc0000000000000 "
+           "3fc0000000000000\n"),
+      edit(neighbors, "neighbors 4 1 0 2 0\n"),
+      edit(neighbors, "neighbors 4 1 0 2 7\n"),
+  };
+  CheckpointOptions options;
+  options.dir = FreshDir("store_malformed_links");
+  const RunManifest manifest{0x1234, 0x5678};
+  for (const std::string& payload : malformed) {
+    CheckpointStore writer(options, manifest);
+    ASSERT_TRUE(writer.Initialize().ok());
+    ASSERT_TRUE(writer.SaveStage(CheckpointStage::kMining, payload).ok());
+    CheckpointOptions resume = options;
+    resume.resume = true;
+    CheckpointStore reader(resume, manifest);
+    ASSERT_TRUE(reader.Initialize().ok());
+    auto stage = reader.LoadStage(CheckpointStage::kMining);
+    ASSERT_TRUE(stage.has_value());
+    EXPECT_EQ(DecodeMiningCheckpoint(*stage).status().code(),
+              StatusCode::kCorruption);
+  }
+  std::filesystem::remove_all(options.dir);
+}
+
 // Trailing data inside an intact envelope is corruption, not slack: extra
 // fields on a line and junk lines after the last record are both refused.
 TEST(CheckpointStoreTest, TrailingDataInValidEnvelopeIsCorruption) {

@@ -4,7 +4,9 @@
 //   - repeated eigenvalues (two identical decoupled blocks),
 //   - disconnected supergraph blocks (block-diagonal adjacency, multiple
 //     zero-ish extreme eigenvalues),
-//   - near-degenerate clustered spectra (ring graphs' paired eigenvalues).
+//   - near-degenerate clustered spectra (ring graphs' paired eigenvalues),
+//   - a tight cluster of four eigenvalues within 1e-11, where the Ritz
+//     vectors come from inverse iteration and must stay orthonormal.
 
 #include <gtest/gtest.h>
 
@@ -156,6 +158,83 @@ TEST(LanczosPathologicalTest, NearDegenerateClusteredSpectrum) {
   std::vector<double> dense = DenseExtremes(m, k, SpectrumEnd::kSmallest);
   for (int i = 0; i < k; ++i) {
     EXPECT_NEAR(lanczos.eigenvalues[i], dense[i], 1e-6) << "eigenvalue " << i;
+  }
+}
+
+TEST(LanczosPathologicalTest, TightClusterRitzVectorsStayOrthonormal) {
+  // Four disconnected random weighted graphs (rings plus chords), each
+  // scaled so its Perron eigenvalue is 2 + 2e-12 c: the four wanted pairs
+  // form one cluster of width 6e-12, well apart from the rest of the
+  // spectrum. Inverse iteration can only separate such a cluster with
+  // perturbed shifts and reorthogonalization; the Ritz vectors must still be
+  // orthonormal, and each true residual as small as the solver's own
+  // estimate says.
+  std::vector<Triplet> upper;
+  Rng rng(23);
+  const int sizes[] = {101, 97, 89, 83};
+  int first = 0;
+  for (int c = 0; c < 4; ++c) {
+    const int b = sizes[c];
+    std::vector<Triplet> block;
+    for (int i = 0; i < b; ++i) {
+      block.push_back({std::min(i, (i + 1) % b), std::max(i, (i + 1) % b),
+                       1.0 + rng.NextDouble()});
+    }
+    for (int chord = 0; chord < b / 3; ++chord) {
+      int u = static_cast<int>(rng.NextBounded(b));
+      int v = static_cast<int>(rng.NextBounded(b));
+      if (u != v) {
+        block.push_back({std::min(u, v), std::max(u, v), rng.NextDouble()});
+      }
+    }
+    SparseMatrix bm = SymmetricFromTripletsOrDie(b, block);
+    auto dense = SymmetricEigenDecompose(bm.ToDense());
+    ASSERT_TRUE(dense.ok());
+    const double scale = (2.0 + 2e-12 * c) / dense->eigenvalues.back();
+    for (const Triplet& t : block) {
+      upper.push_back({first + t.row, first + t.col, t.value * scale});
+    }
+    first += b;
+  }
+  const int n = first;
+  SparseMatrix m = SymmetricFromTripletsOrDie(n, upper);
+  SparseOperator op(m);
+
+  const int k = 4;
+  LanczosOptions options;
+  EigenResult lanczos = ExpectLanczosThreadInvariant(
+      op, k, SpectrumEnd::kLargest, options, "tight cluster");
+  ASSERT_EQ(lanczos.eigenvalues.size(), static_cast<size_t>(k));
+  EXPECT_TRUE(lanczos.converged);
+  for (int c = 0; c < k; ++c) {
+    EXPECT_NEAR(lanczos.eigenvalues[c], 2.0, 1e-10) << "eigenvalue " << c;
+  }
+
+  const DenseMatrix& x = lanczos.eigenvectors;
+  double worst_orth = 0.0;
+  for (int a = 0; a < k; ++a) {
+    for (int b = a; b < k; ++b) {
+      double dot = 0.0;
+      for (int i = 0; i < n; ++i) dot += x(i, a) * x(i, b);
+      worst_orth = std::max(worst_orth, std::fabs(dot - (a == b ? 1.0 : 0.0)));
+    }
+  }
+  EXPECT_LE(worst_orth, 1e-12);
+
+  const double slack = 64.0 * 2.2e-16 * 2.0;  // a few ulps of ||A|| = 2
+  std::vector<double> v(n);
+  std::vector<double> av(n);
+  for (int c = 0; c < k; ++c) {
+    for (int i = 0; i < n; ++i) v[i] = x(i, c);
+    op.Apply(v.data(), av.data());
+    double res = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const double r = av[i] - lanczos.eigenvalues[c] * v[i];
+      res += r * r;
+    }
+    EXPECT_LE(std::sqrt(res), 10.0 * lanczos.max_residual + slack)
+        << "Ritz pair " << c << ", reported max_residual "
+        << lanczos.max_residual;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "linalg/lanczos.h"
@@ -143,6 +144,110 @@ TEST(LanczosTest, DisconnectedGraphHandlesBreakdown) {
   // Each triangle has top eigenvalue 2 (multiplicity 2 overall).
   EXPECT_NEAR(eig->eigenvalues[2], 2.0, 1e-7);
   EXPECT_NEAR(eig->eigenvalues[1], 2.0, 1e-7);
+}
+
+// Forwards to a base operator and counts the applications.
+class CountingOperator : public LinearOperator {
+ public:
+  explicit CountingOperator(const LinearOperator& base) : base_(base) {}
+  int Dim() const override { return base_.Dim(); }
+  void Apply(const double* x, double* y) const override {
+    ++applies_;
+    base_.Apply(x, y);
+  }
+  int applies() const { return applies_; }
+
+ private:
+  const LinearOperator& base_;
+  mutable int applies_ = 0;
+};
+
+TEST(LanczosTest, ZeroOperatorGivesOrthonormalVectors) {
+  // Every vector is an eigenvector of the zero operator: the factorization
+  // breaks down at every step and T is all zeros, yet the Ritz vectors must
+  // be finite and orthonormal.
+  auto m = SparseMatrix::FromTriplets(5, 5, {});
+  ASSERT_TRUE(m.ok());
+  SparseOperator op(*m);
+  auto eig = LanczosEigen(op, 2, SpectrumEnd::kSmallest);
+  ASSERT_TRUE(eig.ok());
+  EXPECT_TRUE(eig->converged);
+  for (int a = 0; a < 2; ++a) {
+    EXPECT_EQ(eig->eigenvalues[a], 0.0);
+    for (int b = a; b < 2; ++b) {
+      double dot = 0.0;
+      for (int i = 0; i < 5; ++i) {
+        dot += eig->eigenvectors(i, a) * eig->eigenvectors(i, b);
+      }
+      EXPECT_NEAR(dot, a == b ? 1.0 : 0.0, 1e-12) << a << "," << b;
+    }
+  }
+}
+
+TEST(LanczosTest, CheckpointsGrowOneFactorization) {
+  // A zero tolerance is never met, so the solve climbs every checkpoint of
+  // the ladder: 60 -> 120 -> 240 (the cap). The factorization grows in
+  // place, so the operator runs once per basis vector — 240 times, not
+  // 60 + 120 + 240.
+  SparseMatrix m = RingMatrix(320, 5);
+  SparseOperator base(m);
+  CountingOperator op(base);
+  LanczosOptions options;
+  options.tolerance = 0.0;
+  options.max_subspace = 240;
+  auto eig = LanczosEigen(op, 4, SpectrumEnd::kSmallest, options);
+  ASSERT_TRUE(eig.ok());
+  EXPECT_FALSE(eig->converged);
+  EXPECT_EQ(eig->restarts_used, 2);
+  EXPECT_EQ(op.applies(), 240);
+  // The best-of estimate is still a usable set of Ritz pairs.
+  auto dense = SymmetricEigenDecompose(m.ToDense());
+  ASSERT_TRUE(dense.ok());
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_NEAR(eig->eigenvalues[i], dense->eigenvalues[i], 1e-8);
+  }
+}
+
+TEST(LanczosTest, WarmStartOrthogonalToTargetStillConverges) {
+  // The warm vector has no component along the k wanted eigenvectors, so
+  // its Krylov space cannot find them: the first checkpoint misses, the
+  // warm factorization is discarded, and a cold one from the seeded rng
+  // converges to the right pairs.
+  const int n = 400;
+  const int k = 4;
+  SparseMatrix m = RingMatrix(n, 17);
+  SparseOperator base(m);
+  auto dense = SymmetricEigenDecompose(m.ToDense());
+  ASSERT_TRUE(dense.ok());
+  std::vector<double> warm(n);
+  Rng rng(3);
+  for (double& x : warm) x = rng.NextDouble() - 0.5;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int c = 0; c < k; ++c) {
+      double dot = 0.0;
+      for (int i = 0; i < n; ++i) dot += warm[i] * dense->eigenvectors(i, c);
+      for (int i = 0; i < n; ++i) warm[i] -= dot * dense->eigenvectors(i, c);
+    }
+  }
+
+  CountingOperator op(base);
+  LanczosOptions options;
+  options.warm_start = &warm;
+  auto eig = LanczosEigen(op, k, SpectrumEnd::kSmallest, options);
+  ASSERT_TRUE(eig.ok());
+  EXPECT_TRUE(eig->converged);
+  for (int i = 0; i < k; ++i) {
+    EXPECT_NEAR(eig->eigenvalues[i], dense->eigenvalues[i], 1e-8)
+        << "eigenvalue " << i;
+  }
+  EXPECT_GE(eig->restarts_used, 1);
+  // The discarded warm factorization cost exactly its first checkpoint.
+  int cold = 0;
+  for (int m_target = 60, c = 1; c <= eig->restarts_used; ++c) {
+    m_target *= 2;
+    cold = std::min(m_target, n);
+  }
+  EXPECT_EQ(op.applies(), 60 + cold);
 }
 
 }  // namespace

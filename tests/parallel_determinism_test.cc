@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.h"
 #include "differential/differential_harness.h"
 #include "linalg/linear_operator.h"
 #include "linalg/sparse_matrix.h"
@@ -84,6 +88,37 @@ TEST(ParallelDeterminismTest, AlphaCutEigenvaluesWithin1e12) {
   for (size_t i = 1; i < serial.eigenvalues.size(); ++i) {
     EXPECT_LE(serial.eigenvalues[i - 1], serial.eigenvalues[i]);
   }
+}
+
+TEST(ParallelDeterminismTest, LanczosBlockedKernelsAtScale) {
+  // An order above 8192 so every blocked kernel of the solver really splits
+  // (Gram-Schmidt projections over row groups, updates and Ritz vectors over
+  // element blocks): eigenvalues, vectors and residual must be bit-identical
+  // at 1, 2 and 8 threads.
+  const int n = 9001;
+  Rng rng(31);
+  std::vector<Triplet> upper;
+  for (int i = 0; i < n; ++i) {
+    upper.push_back({std::min(i, (i + 1) % n), std::max(i, (i + 1) % n),
+                     1.0 + rng.NextDouble()});
+  }
+  for (int c = 0; c < n / 4; ++c) {
+    int u = static_cast<int>(rng.NextBounded(n));
+    int v = static_cast<int>(rng.NextBounded(n));
+    if (u != v) {
+      upper.push_back({std::min(u, v), std::max(u, v), rng.NextDouble()});
+    }
+  }
+  auto m = SparseMatrix::SymmetricFromTriplets(n, upper);
+  ASSERT_TRUE(m.ok());
+  SparseOperator op(*m);
+  LanczosOptions options;
+  EigenResult serial = ExpectLanczosThreadInvariant(
+      op, /*k=*/4, SpectrumEnd::kLargest, options, "order 9001");
+  ASSERT_EQ(serial.eigenvectors.rows(), n);
+  EXPECT_TRUE(serial.converged);
+  // The factorization grew through more than one checkpoint.
+  EXPECT_GE(serial.restarts_used, 1);
 }
 
 TEST(ParallelDeterminismTest, RepeatedRunsAreReproducible) {
