@@ -16,8 +16,9 @@
 #   3. build-check-asan    : Debug + -fsanitize=address,undefined; runs the
 #      complete suite under AddressSanitizer (heap/stack overflows,
 #      use-after-free, leaks) — TSan and ASan cannot be combined, hence
-#      the separate tree. The fault-injection, serving, pipeline and
-#      keyed-state codec suites then run again, explicitly and verbosely:
+#      the separate tree. The fault-injection, serving, pipeline,
+#      keyed-state codec and serve text suites then run again, explicitly
+#      and verbosely:
 #      every injected fault path (corrupted densities, forced
 #      non-convergence, degenerate embeddings, torn snapshots, corrupt
 #      checkpoints) must be memory-clean, not just Status-clean.
@@ -143,6 +144,13 @@ echo "==> [6e/7] keyed-state codec under AddressSanitizer (verbose)"
 # that feed it torn, bit-flipped and trailing-data payloads standalone.
 "${ASAN_DIR}/tests/checkpoint_test"
 "${ASAN_DIR}/tests/artifact_corruption_test"
+
+echo "==> [6f/7] serve text path under AddressSanitizer (verbose)"
+# Query lines are tokenized into a fixed array of string_views over the
+# input and plain decimals are scanned in place by from_chars; the
+# differential corpus feeds overlong tokens and lines with more tokens than
+# the span array holds.
+"${ASAN_DIR}/tests/serve_text_test"
 
 echo "==> [7/7] Static analysis: rp_analyze + clang-tidy"
 # JSON report is archived next to the build so CI and humans can diff runs;

@@ -59,6 +59,19 @@ Result<int64_t> FlagParser::GetInt(const std::string& name,
   return ParseInt(it->second);
 }
 
+Result<int64_t> FlagParser::GetIntInRange(const std::string& name,
+                                          int64_t fallback, int64_t min,
+                                          int64_t max) const {
+  RP_ASSIGN_OR_RETURN(int64_t value, GetInt(name, fallback));
+  if (value < min || value > max) {
+    return Status::InvalidArgument(StrPrintf(
+        "--%s must be in [%lld, %lld], got %lld", name.c_str(),
+        static_cast<long long>(min), static_cast<long long>(max),
+        static_cast<long long>(value)));
+  }
+  return value;
+}
+
 Result<double> FlagParser::GetDouble(const std::string& name,
                                      double fallback) const {
   auto it = flags_.find(name);

@@ -33,6 +33,11 @@ class FlagParser {
   /// Integer value or fallback; malformed values return an error.
   Result<int64_t> GetInt(const std::string& name, int64_t fallback) const;
 
+  /// GetInt, additionally requiring min <= value <= max: a value outside
+  /// is an InvalidArgument naming the flag, never a silent narrowing.
+  Result<int64_t> GetIntInRange(const std::string& name, int64_t fallback,
+                                int64_t min, int64_t max) const;
+
   /// Double value or fallback; malformed values return an error.
   Result<double> GetDouble(const std::string& name, double fallback) const;
 

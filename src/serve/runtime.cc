@@ -1,7 +1,6 @@
 #include "serve/runtime.h"
 
 #include <utility>
-#include <vector>
 
 #include "common/fault_injection.h"
 #include "common/string_util.h"
@@ -121,12 +120,9 @@ Status ServeRuntime::FlushWindow(std::string_view window, size_t first_line,
 
 Status ServeRuntime::HandleControl(std::string_view line, size_t line_number,
                                    std::string* output) {
-  const std::vector<std::string> raw = Split(line, ' ');
-  std::vector<std::string_view> tokens;
-  for (const std::string& t : raw) {
-    std::string_view v = Trim(t);
-    if (!v.empty()) tokens.push_back(v);
-  }
+  // Every verb takes at most one operand; the true count catches the rest.
+  std::string_view tokens[2];
+  const size_t count = TokenizeSpaces(line, tokens, 2);
   const bool isolate =
       options_.serve.on_malformed == MalformedQueryPolicy::kIsolate;
   auto malformed = [&](const char* detail) -> Status {
@@ -139,7 +135,7 @@ Status ServeRuntime::HandleControl(std::string_view line, size_t line_number,
         StrPrintf("session line %zu: %s", line_number, detail));
   };
   if (tokens[0] == "!reload") {
-    if (tokens.size() != 2) {
+    if (count != 2) {
       return malformed("'!reload' takes exactly one snapshot path");
     }
     const Status status = manager_.Reload(std::string(tokens[1]));
@@ -158,7 +154,7 @@ Status ServeRuntime::HandleControl(std::string_view line, size_t line_number,
     return Status::OK();
   }
   if (tokens[0] == "!stats") {
-    if (tokens.size() != 1) return malformed("'!stats' takes no operands");
+    if (count != 1) return malformed("'!stats' takes no operands");
     const SnapshotManagerDiagnostics diag = manager_.diagnostics();
     output->append(StrPrintf(
         "stats version=%lld served=%lld errored=%lld shed=%lld "
@@ -184,7 +180,7 @@ Status ServeRuntime::HandleControl(std::string_view line, size_t line_number,
     return Status::OK();
   }
   if (tokens[0] == "!health") {
-    if (tokens.size() != 1) return malformed("'!health' takes no operands");
+    if (count != 1) return malformed("'!health' takes no operands");
     const SnapshotManagerDiagnostics diag = manager_.diagnostics();
     // Last typed error, most recent layer first: a pipeline reason beats a
     // reload failure (the pipeline is what keeps the snapshot fresh).
@@ -203,7 +199,7 @@ Status ServeRuntime::HandleControl(std::string_view line, size_t line_number,
     return Status::OK();
   }
   if (tokens[0] == "!quiesce") {
-    if (tokens.size() != 1) return malformed("'!quiesce' takes no operands");
+    if (count != 1) return malformed("'!quiesce' takes no operands");
     // The pending window was flushed before this control executed and
     // every batch is synchronous, so quiescence is immediate.
     output->append("quiesce ok\n");

@@ -32,20 +32,16 @@ struct ParseError {
 };
 
 ParseError ParseQueryLine(std::string_view line, ParsedQuery* out) {
-  std::vector<std::string> raw = Split(line, ' ');
-  std::vector<std::string_view> tokens;
-  for (const std::string& t : raw) {
-    std::string_view v = Trim(t);
-    if (!v.empty()) tokens.push_back(v);
-  }
-  if (tokens[0] != "point" && tokens[0] != "range") {
+  std::string_view tokens[5];  // verb + up to four coordinates
+  const size_t count = TokenizeSpaces(line, tokens, 5);
+  const bool point = tokens[0] == "point";
+  if (!point && tokens[0] != "range") {
     return {"bad-verb", "expected 'point' or 'range'"};
   }
-  const size_t want = tokens[0] == "point" ? 2 : 4;
-  if (tokens.size() != want + 1) {
-    return {"bad-arity", tokens[0] == "point"
-                             ? "'point' takes exactly x y"
-                             : "'range' takes exactly minx miny maxx maxy"};
+  const size_t want = point ? 2 : 4;
+  if (count != want + 1) {
+    return {"bad-arity", point ? "'point' takes exactly x y"
+                               : "'range' takes exactly minx miny maxx maxy"};
   }
   double values[4] = {0, 0, 0, 0};
   for (size_t i = 0; i < want; ++i) {
@@ -56,14 +52,13 @@ ParseError ParseQueryLine(std::string_view line, ParsedQuery* out) {
     }
     values[i] = *parsed;
   }
-  if (tokens[0] == "range" &&
-      (values[0] > values[2] || values[1] > values[3])) {
+  if (!point && (values[0] > values[2] || values[1] > values[3])) {
     // An inverted box is a malformed query, never a silently-empty result:
     // the closed-bounds contract makes minx == maxx legal, but minx > maxx
     // can only be a caller that swapped its coordinates.
     return {"inverted-box", "range box has minx > maxx or miny > maxy"};
   }
-  out->kind = tokens[0] == "point" ? QueryKind::kPoint : QueryKind::kRange;
+  out->kind = point ? QueryKind::kPoint : QueryKind::kRange;
   out->a = values[0];
   out->b = values[1];
   out->c = values[2];
@@ -71,23 +66,32 @@ ParseError ParseQueryLine(std::string_view line, ParsedQuery* out) {
   return {};
 }
 
+// Appends one answer line. `counts` is the calling batch's reused range
+// buffer, so a steady-state answer allocates nothing: only `out` grows.
 void AppendAnswer(const Snapshot& snapshot, const ParsedQuery& q,
-                  std::string* out) {
+                  std::vector<int64_t>* counts, std::string* out) {
   switch (q.kind) {
     case QueryKind::kError:
-      out->append(StrPrintf("error %zu %s\n", q.line, q.reason));
-      return;
     case QueryKind::kShed:
-      out->append(StrPrintf("shed %zu %s\n", q.line, q.reason));
+      out->append(q.kind == QueryKind::kError ? "error " : "shed ");
+      AppendInt(static_cast<int64_t>(q.line), out);
+      out->push_back(' ');
+      out->append(q.reason);
+      out->push_back('\n');
       return;
     case QueryKind::kPoint: {
       const PointAnswer a = snapshot.NearestSegment({q.a, q.b});
       if (a.segment_id < 0) {
         out->append("point -1 -1 -1\n");
-      } else {
-        out->append(StrPrintf("point %d %d %.17g\n", a.segment_id,
-                              a.partition_id, a.distance));
+        return;
       }
+      out->append("point ");
+      AppendInt(a.segment_id, out);
+      out->push_back(' ');
+      AppendInt(a.partition_id, out);
+      out->push_back(' ');
+      AppendDouble17(a.distance, out);
+      out->push_back('\n');
       return;
     }
     case QueryKind::kRange:
@@ -96,12 +100,14 @@ void AppendAnswer(const Snapshot& snapshot, const ParsedQuery& q,
   BoundingBox box;
   box.min = {q.a, q.b};
   box.max = {q.c, q.d};
-  const std::vector<int64_t> counts = snapshot.CountByPartition(box);
+  snapshot.CountByPartitionInto(box, counts);
   int64_t total = 0;
-  for (int64_t c : counts) total += c;
-  out->append(StrPrintf("range %lld", static_cast<long long>(total)));
-  for (int64_t c : counts) {
-    out->append(StrPrintf(" %lld", static_cast<long long>(c)));
+  for (int64_t c : *counts) total += c;
+  out->append("range ");
+  AppendInt(total, out);
+  for (int64_t c : *counts) {
+    out->push_back(' ');
+    AppendInt(c, out);
   }
   out->push_back('\n');
 }
@@ -223,8 +229,9 @@ Status ServeQueries(const Snapshot& snapshot, std::string_view queries,
         const size_t begin = static_cast<size_t>(b) * batch;
         const size_t end = std::min(parsed.size(), begin + batch);
         std::string local;
+        std::vector<int64_t> counts;
         for (size_t i = begin; i < end; ++i) {
-          AppendAnswer(snapshot, parsed[i], &local);
+          AppendAnswer(snapshot, parsed[i], &counts, &local);
         }
         answers[static_cast<size_t>(b)] = std::move(local);
       },

@@ -10,6 +10,15 @@
 ///   point <x> <y>                      nearest segment + its partition
 ///   range <minx> <miny> <maxx> <maxy>  per-partition segment counts in box
 ///
+/// Tokens are separated by single spaces; each token is trimmed of
+/// " \t\r\n" and empty tokens are dropped, so runs of spaces are one
+/// separator while a tab inside a token (`point\t1 2`) is part of it.
+/// A coordinate is accepted exactly as `strtod` in the C locale accepts the
+/// whole token: a leading '+', hex floats and denormals parse, out-of-range
+/// values saturate; it must then be finite, so `inf`, `nan(...)` and `1e400`
+/// answer bad-coordinate. (common/string_util's ParseDouble is that grammar,
+/// with a no-copy std::from_chars fast path for plain decimals.)
+///
 /// A `range` box must be well formed: minx <= maxx and miny <= maxy (the
 /// bounds are closed, so a degenerate box with minx == maxx is legal and
 /// means the vertical line x == minx). An inverted box is a malformed
@@ -34,8 +43,13 @@
 ///   shed reasons:  queue-full (query budget), byte-budget (byte budget),
 ///                  deadline (per-batch deadline expired)
 ///
-/// Distances print with %.17g so answers round-trip doubles exactly and two
-/// runs are byte-comparable. Parallelism: queries are cut into fixed-size
+/// Distances print as %.17g (rendered with std::to_chars(general, 17),
+/// which the standard specifies to match it), so answers round-trip doubles
+/// exactly and two runs are byte-comparable. A query so far out that every
+/// squared distance overflows answers the smallest segment id at distance
+/// `inf`. Parsing a plain-decimal line and rendering an answer allocate
+/// nothing: only the parsed-query list, each batch's output buffer and its
+/// reused range-count buffer grow. Parallelism: queries are cut into fixed-size
 /// batches, each batch formats into its own buffer under ParallelForTasks
 /// (disjoint slot writes), and buffers are joined serially — output is
 /// byte-identical for every --threads value. Parsing, admission and the

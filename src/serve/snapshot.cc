@@ -468,11 +468,17 @@ PointAnswer Snapshot::NearestSegment(const Point& q) const {
 }
 
 std::vector<int64_t> Snapshot::CountByPartition(const BoundingBox& box) const {
-  std::vector<int64_t> counts(static_cast<size_t>(decoded_.num_partitions), 0);
+  std::vector<int64_t> counts;
+  CountByPartitionInto(box, &counts);
+  return counts;
+}
+
+void Snapshot::CountByPartitionInto(const BoundingBox& box,
+                                    std::vector<int64_t>* counts) const {
+  counts->assign(static_cast<size_t>(decoded_.num_partitions), 0);
   KdRangeCountByPartition(MidpointsXY(), KdHeap(),
                           static_cast<int32_t>(decoded_.num_segments), box,
-                          Labels(), &counts);
-  return counts;
+                          Labels(), counts);
 }
 
 }  // namespace roadpart

@@ -117,6 +117,12 @@ class Snapshot {
   /// bounds). Vector has num_partitions() slots.
   std::vector<int64_t> CountByPartition(const BoundingBox& box) const;
 
+  /// CountByPartition into a caller-owned buffer, resized to
+  /// num_partitions() slots; reusing one buffer across queries keeps a
+  /// range answer allocation-free.
+  void CountByPartitionInto(const BoundingBox& box,
+                            std::vector<int64_t>* counts) const;
+
  private:
   // Decodes the header into `decoded_`; callers (Build, FromBuffer) hand it
   // an already-validated buffer.

@@ -15,7 +15,10 @@ double PointSegmentDistanceSquared(const Point& q, const Point& a,
   double t = 0.0;
   if (len2 > 0.0) {
     t = ((q.x - a.x) * abx + (q.y - a.y) * aby) / len2;
-    t = std::clamp(t, 0.0, 1.0);
+    // A query ~1e154 or more away overflows the dot product, possibly to
+    // inf - inf; pin that NaN to an endpoint so the distance is +inf, never
+    // NaN, and the tie-break's order stays total.
+    t = std::isnan(t) ? 0.0 : std::clamp(t, 0.0, 1.0);
   }
   const double dx = q.x - (a.x + t * abx);
   const double dy = q.y - (a.y + t * aby);
@@ -80,7 +83,6 @@ struct KdBuildFrame {
 struct KdSearchFrame {
   int32_t node;
   int32_t depth;
-  double axis_d2;  // squared distance from q to this subtree's split plane
 };
 
 }  // namespace
@@ -197,11 +199,15 @@ void KdRangeCountByPartition(const double* midpoints_xy, const int32_t* heap,
   if (n <= 0) return;
   const double lo[2] = {box.min.x, box.min.y};
   const double hi[2] = {box.max.x, box.max.y};
-  std::vector<KdSearchFrame> stack;
-  stack.push_back({0, 0, 0.0});
-  while (!stack.empty()) {
-    const KdSearchFrame f = stack.back();
-    stack.pop_back();
+  // Depth-first, each pop pushing at most its two children: the stack never
+  // holds more than one pending sibling per level plus the two just pushed,
+  // i.e. at most 32 frames for an int32 heap of depth <= 30, so a fixed
+  // array replaces a per-query heap allocation.
+  KdSearchFrame stack[64];
+  int top = 0;
+  stack[top++] = {0, 0};
+  while (top > 0) {
+    const KdSearchFrame f = stack[--top];
     const int32_t seg = heap[f.node];
     const int axis = f.depth & 1;
     const double mx = midpoints_xy[2 * seg];
@@ -216,9 +222,10 @@ void KdRangeCountByPartition(const double* midpoints_xy, const int32_t* heap,
     const int32_t left = 2 * f.node + 1;
     const int32_t right = 2 * f.node + 2;
     // Left subtree holds coordinates <= split, right holds >= split.
-    if (left < n && lo[axis] <= split) stack.push_back({left, f.depth + 1, 0});
+    RP_DCHECK_LE(top + 2, 64);
+    if (left < n && lo[axis] <= split) stack[top++] = {left, f.depth + 1};
     if (right < n && hi[axis] >= split) {
-      stack.push_back({right, f.depth + 1, 0});
+      stack[top++] = {right, f.depth + 1};
     }
   }
 }

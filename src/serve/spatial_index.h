@@ -53,9 +53,11 @@ double PointSegmentDistanceSquared(const Point& q, const Point& a,
                                    const Point& b);
 
 /// The tie-break rule in one place: `candidate` (distance d2) replaces
-/// `best` when strictly closer, or equally close with a smaller id.
+/// `best` when strictly closer, or equally close with a smaller id. The
+/// first candidate always lands, even at d2 = +inf (a query so far out that
+/// every squared distance overflows), so a search never ends empty-handed.
 inline void ConsiderNearest(int32_t candidate, double d2, NearestHit* best) {
-  if (d2 < best->distance_squared ||
+  if (best->segment_id < 0 || d2 < best->distance_squared ||
       (d2 == best->distance_squared && candidate < best->segment_id)) {
     best->segment_id = candidate;
     best->distance_squared = d2;

@@ -3,10 +3,12 @@
 // sweep, all through the real command-line surface.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 namespace roadpart {
@@ -14,6 +16,9 @@ namespace {
 
 #ifndef RP_CLI_PATH
 #define RP_CLI_PATH "roadpart_cli"
+#endif
+#ifndef RP_PIPELINE_PATH
+#define RP_PIPELINE_PATH "rp_pipeline"
 #endif
 
 int RunCli(const std::string& args) {
@@ -87,6 +92,42 @@ TEST_F(CliWorkflowTest, BadInputsFailCleanly) {
   EXPECT_NE(RunCli("evaluate /no/such.net /no/such.csv"), 0);
   EXPECT_NE(RunCli("nonsense"), 0);
   EXPECT_NE(RunCli(""), 0);
+}
+
+// Runs `binary args` and returns its stderr; the exit code lands in *code.
+std::string RunForStderr(const std::string& binary, const std::string& args,
+                         int* code) {
+  const std::string err = testing::TempDir() + "/cli_stderr.txt";
+  const std::string command =
+      binary + " " + args + " > /dev/null 2> " + err;
+  const int status = std::system(command.c_str());
+  *code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  std::ifstream in(err);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(CliTest, ThreadsFlagMustFitInt) {
+  // --threads lands in an int: a value outside [0, INT_MAX] is an error,
+  // never a silent narrowing (4294967297 would otherwise become 1).
+  const std::string out = testing::TempDir() + "/cli_threads.net";
+  for (const std::string& binary : {std::string(RP_CLI_PATH) + " generate",
+                                    std::string(RP_PIPELINE_PATH)}) {
+    for (const char* value : {"4294967297", "2147483648", "-1"}) {
+      int code = 0;
+      const std::string err = RunForStderr(
+          binary, std::string("--threads=") + value + " " + out + " " + out,
+          &code);
+      EXPECT_EQ(code, 1) << binary << " " << value;
+      EXPECT_NE(err.find(std::string("--threads must be in [0, 2147483647], "
+                                     "got ") +
+                         value),
+                std::string::npos)
+          << err;
+    }
+  }
+  std::remove(out.c_str());
 }
 
 TEST(CliTest, TearDownNetwork) {

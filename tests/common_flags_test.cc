@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "common/flags.h"
 
 namespace roadpart {
@@ -50,6 +52,20 @@ TEST(FlagParserTest, UnknownFlagRejected) {
 TEST(FlagParserTest, MalformedNumberReported) {
   FlagParser p = ParseOk({"--k=abc"});
   EXPECT_FALSE(p.GetInt("k", 0).ok());
+}
+
+TEST(FlagParserTest, IntInRangeRejectsValuesThatWouldNarrow) {
+  FlagParser p = ParseOk({"--k=4294967297"});
+  const Result<int64_t> k = p.GetIntInRange("k", 1, 1, INT_MAX);
+  ASSERT_FALSE(k.ok());
+  EXPECT_EQ(k.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(k.status().message(),
+            "--k must be in [1, 2147483647], got 4294967297");
+  EXPECT_EQ(p.GetIntInRange("absent", 7, 1, 10).value(), 7);
+  EXPECT_EQ(ParseOk({"--k=10"}).GetIntInRange("k", 1, 1, 10).value(), 10);
+  EXPECT_FALSE(ParseOk({"--k=0"}).GetIntInRange("k", 1, 1, 10).ok());
+  EXPECT_FALSE(
+      ParseOk({"--k=99999999999999999999"}).GetIntInRange("k", 1, 1, 10).ok());
 }
 
 TEST(FlagParserTest, PositionalOrderPreserved) {

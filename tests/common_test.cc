@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -219,6 +222,55 @@ TEST(StringUtilTest, ParseIntValid) {
 TEST(StringUtilTest, ParseIntInvalid) {
   EXPECT_FALSE(ParseInt("3.5").ok());
   EXPECT_FALSE(ParseInt("x").ok());
+}
+
+TEST(StringUtilTest, ParseIntRejectsOutOfRange) {
+  // strtoll saturates with ERANGE; that must surface as an error, not as
+  // INT64_MAX / INT64_MIN.
+  for (const char* s : {"99999999999999999999", "-99999999999999999999",
+                        "9223372036854775808", "-9223372036854775809",
+                        "+9223372036854775808"}) {
+    const Result<int64_t> v = ParseInt(s);
+    ASSERT_FALSE(v.ok()) << s;
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(v.status().message(),
+              std::string("integer out of range: '") + s + "'");
+  }
+  EXPECT_EQ(ParseInt("9223372036854775807").value(), INT64_MAX);
+  EXPECT_EQ(ParseInt("-9223372036854775808").value(), INT64_MIN);
+  EXPECT_EQ(ParseInt("+42").value(), 42);
+}
+
+TEST(StringUtilTest, ParseDoubleKeepsStrtodRange) {
+  // Out-of-range doubles saturate exactly as strtod does; callers that
+  // need finite values check for themselves.
+  EXPECT_EQ(ParseDouble("1e400").value(), HUGE_VAL);
+  EXPECT_EQ(ParseDouble("-1e400").value(), -HUGE_VAL);
+  EXPECT_EQ(ParseDouble("1e-400").value(), 0.0);
+  EXPECT_EQ(ParseDouble("0x1p3").value(), 8.0);
+  EXPECT_EQ(ParseDouble("+2.5").value(), 2.5);
+  EXPECT_EQ(ParseDouble("1.5x").status().message(), "not a number: '1.5x'");
+}
+
+TEST(StringUtilTest, TokenizeSpacesReportsTrueCount) {
+  std::string_view tokens[2];
+  EXPECT_EQ(TokenizeSpaces("  a \tb\t  c\r ", tokens, 2), 3u);
+  EXPECT_EQ(tokens[0], "a");
+  EXPECT_EQ(tokens[1], "b");
+  EXPECT_EQ(TokenizeSpaces("x\ty", tokens, 2), 1u);
+  EXPECT_EQ(tokens[0], "x\ty");
+  EXPECT_EQ(TokenizeSpaces(" \t ", tokens, 2), 0u);
+}
+
+TEST(StringUtilTest, AppendersMatchPrintf) {
+  std::string out;
+  AppendInt(INT64_MIN, &out);
+  out.push_back(' ');
+  AppendDouble17(0.1, &out);
+  out.push_back(' ');
+  AppendDouble17(-0.0, &out);
+  EXPECT_EQ(out, StrPrintf("%lld %.17g %.17g",
+                           static_cast<long long>(INT64_MIN), 0.1, -0.0));
 }
 
 TEST(StringUtilTest, StrPrintfFormats) {

@@ -8,6 +8,7 @@
 // Networks use the text format of network_io.h; partitions are
 // "segment_id,partition_id" CSV.
 
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -526,7 +527,7 @@ int Main(int argc, char** argv) {
 
   // Global thread knob: applies to every command; deterministic kernels make
   // this a pure performance setting.
-  auto threads = flags->GetInt("threads", 0);
+  auto threads = flags->GetIntInRange("threads", 0, 0, INT_MAX);
   if (!threads.ok()) return Fail(threads.status());
   if (*threads > 0) SetDefaultParallelism(static_cast<int>(*threads));
 

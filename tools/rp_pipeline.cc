@@ -41,6 +41,7 @@
 // to stderr. Exit 0 whenever the pipeline ran to the end of the series —
 // quarantined intervals are contained, not fatal.
 
+#include <climits>
 #include <cstdio>
 #include <string>
 
@@ -92,7 +93,7 @@ int Main(int argc, char** argv) {
   if (!flags.ok()) return Fail(flags.status());
   if (flags->positional().size() != 2) return Usage();
 
-  auto threads = flags->GetInt("threads", 0);
+  auto threads = flags->GetIntInRange("threads", 0, 0, INT_MAX);
   if (!threads.ok()) return Fail(threads.status());
   if (*threads > 0) SetDefaultParallelism(static_cast<int>(*threads));
 

@@ -28,6 +28,7 @@
 //
 // --threads only changes speed: output is byte-identical for every value.
 
+#include <climits>
 #include <cstdio>
 #include <string>
 
@@ -77,13 +78,11 @@ int Main(int argc, char** argv) {
   if (flags->positional().empty() || flags->positional().size() > 2) {
     return Usage();
   }
-  auto threads = flags->GetInt("threads", 0);
+  // Both land in `int` options: range-check before narrowing.
+  auto threads = flags->GetIntInRange("threads", 0, 0, INT_MAX);
   if (!threads.ok()) return Fail(threads.status());
-  auto batch = flags->GetInt("batch-size", 4096);
+  auto batch = flags->GetIntInRange("batch-size", 4096, 1, INT_MAX);
   if (!batch.ok()) return Fail(batch.status());
-  if (*batch < 1) {
-    return Fail(Status::InvalidArgument("--batch-size must be >= 1"));
-  }
   auto max_queries = flags->GetInt("max-inflight-queries", 0);
   if (!max_queries.ok()) return Fail(max_queries.status());
   auto max_bytes = flags->GetInt("max-inflight-bytes", 0);
