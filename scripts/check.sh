@@ -9,16 +9,16 @@
 #      must be byte-identical at several thread counts).
 #   2. build-check-tsan    : Debug + -fsanitize=thread,undefined; runs the
 #      parallel/determinism/lanczos/eigen/serve differential suites (the ones
-#      that exercise the deterministic parallel runtime) under
-#      ThreadSanitizer.
+#      that exercise the deterministic parallel runtime), plus the mining
+#      component-count and dual-graph oracle suites, under ThreadSanitizer.
 #      Set RP_CHECK_TSAN_ALL=1 to run the *entire* suite under TSan
 #      (slow: TSan costs ~5-15x).
 #   3. build-check-asan    : Debug + -fsanitize=address,undefined; runs the
 #      complete suite under AddressSanitizer (heap/stack overflows,
 #      use-after-free, leaks) — TSan and ASan cannot be combined, hence
 #      the separate tree. The fault-injection, serving, pipeline,
-#      keyed-state codec and serve text suites then run again, explicitly
-#      and verbosely:
+#      keyed-state codec, serve text, component-count and dual-graph suites
+#      then run again, explicitly and verbosely:
 #      every injected fault path (corrupted densities, forced
 #      non-convergence, degenerate embeddings, torn snapshots, corrupt
 #      checkpoints) must be memory-clean, not just Status-clean.
@@ -97,9 +97,12 @@ else
   # 'pipeline' covers the supervised refresh->publish->serve loop (threaded
   # refreshes hot-swapped into the serving runtime mid-soak); 'eigen' covers
   # the shared QL routine and the inverse iteration behind the Lanczos Ritz
-  # vectors (linalg_eigen_test), run under UBSan as well.
+  # vectors (linalg_eigen_test), run under UBSan as well;
+  # 'core_component_count' covers the union-find component counts that
+  # Phase B of mining fans out per kappa, and 'network_dual_graph' the
+  # dual-graph CSR build every partition starts from.
   ctest --test-dir "${TSAN_DIR}" --output-on-failure -j "${JOBS}" \
-    -R 'parallel|determinism|lanczos|eigen|mining|serve|distributed|tracker|temporal|pipeline'
+    -R 'parallel|determinism|lanczos|eigen|mining|serve|distributed|tracker|temporal|pipeline|core_component_count|network_dual_graph'
 fi
 
 echo "==> [5/7] Configure + build ASan+UBSan tree (${ASAN_DIR})"
@@ -151,6 +154,14 @@ echo "==> [6f/7] serve text path under AddressSanitizer (verbose)"
 # differential corpus feeds overlong tokens and lines with more tokens than
 # the span array holds.
 "${ASAN_DIR}/tests/serve_text_test"
+
+echo "==> [6g/7] mining component counts + dual graph under AddressSanitizer (verbose)"
+# Both index flat arrays by computed positions: the union-find walks
+# rank-space rows cut at k-means bucket ends, and the dual graph writes
+# rows straight into CSR. Their oracle suites feed empty buckets, isolated
+# nodes, hubs and empty networks.
+"${ASAN_DIR}/tests/core_component_count_test"
+"${ASAN_DIR}/tests/network_dual_graph_test"
 
 echo "==> [7/7] Static analysis: rp_analyze + clang-tidy"
 # JSON report is archived next to the build so CI and humans can diff runs;

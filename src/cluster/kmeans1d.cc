@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/fault_injection.h"
 #include "common/string_util.h"
@@ -43,6 +44,25 @@ Result<KMeans1DResult> KMeans1D(const std::vector<double>& values, int k,
 
 Result<KMeans1DResult> KMeans1D(const Sorted1DWorkspace& workspace, int k,
                                 int max_iterations) {
+  RP_ASSIGN_OR_RETURN(KMeans1DResult result,
+                      KMeans1DCuts(workspace, k, max_iterations));
+  result.assignment = AssignFromCuts(workspace, result.cuts);
+  return result;
+}
+
+std::vector<int> AssignFromCuts(const Sorted1DWorkspace& workspace,
+                                const std::vector<int>& cuts) {
+  std::vector<int> assignment(workspace.size(), 0);
+  for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+    for (int i = cuts[c]; i < cuts[c + 1]; ++i) {
+      assignment[workspace.order()[i]] = static_cast<int>(c);
+    }
+  }
+  return assignment;
+}
+
+Result<KMeans1DResult> KMeans1DCuts(const Sorted1DWorkspace& workspace, int k,
+                                    int max_iterations) {
   const int n = workspace.size();
   if (k <= 0) return Status::InvalidArgument("k must be positive");
   if (k > n) {
@@ -161,7 +181,6 @@ Result<KMeans1DResult> KMeans1D(const Sorted1DWorkspace& workspace, int k,
 
   KMeans1DResult result;
   result.iterations = iterations;
-  result.assignment.assign(n, 0);
   result.means.assign(eff_k, 0.0);
   result.wcss = 0.0;
   for (int c = 0; c < eff_k; ++c) {
@@ -174,8 +193,8 @@ Result<KMeans1DResult> KMeans1D(const Sorted1DWorkspace& workspace, int k,
     } else {
       result.means[c] = means[c];
     }
-    for (int i = lo; i < hi; ++i) result.assignment[workspace.order()[i]] = c;
   }
+  result.cuts = std::move(boundary);
   // Numerical noise can push wcss epsilon-negative.
   result.wcss = std::max(0.0, result.wcss);
   return result;

@@ -17,7 +17,12 @@ namespace roadpart {
 /// mode this contract replaces). Callers that require exactly k clusters must
 /// check `means.size()`.
 struct KMeans1DResult {
-  std::vector<int> assignment;  ///< cluster id per input value, in [0, means.size())
+  std::vector<int> assignment;  ///< cluster id per input value, in [0, means.size());
+                                ///< empty when built by KMeans1DCuts
+  /// Cut points in sorted-rank space: cluster c holds the values of sorted
+  /// ranks [cuts[c], cuts[c+1]). Size means.size() + 1, cuts.front() == 0,
+  /// cuts.back() == n, strictly increasing (no cluster is empty).
+  std::vector<int> cuts;
   std::vector<double> means;    ///< cluster means, ascending; size min(k, #distinct)
   double wcss = 0.0;            ///< within-cluster sum of squared error
   int iterations = 0;
@@ -71,6 +76,18 @@ Result<KMeans1DResult> KMeans1D(const std::vector<double>& values, int k,
 /// concurrently on one shared workspace (the workspace is read-only).
 Result<KMeans1DResult> KMeans1D(const Sorted1DWorkspace& workspace, int k,
                                 int max_iterations = 200);
+
+/// KMeans1D without the per-value `assignment` (left empty): the clustering
+/// is fully described by `cuts` over the workspace's sort order. Sweeps that
+/// only score a clustering (e.g. by counting components over the cut points)
+/// skip the O(n) scatter; AssignFromCuts recovers the assignment when needed.
+Result<KMeans1DResult> KMeans1DCuts(const Sorted1DWorkspace& workspace, int k,
+                                    int max_iterations = 200);
+
+/// The per-value cluster ids that `cuts` (see KMeans1DResult::cuts) induce on
+/// the values `workspace` was built from — exactly KMeans1D's `assignment`.
+std::vector<int> AssignFromCuts(const Sorted1DWorkspace& workspace,
+                                const std::vector<int>& cuts);
 
 }  // namespace roadpart
 

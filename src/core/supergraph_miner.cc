@@ -139,70 +139,72 @@ Result<Supergraph> MineSupergraph(const RoadGraph& road_graph,
   // --- Phase B: full-data clustering per shortlisted kappa; pick the
   // configuration with the fewest label-constrained connected components
   // (Algorithm 1 lines 10-16). ---
-  // Same recipe as Phase A: one shared workspace over the full feature
-  // vector, one task per shortlisted kappa writing its own slot, and the
-  // winner selected afterwards in shortlist order — identical to the serial
-  // scan at any thread count.
+  // Only the winner's component labels are ever used, so every kappa is
+  // scored by a count alone: 1-D k-means clusters are contiguous runs of
+  // the shared sort order, and BucketComponentCounter counts components
+  // over those cut points by union-find on a rank-space edge list built
+  // once. Same fan-out recipe as Phase A (one task per shortlisted kappa
+  // writing its own slot, winner selected afterwards in shortlist order),
+  // so the choice is identical to the serial scan at any thread count. The
+  // winner alone gets a per-node assignment and the BFS labelling, which
+  // fixes the supernode numbering.
   Timer cluster_timer;
   const int num_shortlisted = static_cast<int>(rep.shortlisted_kappas.size());
-  std::vector<KMeans1DResult> clusterings(num_shortlisted);
-  std::vector<ComponentLabels> components(num_shortlisted);
-  std::vector<Status> cluster_status(num_shortlisted);
-  std::vector<char> evaluated(num_shortlisted, 0);
+  std::vector<int> counts(num_shortlisted, 0);  // 0: skipped (kappa > n)
+  int best = -1;
+  std::vector<int> best_cluster_of;
+  std::vector<double> best_means;
   {
     const Sorted1DWorkspace full_workspace(features);
+    const BucketComponentCounter counter(graph, full_workspace.order());
+    std::vector<KMeans1DResult> clusterings(num_shortlisted);  // no assignment
+    std::vector<Status> cluster_status(num_shortlisted);
     ParallelForTasks(num_shortlisted, [&](int i) {
       const int kappa = rep.shortlisted_kappas[i];
-      if (kappa > n) return;  // leave evaluated[i] == 0: skipped, not failed
-      auto km = KMeans1D(full_workspace, kappa);
+      if (kappa > n) return;
+      auto km = KMeans1DCuts(full_workspace, kappa);
       if (!km.ok()) {
         cluster_status[i] = km.status();
         return;
       }
-      components[i] = LabelConstrainedComponents(graph, km->assignment);
+      counts[i] = counter.CountComponents(km->cuts);
       clusterings[i] = std::move(km).value();
-      evaluated[i] = 1;
     });
-  }
-  for (const Status& status : cluster_status) {
-    if (!status.ok()) return status;
-  }
+    for (const Status& status : cluster_status) {
+      if (!status.ok()) return status;
+    }
 
-  int best_components = n + 1;
-  std::vector<int> best_component_of;
-  std::vector<int> best_cluster_of;
-  std::vector<double> best_means;
-  int chosen_kappa = 0;
-  bool best_qualifies = false;
-  for (int i = 0; i < num_shortlisted; ++i) {
-    if (!evaluated[i]) continue;
-    const int kappa = rep.shortlisted_kappas[i];
-    ComponentLabels& comps = components[i];
-    rep.component_counts.push_back(comps.num_components);
-    bool qualifies = comps.num_components >= options.min_supernodes;
-    // Fewest components wins among qualifying configurations; if none
-    // qualifies yet, the one with the MOST components is the best fallback.
-    bool better;
-    if (qualifies == best_qualifies) {
-      better = qualifies ? comps.num_components < best_components
-                         : comps.num_components > best_components ||
-                               chosen_kappa == 0;
-    } else {
-      better = qualifies;
+    bool best_qualifies = false;
+    for (int i = 0; i < num_shortlisted; ++i) {
+      if (counts[i] == 0) continue;
+      rep.component_counts.push_back(counts[i]);
+      bool qualifies = counts[i] >= options.min_supernodes;
+      // Fewest components wins among qualifying configurations; if none
+      // qualifies yet, the one with the MOST components is the best fallback.
+      bool better;
+      if (qualifies == best_qualifies) {
+        better = qualifies ? counts[i] < counts[best]
+                           : best < 0 || counts[i] > counts[best];
+      } else {
+        better = qualifies;
+      }
+      if (better) {
+        best = i;
+        best_qualifies = qualifies;
+      }
     }
-    if (better) {
-      best_components = comps.num_components;
-      best_component_of = std::move(comps.component);
-      best_cluster_of = std::move(clusterings[i].assignment);
-      best_means = std::move(clusterings[i].means);
-      chosen_kappa = kappa;
-      best_qualifies = qualifies;
+    if (best < 0) {
+      return Status::Internal("no usable clustering configuration");
     }
+    best_cluster_of = AssignFromCuts(full_workspace, clusterings[best].cuts);
+    best_means = std::move(clusterings[best].means);
   }
-  if (chosen_kappa == 0) {
-    return Status::Internal("no usable clustering configuration");
-  }
-  rep.chosen_kappa = chosen_kappa;
+  const int best_components = counts[best];
+  ComponentLabels best_labels =
+      LabelConstrainedComponents(graph, best_cluster_of);
+  RP_DCHECK(best_labels.num_components == best_components);
+  const std::vector<int> best_component_of = std::move(best_labels.component);
+  rep.chosen_kappa = rep.shortlisted_kappas[best];
   rep.supernodes_before_stability = best_components;
   rep.cluster_seconds = cluster_timer.Seconds();
 

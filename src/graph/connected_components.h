@@ -1,6 +1,7 @@
 #ifndef ROADPART_GRAPH_CONNECTED_COMPONENTS_H_
 #define ROADPART_GRAPH_CONNECTED_COMPONENTS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/csr_graph.h"
@@ -23,6 +24,32 @@ ComponentLabels ConnectedComponents(const CsrGraph& graph);
 /// nodes are merged when clustered together AND adjacent in the road graph.
 ComponentLabels LabelConstrainedComponents(const CsrGraph& graph,
                                            const std::vector<int>& labels);
+
+/// Counts label-constrained components for many labellings of one graph
+/// whose labels are contiguous *rank buckets*: nodes are ranked by a fixed
+/// permutation, and a labelling cuts the rank axis into runs (bucket b holds
+/// ranks [cuts[b], cuts[b+1])) — the shape of every 1-D k-means clustering
+/// over one sort order (KMeans1DResult::cuts). The graph is relabelled into
+/// rank space once; each count is then one union-find pass over the edges
+/// that stay inside a bucket, with no per-node label array and no BFS.
+/// CountComponents(cuts) equals LabelConstrainedComponents(graph, labels)
+/// .num_components for the labels those cuts induce.
+class BucketComponentCounter {
+ public:
+  /// `order[r]` is the node of rank r; it must be a permutation of
+  /// [0, graph.num_nodes()).
+  BucketComponentCounter(const CsrGraph& graph, const std::vector<int>& order);
+
+  /// Components when an edge counts only inside one bucket. `cuts` must be
+  /// non-decreasing with cuts.front() == 0 and cuts.back() == the node count.
+  /// Read-only, so safe to call concurrently.
+  int CountComponents(const std::vector<int>& cuts) const;
+
+ private:
+  // Row r lists the higher ranks adjacent to rank r, ascending.
+  std::vector<int64_t> offsets_;
+  std::vector<int> higher_;
+};
 
 /// Components of the subgraph induced on `subset` (ids refer to positions in
 /// `subset`). Returns one vector of *original* node ids per component.

@@ -1,6 +1,7 @@
 #include "network/road_graph.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,30 +10,32 @@
 namespace roadpart {
 
 CsrGraph BuildDualAdjacency(const RoadNetwork& network) {
-  // Every intersection induces a clique over its incident segments. Pairs can
-  // repeat (two segments sharing both endpoints, e.g. the two directions of a
-  // two-way road); dedupe so the adjacency stays binary.
-  std::vector<std::pair<int, int>> pairs;
-  for (int i = 0; i < network.num_intersections(); ++i) {
-    const std::vector<int>& inc = network.SegmentsAt(i);
-    for (size_t a = 0; a < inc.size(); ++a) {
-      for (size_t b = a + 1; b < inc.size(); ++b) {
-        int u = inc[a];
-        int v = inc[b];
-        if (u > v) std::swap(u, v);
-        if (u != v) pairs.emplace_back(u, v);
-      }
+  // Two segments are adjacent when they share an intersection, so segment
+  // s's row is the union of the incidence lists at its two endpoints, minus
+  // s itself. The two lists can both hold a segment (two segments sharing
+  // both endpoints, e.g. the two directions of a two-way road); sort +
+  // unique keeps the adjacency binary. The relation is symmetric and every
+  // row comes out sorted, so the rows go straight into CSR.
+  const int n = network.num_segments();
+  std::vector<int64_t> offsets(static_cast<size_t>(n) + 1, 0);
+  std::vector<int> neighbors;
+  std::vector<int> row;
+  for (int s = 0; s < n; ++s) {
+    const RoadSegment& segment = network.segment(s);
+    const std::vector<int>& at_from = network.SegmentsAt(segment.from);
+    const std::vector<int>& at_to = network.SegmentsAt(segment.to);
+    row.assign(at_from.begin(), at_from.end());
+    row.insert(row.end(), at_to.begin(), at_to.end());
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+    for (int t : row) {
+      if (t != s) neighbors.push_back(t);
     }
+    offsets[s + 1] = static_cast<int64_t>(neighbors.size());
   }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
-  std::vector<Edge> edges;
-  edges.reserve(pairs.size());
-  for (const auto& [u, v] : pairs) edges.push_back({u, v, 1.0});
-  auto graph = CsrGraph::FromEdges(network.num_segments(), edges);
-  RP_CHECK(graph.ok());
-  return std::move(graph).value();
+  std::vector<double> weights(neighbors.size(), 1.0);
+  return CsrGraph::FromRawParts(n, std::move(offsets), std::move(neighbors),
+                                std::move(weights));
 }
 
 RoadGraph RoadGraph::FromNetwork(const RoadNetwork& network) {

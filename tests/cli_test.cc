@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace roadpart {
 namespace {
@@ -128,6 +129,60 @@ TEST(CliTest, ThreadsFlagMustFitInt) {
     }
   }
   std::remove(out.c_str());
+}
+
+TEST(CliTest, IntFlagsAreRangeChecked) {
+  // Every int flag lands in an int with a real lower bound: a value outside
+  // [min, INT_MAX] is a typed error naming the flag, never a silent
+  // narrowing (4294967297 would otherwise become 1) or a late failure.
+  struct FlagCase {
+    std::string command;  // binary + subcommand; positional args appended
+    int positional;
+    std::string flag;
+    std::string min;
+    std::vector<std::string> bad;
+  };
+  const std::string cli = RP_CLI_PATH;
+  const std::string pipeline = RP_PIPELINE_PATH;
+  const std::vector<FlagCase> cases = {
+      {cli + " generate", 1, "hotspots", "0", {"-1", "4294967297"}},
+      {cli + " partition", 2, "k", "1", {"0", "4294967297", "2147483648"}},
+      {cli + " partition", 2, "io-retry-attempts", "1", {"0", "4294967297"}},
+      {cli + " simulate", 2, "vehicles", "0", {"-1", "4294967296"}},
+      {cli + " simulate", 2, "snapshot", "-1", {"-2", "4294967297"}},
+      {cli + " analyze", 2, "k", "1", {"0", "4294967297"}},
+      {cli + " refresh", 2, "k", "1", {"-3", "4294967297"}},
+      {cli + " refresh", 2, "inner-k", "1", {"0", "4294967298"}},
+      {cli + " sweep", 1, "kmin", "1", {"0", "4294967298"}},
+      {pipeline, 2, "k", "1", {"0", "4294967297"}},
+      {pipeline, 2, "inner-k", "1", {"0", "4294967297"}},
+      {pipeline, 2, "retry-attempts", "1", {"0", "4294967297"}},
+      {pipeline, 2, "crash-after-interval", "-1", {"-2", "4294967296"}},
+  };
+  const std::string path = testing::TempDir() + "/cli_int_flags.net";
+  for (const FlagCase& c : cases) {
+    std::string args;
+    for (int i = 0; i < c.positional; ++i) args += " " + path;
+    for (const std::string& value : c.bad) {
+      int code = 0;
+      const std::string err = RunForStderr(
+          c.command, "--" + c.flag + "=" + value + args, &code);
+      EXPECT_EQ(code, 1) << c.command << " --" << c.flag << "=" << value;
+      EXPECT_NE(err.find("--" + c.flag + " must be in [" + c.min +
+                         ", 2147483647], got " + value),
+                std::string::npos)
+          << c.command << ": " << err;
+    }
+  }
+  // --kmax's lower bound is --kmin.
+  int code = 0;
+  const std::string err =
+      RunForStderr(cli + " sweep", "--kmin=5 --kmax=3 " + path, &code);
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(err.find("--kmax must be in [5, 2147483647], got 3"),
+            std::string::npos)
+      << err;
+  std::remove(path.c_str());
 }
 
 TEST(CliTest, TearDownNetwork) {

@@ -122,11 +122,9 @@ Result<std::string> ResolveOutput(const FlagParser& flags,
 /// (deterministic backoff; see common/durable_io.h).
 Result<RetryOptions> RetryFromFlags(const FlagParser& flags) {
   RetryOptions retry;
-  auto attempts = flags.GetInt("io-retry-attempts", retry.max_attempts);
+  auto attempts = flags.GetIntInRange("io-retry-attempts", retry.max_attempts,
+                                      1, INT_MAX);
   if (!attempts.ok()) return attempts.status();
-  if (*attempts < 1) {
-    return Status::InvalidArgument("--io-retry-attempts must be >= 1");
-  }
   auto base = flags.GetDouble("io-retry-base-delay", retry.base_delay_seconds);
   if (!base.ok()) return base.status();
   if (*base < 0.0) {
@@ -151,7 +149,7 @@ int CmdGenerate(const FlagParser& flags) {
   if (!preset.ok()) return Fail(preset.status());
   auto seed = flags.GetInt("seed", 1);
   if (!seed.ok()) return Fail(seed.status());
-  auto hotspots = flags.GetInt("hotspots", 3);
+  auto hotspots = flags.GetIntInRange("hotspots", 3, 0, INT_MAX);
   if (!hotspots.ok()) return Fail(hotspots.status());
 
   auto out = ResolveOutput(flags, flags.positional()[0]);
@@ -176,7 +174,7 @@ int CmdPartition(const FlagParser& flags) {
   if (flags.positional().size() != 2) return Usage();
   auto scheme = ParseScheme(flags.GetString("scheme", "ASG"));
   if (!scheme.ok()) return Fail(scheme.status());
-  auto k = flags.GetInt("k", 6);
+  auto k = flags.GetIntInRange("k", 6, 1, INT_MAX);
   if (!k.ok()) return Fail(k.status());
   auto seed = flags.GetInt("seed", 1);
   if (!seed.ok()) return Fail(seed.status());
@@ -311,15 +309,15 @@ int CmdMine(const FlagParser& flags) {
 
 int CmdSimulate(const FlagParser& flags) {
   if (flags.positional().size() != 2) return Usage();
-  auto vehicles = flags.GetInt("vehicles", 5000);
+  auto vehicles = flags.GetIntInRange("vehicles", 5000, 0, INT_MAX);
+  if (!vehicles.ok()) return Fail(vehicles.status());
+  // -1 (or any index past the last snapshot) selects the peak snapshot.
+  auto snapshot = flags.GetIntInRange("snapshot", -1, -1, INT_MAX);
+  if (!snapshot.ok()) return Fail(snapshot.status());
   auto horizon = flags.GetDouble("horizon", 3600.0);
   auto interval = flags.GetDouble("interval", 120.0);
-  auto snapshot = flags.GetInt("snapshot", -1);
   auto seed = flags.GetInt("seed", 1);
-  if (!vehicles.ok() || !horizon.ok() || !interval.ok() || !snapshot.ok() ||
-      !seed.ok()) {
-    return Usage();
-  }
+  if (!horizon.ok() || !interval.ok() || !seed.ok()) return Usage();
 
   auto net = LoadRoadNetwork(flags.positional()[0]);
   if (!net.ok()) return Fail(net.status());
@@ -374,9 +372,10 @@ int CmdAnalyze(const FlagParser& flags) {
   if (flags.positional().size() != 2) return Usage();
   auto scheme = ParseScheme(flags.GetString("scheme", "ASG"));
   if (!scheme.ok()) return Fail(scheme.status());
-  auto k = flags.GetInt("k", 4);
+  auto k = flags.GetIntInRange("k", 4, 1, INT_MAX);
+  if (!k.ok()) return Fail(k.status());
   auto seed = flags.GetInt("seed", 1);
-  if (!k.ok() || !seed.ok()) return Usage();
+  if (!seed.ok()) return Usage();
 
   auto net = LoadRoadNetwork(flags.positional()[0]);
   if (!net.ok()) return Fail(net.status());
@@ -412,14 +411,15 @@ int CmdRefresh(const FlagParser& flags) {
   if (!scheme.ok()) return Fail(scheme.status());
   auto inner_scheme = ParseScheme(flags.GetString("inner-scheme", "AG"));
   if (!inner_scheme.ok()) return Fail(inner_scheme.status());
-  auto k = flags.GetInt("k", 4);
-  auto inner_k = flags.GetInt("inner-k", 2);
+  auto k = flags.GetIntInRange("k", 4, 1, INT_MAX);
+  if (!k.ok()) return Fail(k.status());
+  auto inner_k = flags.GetIntInRange("inner-k", 2, 1, INT_MAX);
+  if (!inner_k.ok()) return Fail(inner_k.status());
   auto seed = flags.GetInt("seed", 1);
   auto trigger = flags.GetDouble("trigger-ratio", 0.05);
   auto boundary = flags.GetDouble("boundary-delta-ratio", 0.05);
   auto deadline = flags.GetDouble("deadline-seconds", 0.0);
-  if (!k.ok() || !inner_k.ok() || !seed.ok() || !trigger.ok() ||
-      !boundary.ok() || !deadline.ok()) {
+  if (!seed.ok() || !trigger.ok() || !boundary.ok() || !deadline.ok()) {
     return Usage();
   }
   if (*deadline < 0.0) {
@@ -477,10 +477,12 @@ int CmdSweep(const FlagParser& flags) {
   if (flags.positional().size() != 1) return Usage();
   auto scheme = ParseScheme(flags.GetString("scheme", "ASG"));
   if (!scheme.ok()) return Fail(scheme.status());
-  auto kmin = flags.GetInt("kmin", 2);
-  auto kmax = flags.GetInt("kmax", 20);
+  auto kmin = flags.GetIntInRange("kmin", 2, 1, INT_MAX);
+  if (!kmin.ok()) return Fail(kmin.status());
+  auto kmax = flags.GetIntInRange("kmax", 20, *kmin, INT_MAX);
+  if (!kmax.ok()) return Fail(kmax.status());
   auto seed = flags.GetInt("seed", 1);
-  if (!kmin.ok() || !kmax.ok() || !seed.ok()) return Usage();
+  if (!seed.ok()) return Usage();
 
   auto net = LoadRoadNetwork(flags.positional()[0]);
   if (!net.ok()) return Fail(net.status());

@@ -101,26 +101,28 @@ int Main(int argc, char** argv) {
   if (!scheme.ok()) return Fail(scheme.status());
   auto inner_scheme = ParseScheme(flags->GetString("inner-scheme", "AG"));
   if (!inner_scheme.ok()) return Fail(inner_scheme.status());
-  auto k = flags->GetInt("k", 4);
-  auto inner_k = flags->GetInt("inner-k", 2);
+  auto k = flags->GetIntInRange("k", 4, 1, INT_MAX);
+  if (!k.ok()) return Fail(k.status());
+  auto inner_k = flags->GetIntInRange("inner-k", 2, 1, INT_MAX);
+  if (!inner_k.ok()) return Fail(inner_k.status());
+  auto retry_attempts = flags->GetIntInRange("retry-attempts", 2, 1, INT_MAX);
+  if (!retry_attempts.ok()) return Fail(retry_attempts.status());
+  // -1 (the default) never crashes.
+  auto crash_after =
+      flags->GetIntInRange("crash-after-interval", -1, -1, INT_MAX);
+  if (!crash_after.ok()) return Fail(crash_after.status());
   auto seed = flags->GetInt("seed", 1);
   auto trigger = flags->GetDouble("trigger-ratio", 0.05);
   auto boundary = flags->GetDouble("boundary-delta-ratio", 0.05);
   auto deadline = flags->GetDouble("deadline-seconds", 0.0);
   auto ans_margin = flags->GetDouble("ans-margin", 0.05);
   auto churn_ceiling = flags->GetDouble("churn-ceiling", 0.75);
-  auto retry_attempts = flags->GetInt("retry-attempts", 2);
-  auto crash_after = flags->GetInt("crash-after-interval", -1);
-  if (!k.ok() || !inner_k.ok() || !seed.ok() || !trigger.ok() ||
-      !boundary.ok() || !deadline.ok() || !ans_margin.ok() ||
-      !churn_ceiling.ok() || !retry_attempts.ok() || !crash_after.ok()) {
+  if (!seed.ok() || !trigger.ok() || !boundary.ok() || !deadline.ok() ||
+      !ans_margin.ok() || !churn_ceiling.ok()) {
     return Usage();
   }
   if (*deadline < 0.0) {
     return Fail(Status::InvalidArgument("--deadline-seconds must be >= 0"));
-  }
-  if (*retry_attempts < 1) {
-    return Fail(Status::InvalidArgument("--retry-attempts must be >= 1"));
   }
   const std::string state_dir = flags->GetString("state-dir", "rp-pipeline");
 
