@@ -6,7 +6,12 @@
 #      every checkpoint stage boundary; --resume must be byte-identical),
 #      the serve-runtime chaos suite, and the pipeline chaos harness
 #      (_Exit rp_pipeline at every interval boundary; the resumed journal
-#      must be byte-identical at several thread counts).
+#      must be byte-identical at several thread counts). Last, a smoke run
+#      of the benchmark (python3 perfbench/run.py --smoke: every workload for
+#      one op, untraced and traced), which fails if the traced eigensolve
+#      replay drifts from Embed by a single bit or a deterministic ledger
+#      value (fingerprints, counts, ANS bits) drifts between runs of the
+#      same sources. It writes only the git-ignored .bench_* directories.
 #   2. build-check-tsan    : Debug + -fsanitize=thread,undefined; runs the
 #      parallel/determinism/lanczos/eigen/serve differential suites (the ones
 #      that exercise the deterministic parallel runtime), plus the mining
@@ -71,6 +76,14 @@ echo "==> [2d/7] pipeline chaos suite (Release, verbose)"
 # served soak and check the published/degraded/quarantined ledger plus the
 # !health line after every interval.
 "${RELEASE_DIR}/tests/pipeline_chaos_test"
+
+echo "==> [2e/7] benchmark smoke run (perfbench, Release)"
+# perfbench builds its own Release tree (.bench_build/) from src/ and runs
+# every workload once, untraced and traced. The traced cut workloads replay
+# the eigensolve behind an apply-counting operator and fail unless it matches
+# Embed bit for bit; every run checks its deterministic values against the
+# ledger that earlier runs of the same sources recorded (.bench_ledger/).
+python3 perfbench/run.py --smoke
 
 echo "==> [3/7] Configure + build TSan+UBSan tree (${TSAN_DIR})"
 cmake -B "${TSAN_DIR}" -S . \

@@ -110,15 +110,23 @@ Status CsrGraph::Validate() const {
   }
   // Monotonicity must be established for the whole array before any row is
   // dereferenced — with front == 0 and back == size it bounds every row span,
-  // so the loops below cannot read outside the neighbor arrays.
+  // so the loop below cannot read outside the neighbor arrays.
   for (int v = 0; v < num_nodes_; ++v) {
     if (offsets_[v] > offsets_[v + 1]) {
       return Status::Internal(StrPrintf("offsets not monotone at node %d", v));
     }
   }
+  // Symmetry: the dual graph is undirected, so every stored arc must have its
+  // reverse with an identical weight. Rows are visited in ascending order,
+  // so row u meets its lower neighbours in the order it stores them: a
+  // cursor per row (matched[u], the lower arcs of u matched so far) walks
+  // that prefix, and each arc v -> u with u > v must find v under u's
+  // cursor. A lower arc the cursor never passed has no reverse, whatever its
+  // weight. A row holds fewer than num_nodes_ arcs, so an int counts them.
+  std::vector<int> matched(num_nodes_, 0);
   for (int v = 0; v < num_nodes_; ++v) {
     for (int64_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
-      int u = neighbors_[i];
+      const int u = neighbors_[i];
       if (u < 0 || u >= num_nodes_) {
         return Status::Internal(
             StrPrintf("neighbor %d of node %d out of range", u, v));
@@ -134,14 +142,15 @@ Status CsrGraph::Validate() const {
         return Status::Internal(
             StrPrintf("non-finite weight on edge (%d,%d)", v, u));
       }
-    }
-  }
-  // Symmetry: the dual graph is undirected, so every stored arc must have its
-  // reverse with an identical weight.
-  for (int v = 0; v < num_nodes_; ++v) {
-    for (int64_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
-      int u = neighbors_[i];
-      if (EdgeWeight(u, v) != weights_[i]) {
+      bool symmetric;
+      if (u < v) {
+        symmetric = i - offsets_[v] < matched[v];
+      } else {
+        const int64_t r = offsets_[u] + matched[u]++;
+        symmetric = r < offsets_[u + 1] && neighbors_[r] == v &&
+                    weights_[r] == weights_[i];
+      }
+      if (!symmetric) {
         return Status::Internal(
             StrPrintf("asymmetric adjacency between %d and %d", v, u));
       }

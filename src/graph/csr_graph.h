@@ -47,7 +47,7 @@ class CsrGraph {
   /// monotonicity, strictly-sorted in-bounds neighbor rows, no self-loops,
   /// finite weights, and adjacency symmetry (every (u,v,w) has a matching
   /// (v,u,w) — required of the dual road graph). Returns the first violation.
-  /// O(E log deg); run behind RP_DCHECK on hot paths.
+  /// O(V + E); run behind RP_DCHECK on hot paths.
   Status Validate() const;
 
   int num_nodes() const { return num_nodes_; }

@@ -10,16 +10,16 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "linalg/gram_schmidt.h"
 
 namespace roadpart {
 
 namespace {
 
-// Task sizes of the parallel kernels. Every dot product below is one serial
-// sum in index order, and every element receives its updates in basis-row
-// order, so results depend on neither these constants nor the thread count.
-constexpr int64_t kProjectionWork = int64_t{1} << 15;  // multiply-adds/task
-constexpr int64_t kElementGrain = 4096;  // elements per update/Ritz task
+// Elements per Ritz-vector task. Every element receives its updates in
+// basis-row order, so results depend on neither this constant nor the
+// thread count.
+constexpr int64_t kElementGrain = 4096;
 
 // DGKS criterion: a second Gram-Schmidt pass runs only when the first one
 // removed more than this share of the vector's norm (||w'|| < ||w|| / sqrt 2).
@@ -29,60 +29,6 @@ double SerialDot(const double* a, const double* b, int n) {
   double acc = 0.0;
   for (int i = 0; i < n; ++i) acc += a[i] * b[i];
   return acc;
-}
-
-// h[j] = <v_j, w> for the m contiguous rows of `basis`. Tasks own groups of
-// rows; four rows share each pass over w, each with its own accumulator.
-void Project(const double* basis, int m, int n, const double* w, double* h) {
-  const int64_t rows_per_task =
-      std::max<int64_t>(4, (kProjectionWork / std::max(n, 1) + 3) / 4 * 4);
-  ParallelForBlocked(m, rows_per_task, [&](int64_t begin, int64_t end) {
-    int64_t j = begin;
-    for (; j + 4 <= end; j += 4) {
-      const double* v0 = basis + j * n;
-      const double* v1 = v0 + n;
-      const double* v2 = v1 + n;
-      const double* v3 = v2 + n;
-      double s0 = 0.0;
-      double s1 = 0.0;
-      double s2 = 0.0;
-      double s3 = 0.0;
-      for (int i = 0; i < n; ++i) {
-        const double x = w[i];
-        s0 += v0[i] * x;
-        s1 += v1[i] * x;
-        s2 += v2[i] * x;
-        s3 += v3[i] * x;
-      }
-      h[j] = s0;
-      h[j + 1] = s1;
-      h[j + 2] = s2;
-      h[j + 3] = s3;
-    }
-    for (; j < end; ++j) h[j] = SerialDot(basis + j * n, w, n);
-  });
-}
-
-// w -= sum_j h[j] v_j over element blocks, rows applied in order.
-void SubtractProjections(const double* basis, int m, int n, const double* h,
-                         double* w) {
-  ParallelForBlocked(n, kElementGrain, [&](int64_t begin, int64_t end) {
-    int j = 0;
-    for (; j + 4 <= m; j += 4) {
-      const double* v0 = basis + static_cast<int64_t>(j) * n;
-      const double* v1 = v0 + n;
-      const double* v2 = v1 + n;
-      const double* v3 = v2 + n;
-      for (int64_t i = begin; i < end; ++i) {
-        w[i] = w[i] - h[j] * v0[i] - h[j + 1] * v1[i] - h[j + 2] * v2[i] -
-               h[j + 3] * v3[i];
-      }
-    }
-    for (; j < m; ++j) {
-      const double* v = basis + static_cast<int64_t>(j) * n;
-      for (int64_t i = begin; i < end; ++i) w[i] -= h[j] * v[i];
-    }
-  });
 }
 
 // A Lanczos factorization A V^T = V^T T + beta_m v_{m+1} e_m^T with full
@@ -113,8 +59,7 @@ struct KrylovFactorization {
     h.resize(m);
     double norm = std::sqrt(SerialDot(residual.data(), residual.data(), n));
     for (int pass = 0; pass < 2; ++pass) {
-      Project(basis.data(), m, n, residual.data(), h.data());
-      SubtractProjections(basis.data(), m, n, h.data(), residual.data());
+      GramSchmidtPass(basis.data(), m, n, residual.data(), h.data());
       const double projected =
           std::sqrt(SerialDot(residual.data(), residual.data(), n));
       const bool enough = projected >= kDgksRatio * norm;

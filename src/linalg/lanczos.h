@@ -56,10 +56,13 @@ enum class SpectrumEnd { kSmallest, kLargest };
 ///     no basis is discarded between checkpoints (but see `warm_start`).
 ///   - Reorthogonalization. Classical Gram-Schmidt against the whole basis,
 ///     with a second pass only under the DGKS test (the first pass shrank
-///     the vector below 1/sqrt(2) of its norm). Projections run in parallel
-///     over groups of basis rows, the update over element blocks; every dot
-///     product is one serial sum, so results are bit-identical at any thread
-///     count.
+///     the vector below 1/sqrt(2) of its norm); see linalg/gram_schmidt.h.
+///     A pass projects in parallel over groups of basis rows, then updates
+///     in parallel over element blocks. Both phases run 2-lane vector
+///     micro-kernels over blocks of 8 rows, where a lane holds one row's dot
+///     product (one serial sum in index order) or one element's updates (in
+///     row order), so results are bit-identical to the scalar loops and at
+///     any thread count.
 ///   - Ritz vectors. Built once, at the end, from the prefix of the
 ///     factorization at the best checkpoint (the converged one, else the one
 ///     with the smallest worst residual), with the k tridiagonal

@@ -436,22 +436,16 @@ PointAnswer Snapshot::NearestSegment(const Point& q) const {
   const int32_t* starts = GridStarts();
   const int32_t* entries = GridEntries();
   // Seed the ring scan with an upper bound; exactness never depends on the
-  // seed — it only bounds how far GridRefineNearest must march. The query's
-  // own grid cell is one contiguous read and almost always non-empty, so
-  // try it first; when the local neighbourhood is empty (sparse regions,
-  // queries far outside the network), fall back to a greedy KD descent,
-  // which finds a near-optimal midpoint in O(log n) regardless of where the
-  // segments are.
+  // seed — it only bounds how far GridRefineNearest must march. Its ring 0
+  // is the query's own grid cell, one contiguous read and almost always
+  // non-empty, which makes the first bound. Only when that cell is empty
+  // (sparse regions, queries far outside the network) is a seed needed: a
+  // greedy KD descent, which finds a near-optimal midpoint in O(log n)
+  // regardless of where the segments are.
   NearestHit seed;
   const size_t cell = static_cast<size_t>(spec.RowOf(q.y)) * spec.cols +
                       spec.ColOf(q.x);
-  for (int32_t i = starts[cell]; i < starts[cell + 1]; ++i) {
-    const int32_t s = entries[i];
-    ConsiderNearest(
-        s, PointSegmentDistanceSquared(q, view.SegmentA(s), view.SegmentB(s)),
-        &seed);
-  }
-  if (seed.segment_id < 0) {
+  if (starts[cell] == starts[cell + 1]) {
     const NearestHit kd_hit = KdDescendSeed(view.midpoints_xy, KdHeap(), ns, q);
     ConsiderNearest(
         kd_hit.segment_id,

@@ -135,13 +135,18 @@ TEST(CliTest, IntFlagsAreRangeChecked) {
   // Every int flag lands in an int with a real lower bound: a value outside
   // [min, INT_MAX] is a typed error naming the flag, never a silent
   // narrowing (4294967297 would otherwise become 1) or a late failure.
+  // --seed is a uint64_t taken from [0, INT64_MAX], so a negative seed is
+  // an error rather than a wrapped one.
   struct FlagCase {
     std::string command;  // binary + subcommand; positional args appended
     int positional;
     std::string flag;
     std::string min;
     std::vector<std::string> bad;
+    std::string max = "2147483647";
   };
+  const std::string int64_max = "9223372036854775807";
+  const std::vector<std::string> bad_seeds = {"-1", "-9223372036854775808"};
   const std::string cli = RP_CLI_PATH;
   const std::string pipeline = RP_PIPELINE_PATH;
   const std::vector<FlagCase> cases = {
@@ -158,6 +163,14 @@ TEST(CliTest, IntFlagsAreRangeChecked) {
       {pipeline, 2, "inner-k", "1", {"0", "4294967297"}},
       {pipeline, 2, "retry-attempts", "1", {"0", "4294967297"}},
       {pipeline, 2, "crash-after-interval", "-1", {"-2", "4294967296"}},
+      {cli + " generate", 1, "seed", "0", bad_seeds, int64_max},
+      {cli + " partition", 2, "seed", "0", bad_seeds, int64_max},
+      {cli + " mine", 2, "seed", "0", bad_seeds, int64_max},
+      {cli + " simulate", 2, "seed", "0", bad_seeds, int64_max},
+      {cli + " analyze", 2, "seed", "0", bad_seeds, int64_max},
+      {cli + " refresh", 2, "seed", "0", bad_seeds, int64_max},
+      {cli + " sweep", 1, "seed", "0", bad_seeds, int64_max},
+      {pipeline, 2, "seed", "0", bad_seeds, int64_max},
   };
   const std::string path = testing::TempDir() + "/cli_int_flags.net";
   for (const FlagCase& c : cases) {
@@ -168,8 +181,8 @@ TEST(CliTest, IntFlagsAreRangeChecked) {
       const std::string err = RunForStderr(
           c.command, "--" + c.flag + "=" + value + args, &code);
       EXPECT_EQ(code, 1) << c.command << " --" << c.flag << "=" << value;
-      EXPECT_NE(err.find("--" + c.flag + " must be in [" + c.min +
-                         ", 2147483647], got " + value),
+      EXPECT_NE(err.find("--" + c.flag + " must be in [" + c.min + ", " +
+                         c.max + "], got " + value),
                 std::string::npos)
           << c.command << ": " << err;
     }

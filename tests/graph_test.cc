@@ -86,6 +86,32 @@ TEST(CsrGraphTest, EmptyGraph) {
   EXPECT_EQ(ConnectedComponents(*g).num_components, 0);
 }
 
+TEST(CsrGraphTest, UntrustedPartsRejectOneWayArcs) {
+  // A missing reverse arc is rejected whatever the arc's weight. Weight 0 is
+  // the case a weight comparison alone misses: an absent arc weighs 0 too.
+  EXPECT_FALSE(CsrGraph::FromUntrustedParts(2, {0, 1, 1}, {1}, {0.0}).ok());
+  EXPECT_FALSE(CsrGraph::FromUntrustedParts(2, {0, 0, 1}, {0}, {0.0}).ok());
+  EXPECT_FALSE(CsrGraph::FromUntrustedParts(2, {0, 1, 1}, {1}, {2.0}).ok());
+  // Reverse arc present but with another weight.
+  EXPECT_FALSE(
+      CsrGraph::FromUntrustedParts(2, {0, 1, 2}, {1, 0}, {2.0, 3.0}).ok());
+  // Node 2's arc to 0 has no reverse; 0 -> 1 and 1 -> 2 do.
+  EXPECT_FALSE(CsrGraph::FromUntrustedParts(3, {0, 1, 3, 5}, {1, 0, 2, 0, 1},
+                                            {1.0, 1.0, 1.0, 0.0, 1.0})
+                   .ok());
+  // Node 0 -> 2 has no reverse (row 2 stores only 1).
+  EXPECT_FALSE(CsrGraph::FromUntrustedParts(3, {0, 2, 4, 5}, {1, 2, 0, 2, 1},
+                                            {1.0, 0.0, 1.0, 1.0, 1.0})
+                   .ok());
+  // The same arrays as a triangle are adopted, zero weights included.
+  auto triangle = CsrGraph::FromUntrustedParts(
+      3, {0, 2, 4, 6}, {1, 2, 0, 2, 0, 1}, {1.0, 0.0, 1.0, 2.0, 0.0, 2.0});
+  ASSERT_TRUE(triangle.ok());
+  EXPECT_EQ(triangle->num_edges(), 3);
+  // Every graph built by the trusted factories passes too.
+  for (int n : {1, 2, 7}) EXPECT_TRUE(Path(n).Validate().ok()) << n;
+}
+
 TEST(ConnectedComponentsTest, SingleComponent) {
   CsrGraph g = Path(6);
   ComponentLabels labels = ConnectedComponents(g);

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "linalg/gram_schmidt.h"
 #include "linalg/lanczos.h"
 #include "linalg/linear_operator.h"
 #include "linalg/sparse_matrix.h"
@@ -248,6 +252,102 @@ TEST(LanczosTest, WarmStartOrthogonalToTargetStillConverges) {
     cold = std::min(m_target, n);
   }
   EXPECT_EQ(op.applies(), 60 + cold);
+}
+
+// The scalar Gram-Schmidt pass the vectorized kernels replaced, kept as
+// their bit-exact oracle: projections four rows at a time, each a serial
+// sum in index order, then the updates with each element's rows applied in
+// order.
+void ScalarGramSchmidtPass(const std::vector<double>& basis, int m, int n,
+                           std::vector<double>* w, std::vector<double>* h) {
+  h->assign(m, 0.0);
+  int j = 0;
+  for (; j + 4 <= m; j += 4) {
+    const double* v0 = basis.data() + static_cast<size_t>(j) * n;
+    const double* v1 = v0 + n;
+    const double* v2 = v1 + n;
+    const double* v3 = v2 + n;
+    double s0 = 0.0;
+    double s1 = 0.0;
+    double s2 = 0.0;
+    double s3 = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const double x = (*w)[i];
+      s0 += v0[i] * x;
+      s1 += v1[i] * x;
+      s2 += v2[i] * x;
+      s3 += v3[i] * x;
+    }
+    (*h)[j] = s0;
+    (*h)[j + 1] = s1;
+    (*h)[j + 2] = s2;
+    (*h)[j + 3] = s3;
+  }
+  for (; j < m; ++j) {
+    const double* v = basis.data() + static_cast<size_t>(j) * n;
+    double s = 0.0;
+    for (int i = 0; i < n; ++i) s += v[i] * (*w)[i];
+    (*h)[j] = s;
+  }
+  int r = 0;
+  for (; r + 4 <= m; r += 4) {
+    const double* v0 = basis.data() + static_cast<size_t>(r) * n;
+    const double* v1 = v0 + n;
+    const double* v2 = v1 + n;
+    const double* v3 = v2 + n;
+    for (int i = 0; i < n; ++i) {
+      (*w)[i] = (*w)[i] - (*h)[r] * v0[i] - (*h)[r + 1] * v1[i] -
+                (*h)[r + 2] * v2[i] - (*h)[r + 3] * v3[i];
+    }
+  }
+  for (; r < m; ++r) {
+    const double* v = basis.data() + static_cast<size_t>(r) * n;
+    for (int i = 0; i < n; ++i) (*w)[i] -= (*h)[r] * v[i];
+  }
+}
+
+// Entries spread over many binades, so any reordered sum or update shows up
+// in the low bits.
+std::vector<double> RandomEntries(size_t count, Rng& rng) {
+  std::vector<double> v(count);
+  for (double& x : v) {
+    x = std::ldexp(rng.NextDouble() - 0.5, static_cast<int>(rng.NextBounded(9)));
+  }
+  return v;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(GramSchmidtKernelTest, MatchesScalarOracleBitForBit) {
+  Rng rng(2024);
+  for (int m : {0, 1, 7, 8, 9, 63, 480}) {
+    for (int n : {1, 2, 3, 800, 4097}) {
+      const std::vector<double> basis =
+          RandomEntries(static_cast<size_t>(m) * n, rng);
+      const std::vector<double> w_in = RandomEntries(n, rng);
+      std::vector<double> w_ref = w_in;
+      std::vector<double> h_ref;
+      ScalarGramSchmidtPass(basis, m, n, &w_ref, &h_ref);
+
+      // At 3 threads the larger shapes really split both phases (row groups
+      // of the projection, element blocks of the update).
+      for (int threads : {1, 3}) {
+        ScopedParallelism scoped(threads);
+        std::vector<double> w = w_in;
+        std::vector<double> h(m, -1.0);
+        GramSchmidtPass(basis.data(), m, n, w.data(), h.data());
+        const std::string where = "m=" + std::to_string(m) +
+                                  " n=" + std::to_string(n) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_TRUE(SameBits(h, h_ref)) << where;
+        EXPECT_TRUE(SameBits(w, w_ref)) << where;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 // "segment_id,partition_id" CSV.
 
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -147,7 +148,7 @@ int CmdGenerate(const FlagParser& flags) {
   if (flags.positional().size() != 1) return Usage();
   auto preset = ParsePreset(flags.GetString("preset", "D1"));
   if (!preset.ok()) return Fail(preset.status());
-  auto seed = flags.GetInt("seed", 1);
+  auto seed = flags.GetIntInRange("seed", 1, 0, INT64_MAX);
   if (!seed.ok()) return Fail(seed.status());
   auto hotspots = flags.GetIntInRange("hotspots", 3, 0, INT_MAX);
   if (!hotspots.ok()) return Fail(hotspots.status());
@@ -176,7 +177,7 @@ int CmdPartition(const FlagParser& flags) {
   if (!scheme.ok()) return Fail(scheme.status());
   auto k = flags.GetIntInRange("k", 6, 1, INT_MAX);
   if (!k.ok()) return Fail(k.status());
-  auto seed = flags.GetInt("seed", 1);
+  auto seed = flags.GetIntInRange("seed", 1, 0, INT64_MAX);
   if (!seed.ok()) return Fail(seed.status());
   auto stability = flags.GetDouble("stability", 0.0);
   if (!stability.ok()) return Fail(stability.status());
@@ -281,8 +282,9 @@ int CmdEvaluate(const FlagParser& flags) {
 int CmdMine(const FlagParser& flags) {
   if (flags.positional().size() != 2) return Usage();
   auto stability = flags.GetDouble("stability", 0.0);
-  auto seed = flags.GetInt("seed", 1);
-  if (!stability.ok() || !seed.ok()) return Usage();
+  if (!stability.ok()) return Usage();
+  auto seed = flags.GetIntInRange("seed", 1, 0, INT64_MAX);
+  if (!seed.ok()) return Fail(seed.status());
 
   auto net = LoadRoadNetwork(flags.positional()[0]);
   if (!net.ok()) return Fail(net.status());
@@ -316,8 +318,9 @@ int CmdSimulate(const FlagParser& flags) {
   if (!snapshot.ok()) return Fail(snapshot.status());
   auto horizon = flags.GetDouble("horizon", 3600.0);
   auto interval = flags.GetDouble("interval", 120.0);
-  auto seed = flags.GetInt("seed", 1);
-  if (!horizon.ok() || !interval.ok() || !seed.ok()) return Usage();
+  if (!horizon.ok() || !interval.ok()) return Usage();
+  auto seed = flags.GetIntInRange("seed", 1, 0, INT64_MAX);
+  if (!seed.ok()) return Fail(seed.status());
 
   auto net = LoadRoadNetwork(flags.positional()[0]);
   if (!net.ok()) return Fail(net.status());
@@ -374,8 +377,8 @@ int CmdAnalyze(const FlagParser& flags) {
   if (!scheme.ok()) return Fail(scheme.status());
   auto k = flags.GetIntInRange("k", 4, 1, INT_MAX);
   if (!k.ok()) return Fail(k.status());
-  auto seed = flags.GetInt("seed", 1);
-  if (!seed.ok()) return Usage();
+  auto seed = flags.GetIntInRange("seed", 1, 0, INT64_MAX);
+  if (!seed.ok()) return Fail(seed.status());
 
   auto net = LoadRoadNetwork(flags.positional()[0]);
   if (!net.ok()) return Fail(net.status());
@@ -415,13 +418,12 @@ int CmdRefresh(const FlagParser& flags) {
   if (!k.ok()) return Fail(k.status());
   auto inner_k = flags.GetIntInRange("inner-k", 2, 1, INT_MAX);
   if (!inner_k.ok()) return Fail(inner_k.status());
-  auto seed = flags.GetInt("seed", 1);
+  auto seed = flags.GetIntInRange("seed", 1, 0, INT64_MAX);
+  if (!seed.ok()) return Fail(seed.status());
   auto trigger = flags.GetDouble("trigger-ratio", 0.05);
   auto boundary = flags.GetDouble("boundary-delta-ratio", 0.05);
   auto deadline = flags.GetDouble("deadline-seconds", 0.0);
-  if (!seed.ok() || !trigger.ok() || !boundary.ok() || !deadline.ok()) {
-    return Usage();
-  }
+  if (!trigger.ok() || !boundary.ok() || !deadline.ok()) return Usage();
   if (*deadline < 0.0) {
     return Fail(Status::InvalidArgument("--deadline-seconds must be >= 0"));
   }
@@ -481,8 +483,8 @@ int CmdSweep(const FlagParser& flags) {
   if (!kmin.ok()) return Fail(kmin.status());
   auto kmax = flags.GetIntInRange("kmax", 20, *kmin, INT_MAX);
   if (!kmax.ok()) return Fail(kmax.status());
-  auto seed = flags.GetInt("seed", 1);
-  if (!seed.ok()) return Usage();
+  auto seed = flags.GetIntInRange("seed", 1, 0, INT64_MAX);
+  if (!seed.ok()) return Fail(seed.status());
 
   auto net = LoadRoadNetwork(flags.positional()[0]);
   if (!net.ok()) return Fail(net.status());

@@ -42,6 +42,7 @@
 // quarantined intervals are contained, not fatal.
 
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -111,13 +112,14 @@ int Main(int argc, char** argv) {
   auto crash_after =
       flags->GetIntInRange("crash-after-interval", -1, -1, INT_MAX);
   if (!crash_after.ok()) return Fail(crash_after.status());
-  auto seed = flags->GetInt("seed", 1);
+  auto seed = flags->GetIntInRange("seed", 1, 0, INT64_MAX);
+  if (!seed.ok()) return Fail(seed.status());
   auto trigger = flags->GetDouble("trigger-ratio", 0.05);
   auto boundary = flags->GetDouble("boundary-delta-ratio", 0.05);
   auto deadline = flags->GetDouble("deadline-seconds", 0.0);
   auto ans_margin = flags->GetDouble("ans-margin", 0.05);
   auto churn_ceiling = flags->GetDouble("churn-ceiling", 0.75);
-  if (!seed.ok() || !trigger.ok() || !boundary.ok() || !deadline.ok() ||
+  if (!trigger.ok() || !boundary.ok() || !deadline.ok() ||
       !ans_margin.ok() || !churn_ceiling.ok()) {
     return Usage();
   }
