@@ -1,36 +1,41 @@
 #!/usr/bin/env bash
-# Full verification gate: three build trees plus a static-analysis stage.
+# Full verification gate: three build trees plus a static-analysis stage,
+# printed as stages [1/7]..[7/7] with sub-stages 2b-2e and 6b-6g.
 #
-#   1. build-check-release : -O2 Release, the complete ctest suite, then
-#      standalone reruns of the crash-injection harness (kill the CLI at
-#      every checkpoint stage boundary; --resume must be byte-identical),
-#      the serve-runtime chaos suite, and the pipeline chaos harness
-#      (_Exit rp_pipeline at every interval boundary; the resumed journal
-#      must be byte-identical at several thread counts). Last, a smoke run
-#      of the benchmark (python3 perfbench/run.py --smoke: every workload for
-#      one op, untraced and traced), which fails if the traced eigensolve
-#      replay drifts from Embed by a single bit or a deterministic ledger
-#      value (fingerprints, counts, ANS bits) drifts between runs of the
-#      same sources. It writes only the git-ignored .bench_* directories.
-#   2. build-check-tsan    : Debug + -fsanitize=thread,undefined; runs the
-#      parallel/determinism/lanczos/eigen/serve differential suites (the ones
-#      that exercise the deterministic parallel runtime), plus the mining
-#      component-count and dual-graph oracle suites, under ThreadSanitizer.
-#      Set RP_CHECK_TSAN_ALL=1 to run the *entire* suite under TSan
-#      (slow: TSan costs ~5-15x).
-#   3. build-check-asan    : Debug + -fsanitize=address,undefined; runs the
-#      complete suite under AddressSanitizer (heap/stack overflows,
-#      use-after-free, leaks) — TSan and ASan cannot be combined, hence
-#      the separate tree. The fault-injection, serving, pipeline,
-#      keyed-state codec, serve text, component-count and dual-graph suites
-#      then run again, explicitly and verbosely:
-#      every injected fault path (corrupted densities, forced
-#      non-convergence, degenerate embeddings, torn snapshots, corrupt
-#      checkpoints) must be memory-clean, not just Status-clean.
-#   4. analyze             : tools/rp_analyze over src/, tools/, bench/,
-#      tests/ — the token-level analyzer (the six project rules,
-#      include-graph layering against tools/analyze/layers.txt, header
-#      guards/self-containment, capture-aware ParallelFor audit). The
+#   1. Configure + build the -O2 Release tree (build-check-release).
+#   2. ctest: the complete suite on the Release tree, then standalone reruns:
+#      2b. the crash-injection harness (kill the CLI at every checkpoint
+#          stage boundary for ASG, and at 'cut' and 'final' for AG and NG;
+#          --resume must be byte-identical);
+#      2c. the serve-runtime chaos suite;
+#      2d. the pipeline chaos harness (_Exit rp_pipeline at every interval
+#          boundary; the resumed journal must be byte-identical at several
+#          thread counts);
+#      2e. a smoke run of the benchmark (python3 perfbench/run.py --smoke:
+#          every workload for one op, untraced and traced), which fails if
+#          the traced eigensolve replay drifts from Embed by a single bit or
+#          a deterministic ledger value (fingerprints, counts, ANS bits)
+#          drifts between runs of the same sources. It writes only the
+#          git-ignored .bench_* directories.
+#   3. Configure + build the TSan+UBSan tree (build-check-tsan, Debug).
+#   4. ctest under ThreadSanitizer: the parallel/determinism/lanczos/eigen/
+#      serve differential suites (the ones that exercise the deterministic
+#      parallel runtime), plus the mining component-count and dual-graph
+#      oracle suites. Set RP_CHECK_TSAN_ALL=1 to run the *entire* suite
+#      under TSan (slow: TSan costs ~5-15x).
+#   5. Configure + build the ASan+UBSan tree (build-check-asan, Debug) —
+#      TSan and ASan cannot be combined, hence the separate tree.
+#   6. ctest: the complete suite under AddressSanitizer (heap/stack
+#      overflows, use-after-free, leaks), then standalone verbose reruns:
+#      6b fault injection, 6c serving read path, 6d pipeline fault soak,
+#      6e keyed-state codec, 6f serve text path, 6g mining component counts
+#      and dual graph. Every injected fault path (corrupted densities,
+#      forced non-convergence, degenerate embeddings, torn snapshots,
+#      corrupt checkpoints) must be memory-clean, not just Status-clean.
+#   7. Static analysis: tools/rp_analyze over src/, tools/, bench/, tests/ —
+#      the token-level analyzer (the six project rules, include-graph
+#      layering against tools/analyze/layers.txt, header guards/
+#      self-containment, capture-aware ParallelFor audit). The
 #      machine-readable report is archived at
 #      ${RELEASE_DIR}/analyze_findings.json; any non-baselined finding
 #      fails the gate. clang-tidy (driven by .clang-tidy) runs when the
@@ -58,7 +63,8 @@ echo "==> [2b/7] crash-injection suite (Release, verbose)"
 # Part of the full Release run above, but re-run on its own so a durability
 # regression (torn output, stale checkpoint served, resume divergence) is
 # attributed unambiguously: this binary kills the CLI at every checkpoint
-# stage boundary and demands --resume reproduce the run byte for byte.
+# stage boundary (ASG; AG and NG at 'cut' and 'final') and demands --resume
+# reproduce the run byte for byte.
 "${RELEASE_DIR}/tests/checkpoint_crash_test"
 
 echo "==> [2c/7] serve-runtime chaos suite (Release, verbose)"

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "core/partitioner.h"
 #include "graph/csr_graph.h"
 
 namespace roadpart {
@@ -297,61 +298,56 @@ Result<MiningCheckpoint> DecodeMiningCheckpoint(std::string_view payload) {
 
 // --- Cut checkpoint ---------------------------------------------------------
 
-std::string EncodeCutCheckpoint(const CutCheckpoint& checkpoint) {
+std::string EncodeCutCheckpoint(const GraphCutResult& cut) {
   LineWriter out;
-  out.Line("k-final").Int(checkpoint.k_final);
-  out.Line("k-prime").Int(checkpoint.k_prime);
-  out.Line("objective").Double(checkpoint.objective);
-  AppendEigen(out, checkpoint.eigen);
-  out.Line("assignment").IntVec(checkpoint.assignment);
+  out.Line("k-final").Int(cut.k_final);
+  out.Line("k-prime").Int(cut.k_prime);
+  out.Line("objective").Double(cut.objective);
+  AppendEigen(out, cut.eigen);
+  out.Line("assignment").IntVec(cut.assignment);
   return out.Finish();
 }
 
-Result<CutCheckpoint> DecodeCutCheckpoint(std::string_view payload) {
+Result<GraphCutResult> DecodeCutCheckpoint(std::string_view payload) {
   LineCursor cursor{std::string(payload)};
-  CutCheckpoint checkpoint;
-  RP_ASSIGN_OR_RETURN(checkpoint.k_final, ReadInt(cursor, "k-final"));
-  RP_ASSIGN_OR_RETURN(checkpoint.k_prime, ReadInt(cursor, "k-prime"));
-  RP_ASSIGN_OR_RETURN(checkpoint.objective, ReadDouble(cursor, "objective"));
-  RP_ASSIGN_OR_RETURN(checkpoint.eigen, ReadEigen(cursor));
-  RP_ASSIGN_OR_RETURN(checkpoint.assignment,
-                      ReadIntVec(cursor, "assignment"));
+  GraphCutResult cut;
+  RP_ASSIGN_OR_RETURN(cut.k_final, ReadInt(cursor, "k-final"));
+  RP_ASSIGN_OR_RETURN(cut.k_prime, ReadInt(cursor, "k-prime"));
+  RP_ASSIGN_OR_RETURN(cut.objective, ReadDouble(cursor, "objective"));
+  RP_ASSIGN_OR_RETURN(cut.eigen, ReadEigen(cursor));
+  RP_ASSIGN_OR_RETURN(cut.assignment, ReadIntVec(cursor, "assignment"));
   RP_RETURN_IF_ERROR(cursor.Finish());
-  return checkpoint;
+  return cut;
 }
 
 // --- Final checkpoint -------------------------------------------------------
 
-std::string EncodeFinalCheckpoint(const FinalCheckpoint& checkpoint) {
+std::string EncodeFinalCheckpoint(const PartitionOutcome& outcome) {
   LineWriter out;
-  out.Line("k-final").Int(checkpoint.k_final);
-  out.Line("k-prime").Int(checkpoint.k_prime);
-  out.Line("supernodes").Int(checkpoint.num_supernodes);
-  out.Line("objective").Double(checkpoint.objective);
-  out.Line("module2").Double(checkpoint.module2_seconds);
-  out.Line("module3").Double(checkpoint.module3_seconds);
-  AppendEigen(out, checkpoint.eigen);
-  out.Line("assignment").IntVec(checkpoint.assignment);
+  out.Line("k-final").Int(outcome.k_final);
+  out.Line("k-prime").Int(outcome.k_prime);
+  out.Line("supernodes").Int(outcome.num_supernodes);
+  out.Line("objective").Double(outcome.objective);
+  out.Line("module2").Double(outcome.module2_seconds);
+  out.Line("module3").Double(outcome.module3_seconds);
+  AppendEigen(out, outcome.diagnostics.eigen);
+  out.Line("assignment").IntVec(outcome.assignment);
   return out.Finish();
 }
 
-Result<FinalCheckpoint> DecodeFinalCheckpoint(std::string_view payload) {
+Result<PartitionOutcome> DecodeFinalCheckpoint(std::string_view payload) {
   LineCursor cursor{std::string(payload)};
-  FinalCheckpoint checkpoint;
-  RP_ASSIGN_OR_RETURN(checkpoint.k_final, ReadInt(cursor, "k-final"));
-  RP_ASSIGN_OR_RETURN(checkpoint.k_prime, ReadInt(cursor, "k-prime"));
-  RP_ASSIGN_OR_RETURN(checkpoint.num_supernodes,
-                      ReadInt(cursor, "supernodes"));
-  RP_ASSIGN_OR_RETURN(checkpoint.objective, ReadDouble(cursor, "objective"));
-  RP_ASSIGN_OR_RETURN(checkpoint.module2_seconds,
-                      ReadDouble(cursor, "module2"));
-  RP_ASSIGN_OR_RETURN(checkpoint.module3_seconds,
-                      ReadDouble(cursor, "module3"));
-  RP_ASSIGN_OR_RETURN(checkpoint.eigen, ReadEigen(cursor));
-  RP_ASSIGN_OR_RETURN(checkpoint.assignment,
-                      ReadIntVec(cursor, "assignment"));
+  PartitionOutcome outcome;
+  RP_ASSIGN_OR_RETURN(outcome.k_final, ReadInt(cursor, "k-final"));
+  RP_ASSIGN_OR_RETURN(outcome.k_prime, ReadInt(cursor, "k-prime"));
+  RP_ASSIGN_OR_RETURN(outcome.num_supernodes, ReadInt(cursor, "supernodes"));
+  RP_ASSIGN_OR_RETURN(outcome.objective, ReadDouble(cursor, "objective"));
+  RP_ASSIGN_OR_RETURN(outcome.module2_seconds, ReadDouble(cursor, "module2"));
+  RP_ASSIGN_OR_RETURN(outcome.module3_seconds, ReadDouble(cursor, "module3"));
+  RP_ASSIGN_OR_RETURN(outcome.diagnostics.eigen, ReadEigen(cursor));
+  RP_ASSIGN_OR_RETURN(outcome.assignment, ReadIntVec(cursor, "assignment"));
   RP_RETURN_IF_ERROR(cursor.Finish());
-  return checkpoint;
+  return outcome;
 }
 
 }  // namespace roadpart

@@ -122,7 +122,8 @@ class CheckpointStore {
 //
 // The tag-line codec of common/durable_io.h (every double as an IEEE
 // bit-pattern hex field). The codecs are exact inverses: Decode(Encode(x))
-// reproduces x bit-for-bit, and Decode rejects trailing data as Corruption.
+// reproduces every stored field of x bit-for-bit, and Decode rejects
+// trailing data as Corruption.
 
 /// Module-2 result. When `roadgraph_fallback` is set the mined supergraph
 /// stayed below k supernodes even at the strictest stability setting and the
@@ -142,34 +143,11 @@ Result<MiningCheckpoint> DecodeMiningCheckpoint(std::string_view payload);
 /// Module-3 spectral-cut result, before boundary refinement. For the
 /// supergraph schemes the labels are per supernode; for AG/NG (and the
 /// degenerate fallback) they are per road node.
-struct CutCheckpoint {
-  std::vector<int> assignment;
-  int k_final = 0;
-  int k_prime = 0;
-  double objective = 0.0;
-  EigenSolveDiagnostics eigen;
-};
+std::string EncodeCutCheckpoint(const GraphCutResult& cut);
+Result<GraphCutResult> DecodeCutCheckpoint(std::string_view payload);
 
-std::string EncodeCutCheckpoint(const CutCheckpoint& checkpoint);
-Result<CutCheckpoint> DecodeCutCheckpoint(std::string_view payload);
-
-/// The finished run: road-level assignment plus everything the outcome
-/// reports about how it was produced. Diagnostics warnings are NOT stored —
-/// a resumed run re-derives them from the (stored) eigen diagnostics and its
-/// own fresh input sanitization, exactly as an uninterrupted run would.
-struct FinalCheckpoint {
-  std::vector<int> assignment;
-  int k_final = 0;
-  int k_prime = 0;
-  int num_supernodes = 0;
-  double objective = 0.0;
-  double module2_seconds = 0.0;
-  double module3_seconds = 0.0;
-  EigenSolveDiagnostics eigen;
-};
-
-std::string EncodeFinalCheckpoint(const FinalCheckpoint& checkpoint);
-Result<FinalCheckpoint> DecodeFinalCheckpoint(std::string_view payload);
+// The 'final' stage codec stores a PartitionOutcome, so it is declared next
+// to that type in core/partitioner.h.
 
 }  // namespace roadpart
 

@@ -1,5 +1,6 @@
 #include "core/partitioner.h"
 
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -207,48 +208,8 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
   pipeline.enforce_connectivity = options_.enforce_connectivity;
   pipeline.embedding_sink = options_.embedding_sink;
 
-  // Runs the module-3 spectral cut on `target`, consuming a valid 'cut'
-  // checkpoint when one exists and saving one when it does not. Which graph
-  // `target` is (road graph, weighted road graph, or supergraph links) is
-  // fully determined by the manifest-keyed options plus the mining stage, so
-  // a stored cut whose label count matches belongs to this exact target.
-  auto run_cut = [&](const CsrGraph& target,
-                     bool use_alpha) -> Result<GraphCutResult> {
-    if (auto payload = store.LoadStage(CheckpointStage::kCut)) {
-      auto decoded = DecodeCutCheckpoint(*payload);
-      if (decoded.ok() && static_cast<int>(decoded->assignment.size()) ==
-                              target.num_nodes()) {
-        GraphCutResult cut;
-        cut.assignment = std::move(decoded->assignment);
-        cut.k_final = decoded->k_final;
-        cut.k_prime = decoded->k_prime;
-        cut.objective = decoded->objective;
-        cut.eigen = decoded->eigen;
-        return cut;
-      }
-      outcome.diagnostics.warnings.push_back(
-          decoded.ok() ? std::string("checkpoint stage 'cut' does not match "
-                                     "this graph; recomputing")
-                       : "checkpoint stage 'cut' undecodable (" +
-                             decoded.status().ToString() + "); recomputing");
-    }
-    GraphCutResult cut;
-    if (use_alpha) {
-      AlphaCutOptions alpha{options_.spectral, pipeline};
-      RP_ASSIGN_OR_RETURN(cut, AlphaCutPartition(target, k, alpha));
-    } else {
-      NormalizedCutOptions ncut{options_.spectral, pipeline};
-      RP_ASSIGN_OR_RETURN(cut, NormalizedCutPartition(target, k, ncut));
-    }
-    CutCheckpoint completed;
-    completed.assignment = cut.assignment;
-    completed.k_final = cut.k_final;
-    completed.k_prime = cut.k_prime;
-    completed.objective = cut.objective;
-    completed.eigen = cut.eigen;
-    save_stage(CheckpointStage::kCut, EncodeCutCheckpoint(completed));
-    return cut;
-  };
+  const bool supergraph_scheme =
+      options_.scheme == Scheme::kASG || options_.scheme == Scheme::kNSG;
 
   // A stored 'final' checkpoint short-circuits modules 2-3 entirely; the run
   // still flows through the deadline accounting, warning derivation, and
@@ -258,17 +219,14 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
     auto decoded = DecodeFinalCheckpoint(*payload);
     if (decoded.ok() &&
         static_cast<int>(decoded->assignment.size()) == graph.num_nodes()) {
-      outcome.assignment = std::move(decoded->assignment);
-      outcome.k_final = decoded->k_final;
-      outcome.k_prime = decoded->k_prime;
-      outcome.num_supernodes = decoded->num_supernodes;
-      outcome.objective = decoded->objective;
-      outcome.module2_seconds = decoded->module2_seconds;
-      outcome.module3_seconds = decoded->module3_seconds;
-      outcome.diagnostics.eigen = decoded->eigen;
+      // This run's own diagnostics (deadline, repairs, store warnings) stay;
+      // only the solver record comes from the stored run.
+      RunDiagnostics diagnostics = std::move(outcome.diagnostics);
+      diagnostics.eigen = decoded->diagnostics.eigen;
+      outcome = std::move(*decoded);
+      outcome.diagnostics = std::move(diagnostics);
       // The mining report rides in its own stage for the supergraph schemes.
-      if (options_.scheme == Scheme::kASG ||
-          options_.scheme == Scheme::kNSG) {
+      if (supergraph_scheme) {
         if (auto mining_payload = store.LoadStage(CheckpointStage::kMining)) {
           auto mining = DecodeMiningCheckpoint(*mining_payload);
           if (mining.ok()) outcome.mining_report = std::move(mining->report);
@@ -286,163 +244,134 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
 
   Timer timer;
   if (!resumed_final) {
-    switch (options_.scheme) {
-      case Scheme::kAG:
-      case Scheme::kNG: {
-        CsrGraph weighted =
-            GaussianWeightedGraph(graph.adjacency(), graph.features());
-        timer.Restart();
-        RP_ASSIGN_OR_RETURN(
-            GraphCutResult cut,
-            run_cut(weighted, options_.scheme == Scheme::kAG));
-        if (options_.refine_boundary) {
-          if (options_.scheme == Scheme::kAG) {
-            AlphaCutMethod method(options_.spectral);
-            RP_ASSIGN_OR_RETURN(cut.assignment,
-                                RefineBoundary(weighted, cut.assignment,
-                                               method, options_.refinement));
-            cut.objective = method.Objective(weighted, cut.assignment);
-          } else {
-            NormalizedCutMethod method(options_.spectral);
-            RP_ASSIGN_OR_RETURN(cut.assignment,
-                                RefineBoundary(weighted, cut.assignment,
-                                               method, options_.refinement));
-            cut.objective = method.Objective(weighted, cut.assignment);
-          }
-          cut.k_final = DensifyAssignment(cut.assignment);
+    // Module 2, for the supergraph schemes only.
+    std::optional<MiningCheckpoint> mined;
+    if (supergraph_scheme) {
+      timer.Restart();
+      if (auto payload = store.LoadStage(CheckpointStage::kMining)) {
+        auto decoded = DecodeMiningCheckpoint(*payload);
+        if (decoded.ok() &&
+            (decoded->roadgraph_fallback ||
+             (decoded->supergraph.has_value() &&
+              decoded->supergraph->num_road_nodes() == graph.num_nodes()))) {
+          mined = std::move(*decoded);
+          outcome.mining_report = mined->report;
+        } else {
+          outcome.diagnostics.warnings.push_back(
+              decoded.ok()
+                  ? std::string("checkpoint stage 'mining' does not match "
+                                "this graph; recomputing")
+                  : "checkpoint stage 'mining' undecodable (" +
+                        decoded.status().ToString() + "); recomputing");
         }
-        outcome.module3_seconds = timer.Seconds();
-        outcome.diagnostics.eigen = cut.eigen;
-        outcome.assignment = std::move(cut.assignment);
-        outcome.k_final = cut.k_final;
-        outcome.k_prime = cut.k_prime;
-        outcome.objective = cut.objective;
-        break;
       }
-      case Scheme::kASG:
-      case Scheme::kNSG: {
-        timer.Restart();
-        std::optional<MiningCheckpoint> mined;
-        if (auto payload = store.LoadStage(CheckpointStage::kMining)) {
-          auto decoded = DecodeMiningCheckpoint(*payload);
-          if (decoded.ok() &&
-              (decoded->roadgraph_fallback ||
-               (decoded->supergraph.has_value() &&
-                decoded->supergraph->num_road_nodes() == graph.num_nodes()))) {
-            mined = std::move(*decoded);
-            outcome.mining_report = mined->report;
-          } else {
-            outcome.diagnostics.warnings.push_back(
-                decoded.ok()
-                    ? std::string("checkpoint stage 'mining' does not match "
-                                  "this graph; recomputing")
-                    : "checkpoint stage 'mining' undecodable (" +
-                          decoded.status().ToString() + "); recomputing");
-          }
-        }
-        if (!mined.has_value()) {
-          // The second level needs at least k supernodes to produce k
-          // partitions.
-          SupergraphMinerOptions miner = options_.miner;
-          miner.min_supernodes = std::max(miner.min_supernodes, k);
+      if (!mined.has_value()) {
+        // The second level needs at least k supernodes to produce k
+        // partitions.
+        SupergraphMinerOptions miner = options_.miner;
+        miner.min_supernodes = std::max(miner.min_supernodes, k);
+        RP_ASSIGN_OR_RETURN(
+            Supergraph sg,
+            MineSupergraph(graph, miner, &outcome.mining_report));
+        if (sg.num_supernodes() < k) {
+          // Every clustering configuration condensed below k regions (tiny
+          // or near-uniform networks): force the stability pass to its
+          // strictest setting, which splits supernodes down to
+          // uniform-feature groups.
+          miner.stability.threshold = 1.0;
           RP_ASSIGN_OR_RETURN(
-              Supergraph sg,
-              MineSupergraph(graph, miner, &outcome.mining_report));
-          if (sg.num_supernodes() < k) {
-            // Every clustering configuration condensed below k regions (tiny
-            // or near-uniform networks): force the stability pass to its
-            // strictest setting, which splits supernodes down to
-            // uniform-feature groups.
-            miner.stability.threshold = 1.0;
-            RP_ASSIGN_OR_RETURN(
-                sg, MineSupergraph(graph, miner, &outcome.mining_report));
-          }
-          MiningCheckpoint fresh;
-          fresh.roadgraph_fallback = sg.num_supernodes() < k;
-          fresh.num_supernodes = sg.num_supernodes();
-          fresh.module2_seconds = timer.Seconds();
-          fresh.report = outcome.mining_report;
-          if (!fresh.roadgraph_fallback) fresh.supergraph = std::move(sg);
-          save_stage(CheckpointStage::kMining,
-                     EncodeMiningCheckpoint(fresh));
-          mined = std::move(fresh);
+              sg, MineSupergraph(graph, miner, &outcome.mining_report));
         }
-        outcome.module2_seconds = mined->module2_seconds;
-        outcome.num_supernodes = mined->num_supernodes;
-        if (deadline > 0.0) {
-          outcome.diagnostics.slack_module2_seconds = remaining();
-        }
-        RP_RETURN_IF_ERROR(check_deadline("after supergraph mining"));
+        MiningCheckpoint fresh;
+        fresh.roadgraph_fallback = sg.num_supernodes() < k;
+        fresh.num_supernodes = sg.num_supernodes();
+        fresh.module2_seconds = timer.Seconds();
+        fresh.report = outcome.mining_report;
+        if (!fresh.roadgraph_fallback) fresh.supergraph = std::move(sg);
+        save_stage(CheckpointStage::kMining, EncodeMiningCheckpoint(fresh));
+        mined = std::move(fresh);
+      }
+      outcome.module2_seconds = mined->module2_seconds;
+      outcome.num_supernodes = mined->num_supernodes;
+      if (deadline > 0.0) {
+        outcome.diagnostics.slack_module2_seconds = remaining();
+      }
+      RP_RETURN_IF_ERROR(check_deadline("after supergraph mining"));
+    }
 
-        if (mined->roadgraph_fallback) {
-          // Fully uniform densities leave nothing for the supergraph to
-          // distinguish: fall back to cutting the road graph directly (a
-          // purely topological split, the only meaningful answer here).
-          CsrGraph weighted =
-              GaussianWeightedGraph(graph.adjacency(), graph.features());
-          timer.Restart();
-          RP_ASSIGN_OR_RETURN(
-              GraphCutResult cut,
-              run_cut(weighted, options_.scheme == Scheme::kASG));
-          outcome.module3_seconds = timer.Seconds();
-          outcome.diagnostics.eigen = cut.eigen;
-          outcome.assignment = std::move(cut.assignment);
-          outcome.k_final = cut.k_final;
-          outcome.k_prime = cut.k_prime;
-          outcome.objective = cut.objective;
-          break;
-        }
-        const Supergraph& sg = *mined->supergraph;
-        timer.Restart();
-        RP_ASSIGN_OR_RETURN(
-            GraphCutResult cut,
-            run_cut(sg.links(), options_.scheme == Scheme::kASG));
-        if (options_.refine_boundary) {
-          // Refinement at the supernode level keeps supernodes atomic, as
-          // the supergraph semantics require.
-          if (options_.scheme == Scheme::kASG) {
-            AlphaCutMethod method(options_.spectral);
-            RP_ASSIGN_OR_RETURN(cut.assignment,
-                                RefineBoundary(sg.links(), cut.assignment,
-                                               method, options_.refinement));
-          } else {
-            NormalizedCutMethod method(options_.spectral);
-            RP_ASSIGN_OR_RETURN(cut.assignment,
-                                RefineBoundary(sg.links(), cut.assignment,
-                                               method, options_.refinement));
-          }
-          cut.k_final = DensifyAssignment(cut.assignment);
-        }
-        RP_ASSIGN_OR_RETURN(outcome.assignment,
-                            sg.ExpandAssignment(cut.assignment));
-        outcome.module3_seconds = timer.Seconds();
-        outcome.diagnostics.eigen = cut.eigen;
-        outcome.k_final = cut.k_final;
-        outcome.k_prime = cut.k_prime;
-        outcome.objective = cut.objective;
-        break;
+    // Module 3 cuts the mined supergraph's links, or else the
+    // Gaussian-weighted road graph: AG/NG/JiGeroliminis, and ASG/NSG when
+    // fully uniform densities left nothing for a supergraph to distinguish
+    // (a purely topological split, the only meaningful answer there).
+    const Supergraph* sg = mined.has_value() && !mined->roadgraph_fallback
+                               ? &*mined->supergraph
+                               : nullptr;
+    CsrGraph weighted;
+    if (sg == nullptr) {
+      weighted = GaussianWeightedGraph(graph.adjacency(), graph.features());
+    }
+    const CsrGraph& target = sg != nullptr ? sg->links() : weighted;
+    timer.Restart();
+    GraphCutResult cut;
+    if (options_.scheme == Scheme::kJiGeroliminis) {
+      // The baseline is an indivisible three-phase loop with no stable
+      // intermediate to persist: only the 'final' stage applies.
+      JiGeroliminisOptions ji = options_.ji;
+      ji.ncut.spectral = options_.spectral;
+      ji.ncut.pipeline.kmeans = pipeline.kmeans;
+      RP_ASSIGN_OR_RETURN(
+          cut, JiGeroliminisPartition(target, graph.features(), k, ji));
+    } else {
+      std::unique_ptr<SpectralCutMethod> method;
+      if (options_.scheme == Scheme::kAG || options_.scheme == Scheme::kASG) {
+        method = std::make_unique<AlphaCutMethod>(options_.spectral);
+      } else {
+        method = std::make_unique<NormalizedCutMethod>(options_.spectral);
       }
-      case Scheme::kJiGeroliminis: {
-        // The baseline is an indivisible three-phase loop with no stable
-        // intermediate to persist: only the 'final' stage applies.
-        CsrGraph weighted =
-            GaussianWeightedGraph(graph.adjacency(), graph.features());
-        timer.Restart();
-        JiGeroliminisOptions ji = options_.ji;
-        ji.ncut.spectral = options_.spectral;
-        ji.ncut.pipeline.kmeans = pipeline.kmeans;
+      // A stored 'cut' stage stands in for the spectral cut. Which graph
+      // `target` is follows from the manifest-keyed options plus the mining
+      // stage, so a stored cut whose label count matches belongs to it.
+      bool cut_stored = false;
+      if (auto payload = store.LoadStage(CheckpointStage::kCut)) {
+        auto decoded = DecodeCutCheckpoint(*payload);
+        if (decoded.ok() && static_cast<int>(decoded->assignment.size()) ==
+                                target.num_nodes()) {
+          cut = std::move(*decoded);
+          cut_stored = true;
+        } else {
+          outcome.diagnostics.warnings.push_back(
+              decoded.ok()
+                  ? std::string("checkpoint stage 'cut' does not match "
+                                "this graph; recomputing")
+                  : "checkpoint stage 'cut' undecodable (" +
+                        decoded.status().ToString() + "); recomputing");
+        }
+      }
+      if (!cut_stored) {
         RP_ASSIGN_OR_RETURN(
-            GraphCutResult cut,
-            JiGeroliminisPartition(weighted, graph.features(), k, ji));
-        outcome.module3_seconds = timer.Seconds();
-        outcome.diagnostics.eigen = cut.eigen;
-        outcome.assignment = std::move(cut.assignment);
-        outcome.k_final = cut.k_final;
-        outcome.k_prime = cut.k_prime;
-        outcome.objective = cut.objective;
-        break;
+            cut, SpectralKWayPartition(target, k, *method, pipeline));
+        save_stage(CheckpointStage::kCut, EncodeCutCheckpoint(cut));
+      }
+      if (options_.refine_boundary) {
+        // On the supergraph, refinement keeps supernodes atomic, as the
+        // supergraph semantics require.
+        RP_ASSIGN_OR_RETURN(cut.assignment,
+                            RefineBoundary(target, std::move(cut.assignment),
+                                           *method, options_.refinement));
+        cut.objective = method->Objective(target, cut.assignment);
+        cut.k_final = DensifyAssignment(cut.assignment);
+      }
+      if (sg != nullptr) {
+        RP_ASSIGN_OR_RETURN(cut.assignment,
+                            sg->ExpandAssignment(cut.assignment));
       }
     }
+    outcome.module3_seconds = timer.Seconds();
+    outcome.assignment = std::move(cut.assignment);
+    outcome.k_final = cut.k_final;
+    outcome.k_prime = cut.k_prime;
+    outcome.objective = cut.objective;
+    outcome.diagnostics.eigen = cut.eigen;
   }
   if (deadline > 0.0) {
     outcome.diagnostics.slack_module3_seconds = remaining();
@@ -477,16 +406,7 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
   // returns. Skipped when this run *was* the stored final, so a crash hook
   // armed on 'final' does not re-fire on the resumed run.
   if (!resumed_final && store.enabled()) {
-    FinalCheckpoint completed;
-    completed.assignment = outcome.assignment;
-    completed.k_final = outcome.k_final;
-    completed.k_prime = outcome.k_prime;
-    completed.num_supernodes = outcome.num_supernodes;
-    completed.objective = outcome.objective;
-    completed.module2_seconds = outcome.module2_seconds;
-    completed.module3_seconds = outcome.module3_seconds;
-    completed.eigen = outcome.diagnostics.eigen;
-    save_stage(CheckpointStage::kFinal, EncodeFinalCheckpoint(completed));
+    save_stage(CheckpointStage::kFinal, EncodeFinalCheckpoint(outcome));
   }
   return outcome;
 }

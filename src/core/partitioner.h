@@ -2,6 +2,7 @@
 #define ROADPART_CORE_PARTITIONER_H_
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -135,6 +136,15 @@ struct PartitionOutcome {
   SupergraphMiningReport mining_report;  ///< filled for ASG / NSG
   RunDiagnostics diagnostics;            ///< resilience-layer telemetry
 };
+
+/// Codec of the 'final' checkpoint stage (core/checkpoint.h): the finished
+/// run, minus what a resumed run re-derives or reports afresh. Module-1
+/// time, the mining report (its own stage) and every diagnostic except
+/// `diagnostics.eigen` are not stored; the warnings in particular come back
+/// from the stored eigen record and the resumed run's own input
+/// sanitization, exactly as an uninterrupted run derives them.
+std::string EncodeFinalCheckpoint(const PartitionOutcome& outcome);
+Result<PartitionOutcome> DecodeFinalCheckpoint(std::string_view payload);
 
 /// Facade over the full framework of Figure 2. One instance is reusable
 /// across networks and timestamps.

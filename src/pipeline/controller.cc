@@ -29,13 +29,13 @@ std::string SnapshotPath(const std::string& state_dir, int t) {
   return StrPrintf("%s/snap-%06d.rpsnap", state_dir.c_str(), t);
 }
 
-/// One pass over the journal: outcome counts, staleness and the most recent
-/// non-published reason ("none" when every interval so far published — what
-/// `!health` reports as last_error), plus the summed retries when `retries`
-/// is given.
-PipelineFeedStats FeedStats(const PipelineJournal& journal,
-                            int64_t* retries = nullptr) {
+/// One pass over the journal: outcome counts, summed retries, staleness and
+/// the most recent non-published reason ("none" when every interval so far
+/// published — what `!health` reports as last_error). `resumed` counts the
+/// leading entries adopted from a prior process.
+PipelineFeedStats FeedStats(const PipelineJournal& journal, int resumed) {
   PipelineFeedStats feed;
+  feed.resumed = resumed;
   feed.intervals = static_cast<int64_t>(journal.entries.size());
   for (const PipelineJournalEntry& e : journal.entries) {
     switch (e.outcome) {
@@ -51,23 +51,10 @@ PipelineFeedStats FeedStats(const PipelineJournal& journal,
         feed.last_reason = e.reason;
         break;
     }
-    if (retries != nullptr) *retries += e.retries;
+    feed.retries += e.retries;
   }
   feed.staleness = journal.staleness;
   return feed;
-}
-
-PipelineStats StatsFromJournal(const PipelineJournal& journal,
-                               int64_t resumed) {
-  PipelineStats stats;
-  const PipelineFeedStats feed = FeedStats(journal, &stats.retries);
-  stats.intervals = feed.intervals;
-  stats.published = feed.published;
-  stats.degraded = feed.degraded;
-  stats.quarantined = feed.quarantined;
-  stats.resumed = resumed;
-  stats.staleness = feed.staleness;
-  return stats;
 }
 
 /// True when the journal's history matches THIS series: no more entries
@@ -264,7 +251,7 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
                                   reload.ToString() + ")");
       }
     }
-    options.serve->AttachPipelineStats(FeedStats(journal));
+    options.serve->AttachPipelineStats(FeedStats(journal, resume_at));
   }
 
   // --- The interval loop ---------------------------------------------------
@@ -434,7 +421,7 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
     journal.entries.push_back(entry);
 
     if (options.serve != nullptr) {
-      options.serve->AttachPipelineStats(FeedStats(journal));
+      options.serve->AttachPipelineStats(FeedStats(journal, resume_at));
     }
 
     // Durability order: cache before journal, so a journal that records N
@@ -465,7 +452,7 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
   }
 
   drain_engine_warnings();
-  result.stats = StatsFromJournal(journal, resume_at);
+  result.stats = FeedStats(journal, resume_at);
   result.last_published_path = journal.last_published_path;
   result.journal = std::move(journal);
   return result;

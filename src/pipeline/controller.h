@@ -106,21 +106,11 @@ struct PipelineOptions {
   std::function<void(const PipelineJournalEntry&)> on_interval;
 };
 
-/// Aggregate counters over the whole journal (resumed + new intervals).
-struct PipelineStats {
-  int64_t intervals = 0;    ///< journal entries (resumed + this process)
-  int64_t published = 0;
-  int64_t degraded = 0;     ///< publish-gate rejections
-  int64_t quarantined = 0;  ///< isolated interval failures
-  int64_t retries = 0;      ///< extra refresh attempts consumed
-  int64_t resumed = 0;      ///< entries adopted from a prior process
-  int64_t staleness = 0;    ///< intervals since the last publish
-};
-
 /// Outcome of RunPipeline.
 struct PipelineRunResult {
   PipelineJournal journal;  ///< final journal state (also durably on disk)
-  PipelineStats stats;
+  /// Counters over the whole journal (resumed + new intervals).
+  PipelineFeedStats stats;
   std::string journal_path;
   std::string last_published_path;  ///< "-" when nothing ever published
   /// Degradation notes: rejected journals/caches, repaired densities,

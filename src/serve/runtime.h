@@ -142,13 +142,17 @@ struct ServeRuntimeStats {
 /// Health of the refresh pipeline feeding this runtime, pushed by the
 /// supervisor (src/pipeline/) after every interval so `!stats` / `!health`
 /// can surface continuous-operation state without the serving layer ever
-/// depending on the pipeline. A standalone runtime has none attached.
+/// depending on the pipeline. A standalone runtime has none attached. The
+/// same struct is RunPipeline's final tally; `retries` and `resumed` are
+/// reported there and never rendered by `!stats`.
 struct PipelineFeedStats {
   int64_t intervals = 0;     ///< intervals the pipeline has completed
   int64_t published = 0;     ///< intervals whose snapshot was published
   int64_t degraded = 0;      ///< publish-gate rejections (quality regressed)
   int64_t quarantined = 0;   ///< isolated refresh failures
   int64_t staleness = 0;     ///< intervals since the last publish
+  int64_t retries = 0;       ///< extra refresh attempts consumed
+  int64_t resumed = 0;       ///< journal entries adopted from a prior process
   /// Kebab reason of the most recent quarantined/degraded interval
   /// ("none" while every interval published).
   std::string last_reason = "none";

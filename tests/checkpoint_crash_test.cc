@@ -112,21 +112,34 @@ TEST_F(CheckpointCrashTest, ResumeOfCompletedRunIsBitIdentical) {
   EXPECT_EQ(Slurp(out + "/parts.geojson"), baseline_geojson_);
 }
 
-TEST_F(CheckpointCrashTest, RoadGraphSchemeCrashAtCutResumes) {
-  // NG has no mining stage; prove the cut-stage checkpoint alone carries it.
-  std::string base = root_ + "/ng_base";
-  std::string out = root_ + "/ng_out";
-  std::string cp = root_ + "/ng_cp";
-  std::string common = "partition --scheme=NG --k=4 --seed=11 " + net_ +
-                       " parts.csv --geojson=parts.geojson --output-dir=";
-  ASSERT_EQ(RunCli(common + base), 0);
-  EXPECT_EQ(RunCli(common + out + " --checkpoint-dir=" + cp +
-                   " --crash-after-stage=cut"),
-            42);
-  EXPECT_FALSE(std::filesystem::exists(out + "/parts.csv"));
-  EXPECT_EQ(RunCli(common + out + " --checkpoint-dir=" + cp + " --resume"), 0);
-  EXPECT_EQ(Slurp(out + "/parts.csv"), Slurp(base + "/parts.csv"));
-  EXPECT_EQ(Slurp(out + "/parts.geojson"), Slurp(base + "/parts.geojson"));
+TEST_F(CheckpointCrashTest, RoadGraphSchemesCrashAtCutAndFinalResume) {
+  // AG and NG have no mining stage; prove the cut-stage checkpoint alone
+  // carries them, and that a stored 'final' replays byte for byte.
+  for (const std::string scheme : {"NG", "AG"}) {
+    std::string base = root_ + "/" + scheme + "_base";
+    std::string common = "partition --scheme=" + scheme +
+                         " --k=4 --seed=11 " + net_ +
+                         " parts.csv --geojson=parts.geojson --output-dir=";
+    ASSERT_EQ(RunCli(common + base), 0) << scheme;
+    for (const std::string stage : {"cut", "final"}) {
+      std::string out = root_ + "/" + scheme + "_out_" + stage;
+      std::string cp = root_ + "/" + scheme + "_cp_" + stage;
+      EXPECT_EQ(RunCli(common + out + " --checkpoint-dir=" + cp +
+                       " --crash-after-stage=" + stage),
+                42)
+          << scheme << " " << stage;
+      EXPECT_FALSE(std::filesystem::exists(out + "/parts.csv"))
+          << scheme << " " << stage;
+      EXPECT_EQ(RunCli(common + out + " --checkpoint-dir=" + cp +
+                       " --resume --threads=3"),
+                0)
+          << scheme << " " << stage;
+      EXPECT_EQ(Slurp(out + "/parts.csv"), Slurp(base + "/parts.csv"))
+          << scheme << " " << stage;
+      EXPECT_EQ(Slurp(out + "/parts.geojson"), Slurp(base + "/parts.geojson"))
+          << scheme << " " << stage;
+    }
+  }
 }
 
 TEST_F(CheckpointCrashTest, CrashMidCsvWriteLeavesNoTornOutput) {

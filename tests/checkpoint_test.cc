@@ -80,8 +80,8 @@ TEST(CheckpointTest, CanonicalOptionsStringIgnoresPureKnobs) {
 
 // --- Stage codecs ---
 
-CutCheckpoint SampleCut() {
-  CutCheckpoint cut;
+GraphCutResult SampleCut() {
+  GraphCutResult cut;
   cut.assignment = {0, 2, 1, 1, 0, 3};
   cut.k_final = 4;
   cut.k_prime = 5;
@@ -94,8 +94,8 @@ CutCheckpoint SampleCut() {
   return cut;
 }
 
-FinalCheckpoint SampleFinal() {
-  FinalCheckpoint fin;
+PartitionOutcome SampleFinal() {
+  PartitionOutcome fin;
   fin.assignment = {1, 0, 0, 2};
   fin.k_final = 3;
   fin.k_prime = 3;
@@ -103,9 +103,9 @@ FinalCheckpoint SampleFinal() {
   fin.objective = -0.0;  // sign of zero must survive
   fin.module2_seconds = 0.123456789123456789;
   fin.module3_seconds = 1e-308;  // denormal-adjacent must survive
-  fin.eigen.solver_path = SolverPath::kDense;
-  fin.eigen.solves = 4;
-  fin.eigen.all_converged = true;
+  fin.diagnostics.eigen.solver_path = SolverPath::kDense;
+  fin.diagnostics.eigen.solves = 4;
+  fin.diagnostics.eigen.all_converged = true;
   return fin;
 }
 
@@ -138,7 +138,7 @@ MiningCheckpoint SampleMining() {
 }
 
 TEST(CheckpointCodecTest, CutRoundTripIsBitExact) {
-  const CutCheckpoint cut = SampleCut();
+  const GraphCutResult cut = SampleCut();
   auto back = DecodeCutCheckpoint(EncodeCutCheckpoint(cut));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->assignment, cut.assignment);
@@ -149,15 +149,25 @@ TEST(CheckpointCodecTest, CutRoundTripIsBitExact) {
 }
 
 TEST(CheckpointCodecTest, FinalRoundTripIsBitExact) {
-  const FinalCheckpoint fin = SampleFinal();
+  PartitionOutcome fin = SampleFinal();
+  // Fields outside the stage payload must not leak into it.
+  fin.module1_seconds = 2.5;
+  fin.mining_report.chosen_kappa = 9;
+  fin.diagnostics.warnings.push_back("not stored");
   auto back = DecodeFinalCheckpoint(EncodeFinalCheckpoint(fin));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->assignment, fin.assignment);
+  EXPECT_EQ(back->k_final, fin.k_final);
+  EXPECT_EQ(back->k_prime, fin.k_prime);
   EXPECT_EQ(back->num_supernodes, fin.num_supernodes);
   EXPECT_TRUE(BitEqual(back->objective, fin.objective));
   EXPECT_TRUE(BitEqual(back->module2_seconds, fin.module2_seconds));
   EXPECT_TRUE(BitEqual(back->module3_seconds, fin.module3_seconds));
-  ExpectEigenEqual(back->eigen, fin.eigen);
+  ExpectEigenEqual(back->diagnostics.eigen, fin.diagnostics.eigen);
+  EXPECT_EQ(back->module1_seconds, 0.0);
+  EXPECT_EQ(back->mining_report.chosen_kappa, 0);
+  EXPECT_TRUE(back->diagnostics.warnings.empty());
+  EXPECT_EQ(EncodeFinalCheckpoint(*back), EncodeFinalCheckpoint(SampleFinal()));
 }
 
 TEST(CheckpointCodecTest, MiningRoundTripReproducesSupergraphExactly) {
@@ -498,27 +508,49 @@ class CheckpointResumeTest : public ::testing::Test {
   RoadGraph graph_;
 };
 
+// Every scheme, resumed from 'final' and from 'cut' (the 'final' stage
+// deleted, so the stored cut is refined and adopted again), with refinement
+// on and off where it changes the module-3 path.
 TEST_F(CheckpointResumeTest, ResumeReproducesFreshRunBitExactly) {
-  for (Scheme scheme : {Scheme::kASG, Scheme::kNG}) {
-    std::string dir =
-        FreshDir(std::string("resume_scheme_") + SchemeName(scheme));
-    PartitionerOptions options = BaseOptions(scheme, dir);
+  struct Case {
+    Scheme scheme;
+    bool refine;
+  };
+  const Case cases[] = {{Scheme::kAG, false},  {Scheme::kAG, true},
+                        {Scheme::kASG, false}, {Scheme::kASG, true},
+                        {Scheme::kNG, false},  {Scheme::kNSG, false},
+                        {Scheme::kJiGeroliminis, false}};
+  for (const Case& c : cases) {
+    for (const std::string from : {"final", "cut"}) {
+      SCOPED_TRACE(std::string(SchemeName(c.scheme)) +
+                   (c.refine ? " refine" : "") + " from " + from);
+      const std::string dir = FreshDir("resume_matrix");
+      PartitionerOptions options = BaseOptions(c.scheme, dir);
+      options.refine_boundary = c.refine;
 
-    auto fresh = Partitioner(options).PartitionRoadGraph(graph_);
-    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      auto fresh = Partitioner(options).PartitionRoadGraph(graph_);
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      if (from == "cut") {
+        // JiGeroliminis has no 'cut' stage; its resume recomputes module 3.
+        EXPECT_EQ(std::filesystem::exists(dir + "/stage-cut.rpcp"),
+                  c.scheme != Scheme::kJiGeroliminis);
+        ASSERT_TRUE(std::filesystem::remove(dir + "/stage-final.rpcp"));
+      }
 
-    options.checkpoint.resume = true;
-    options.num_threads = 3;  // thread count must not affect the result
-    auto resumed = Partitioner(options).PartitionRoadGraph(graph_);
-    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+      options.checkpoint.resume = true;
+      options.num_threads = 3;  // thread count must not affect the result
+      auto resumed = Partitioner(options).PartitionRoadGraph(graph_);
+      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
 
-    EXPECT_EQ(resumed->assignment, fresh->assignment);
-    EXPECT_EQ(resumed->k_final, fresh->k_final);
-    EXPECT_EQ(resumed->k_prime, fresh->k_prime);
-    EXPECT_EQ(resumed->num_supernodes, fresh->num_supernodes);
-    EXPECT_TRUE(BitEqual(resumed->objective, fresh->objective));
-    ExpectEigenEqual(resumed->diagnostics.eigen, fresh->diagnostics.eigen);
-    std::filesystem::remove_all(dir);
+      EXPECT_EQ(resumed->assignment, fresh->assignment);
+      EXPECT_EQ(resumed->k_final, fresh->k_final);
+      EXPECT_EQ(resumed->k_prime, fresh->k_prime);
+      EXPECT_EQ(resumed->num_supernodes, fresh->num_supernodes);
+      EXPECT_TRUE(BitEqual(resumed->objective, fresh->objective));
+      ExpectEigenEqual(resumed->diagnostics.eigen, fresh->diagnostics.eigen);
+      EXPECT_EQ(resumed->diagnostics.warnings, fresh->diagnostics.warnings);
+      std::filesystem::remove_all(dir);
+    }
   }
 }
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
 #include <set>
 
 #include "core/partitioner.h"
+#include "core/supergraph_miner.h"
 #include "metrics/partition_metrics.h"
 #include "metrics/validity.h"
 #include "netgen/grid_generator.h"
@@ -153,6 +157,71 @@ TEST(PartitionerTest, PartitionsFollowCongestionStructure) {
   double ans_stripes =
       AverageNcutSilhouette(rg.adjacency(), rg.features(), stripes).value();
   EXPECT_LT(ans_cut, ans_stripes);
+}
+
+// Supergraph refinement moves whole supernodes; the reported objective must
+// be the refined labels' objective on the graph that was cut, the mined
+// supergraph's links.
+TEST(PartitionerTest, SupergraphRefinementReportsRefinedObjective) {
+  RoadNetwork net = HotspotNetwork(3);
+  RoadGraph rg = RoadGraph::FromNetwork(net);
+  for (Scheme scheme : {Scheme::kASG, Scheme::kNSG}) {
+    SCOPED_TRACE(SchemeName(scheme));
+    PartitionerOptions options;
+    options.scheme = scheme;
+    options.k = 4;
+    auto raw = Partitioner(options).PartitionRoadGraph(rg);
+    options.refine_boundary = true;
+    auto refined = Partitioner(options).PartitionRoadGraph(rg);
+    ASSERT_TRUE(raw.ok() && refined.ok());
+
+    SupergraphMinerOptions miner = options.miner;
+    miner.min_supernodes = std::max(miner.min_supernodes, options.k);
+    auto sg = MineSupergraph(rg, miner);
+    ASSERT_TRUE(sg.ok());
+    ASSERT_EQ(sg->num_supernodes(), refined->num_supernodes);
+    std::vector<int> labels(sg->num_supernodes());
+    for (int s = 0; s < sg->num_supernodes(); ++s) {
+      labels[s] = refined->assignment[sg->supernode(s).members.front()];
+    }
+    std::unique_ptr<SpectralCutMethod> method;
+    if (scheme == Scheme::kASG) {
+      method = std::make_unique<AlphaCutMethod>(options.spectral);
+    } else {
+      method = std::make_unique<NormalizedCutMethod>(options.spectral);
+    }
+    const double expected = method->Objective(sg->links(), labels);
+    // Refinement moved something, so a stale objective would show.
+    EXPECT_LT(expected, raw->objective);
+    EXPECT_NEAR(refined->objective, expected,
+                1e-12 * std::max(1.0, std::abs(expected)));
+  }
+}
+
+// Uniform densities leave the supergraph schemes nothing to mine, so ASG
+// falls back to cutting the weighted road graph with alpha-Cut: exactly AG,
+// boundary refinement included.
+TEST(PartitionerTest, RoadGraphFallbackRefinesLikeAG) {
+  RoadGraph hotspots = RoadGraph::FromNetwork(HotspotNetwork(3));
+  RoadGraph rg =
+      RoadGraph::FromParts(hotspots.adjacency(),
+                           std::vector<double>(hotspots.num_nodes(), 0.5))
+          .value();
+  PartitionerOptions options;
+  options.scheme = Scheme::kAG;
+  options.k = 4;
+  auto ag = Partitioner(options).PartitionRoadGraph(rg);
+  options.refine_boundary = true;
+  auto ag_refined = Partitioner(options).PartitionRoadGraph(rg);
+  options.scheme = Scheme::kASG;
+  auto asg_refined = Partitioner(options).PartitionRoadGraph(rg);
+  ASSERT_TRUE(ag.ok() && ag_refined.ok() && asg_refined.ok());
+
+  ASSERT_LT(asg_refined->num_supernodes, options.k);  // the fallback ran
+  // Refinement moved something, so skipping it would show.
+  EXPECT_NE(ag_refined->assignment, ag->assignment);
+  EXPECT_EQ(asg_refined->assignment, ag_refined->assignment);
+  EXPECT_EQ(asg_refined->objective, ag_refined->objective);
 }
 
 }  // namespace

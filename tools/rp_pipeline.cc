@@ -165,7 +165,7 @@ int Main(int argc, char** argv) {
   for (const std::string& w : result->warnings) {
     std::fprintf(stderr, "warning: %s\n", w.c_str());
   }
-  const PipelineStats& stats = result->stats;
+  const PipelineFeedStats& stats = result->stats;
   std::printf(
       "pipeline intervals=%lld published=%lld degraded=%lld "
       "quarantined=%lld retries=%lld resumed=%lld staleness=%lld last=%s\n",
