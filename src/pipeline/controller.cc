@@ -1,16 +1,13 @@
 #include "pipeline/controller.h"
 
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <thread>
 #include <utility>
 
 #include "common/fault_injection.h"
 #include "common/string_util.h"
 #include "core/checkpoint.h"
 #include "core/partition_tracker.h"
-#include "metrics/partition_metrics.h"
 #include "network/density_sanitizer.h"
 #include "serve/snapshot.h"
 
@@ -87,10 +84,6 @@ bool JournalMatchesSeries(const PipelineJournal& journal,
     }
   }
   return true;
-}
-
-void SleepForSeconds(double seconds) {
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
 }  // namespace
@@ -267,8 +260,7 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
     // Everything below runs serially; parallelism lives inside Refresh and
     // never touches entry/journal state, so journal bytes are identical for
     // every thread count.
-    std::vector<int> aligned;
-    double measured_ans = 0.0;
+    IntervalStep step;
     auto quarantine = [&](const std::string& reason) {
       entry.outcome = PipelineIntervalOutcome::kQuarantined;
       entry.reason = reason;
@@ -282,8 +274,8 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
     auto degrade = [&](const std::string& reason) {
       entry.outcome = PipelineIntervalOutcome::kDegraded;
       entry.reason = reason;
-      entry.ans = measured_ans;
-      entry.churn = tracker.last_churn();
+      entry.ans = step.ans;
+      entry.churn = step.churn;
       result.warnings.push_back(StrPrintf(
           "interval %d degraded (%s); refresh adopted but not published", t,
           reason.c_str()));
@@ -296,70 +288,22 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
         return;
       }
 
-      DensityRepairReport repairs;
-      auto densities = SanitizeDensities(
-          series.densities(t), refresh_options.partitioner.density_policy,
-          num_nodes, &repairs);
-      if (!densities.ok()) {
-        quarantine(StatusCodeKebab(densities.status().code()));
-        return;
-      }
-      for (const std::string& w : repairs.warnings) {
+      // The shared interval step: sanitize, bounded refresh retries, the
+      // failed-region check, ANS, and Align last. An ok() step is adopted
+      // (the tracker advanced) even if the gate then withholds publication.
+      step = RefreshInterval(engine, tracker, graph, entry.timestamp_seconds,
+                             series.densities(t),
+                             options.max_refresh_attempts, options.retry);
+      for (const std::string& w : step.warnings) {
         result.warnings.push_back(StrPrintf("interval %d: %s", t, w.c_str()));
       }
-
-      // Bounded retry. Refresh validates its input before mutating any
-      // state, so a failed attempt is side-effect-free and safe to repeat;
-      // the backoff schedule is deterministic (seeded jitter).
-      RetryBackoff backoff(options.retry);
-      Result<DistributedRepartitionResult> refresh =
-          Status::Internal("refresh never attempted");
-      int attempts = 0;
-      for (;;) {
-        refresh = engine.Refresh(*densities);
-        ++attempts;
-        if (refresh.ok() || attempts >= options.max_refresh_attempts) break;
-        const double delay = backoff.NextDelaySeconds();
-        if (options.retry.sleep) {
-          options.retry.sleep(delay);
-        } else {
-          SleepForSeconds(delay);
-        }
-      }
-      entry.retries = attempts - 1;
-      if (!refresh.ok()) {
-        quarantine(StatusCodeKebab(refresh.status().code()));
+      entry.retries = step.retries;
+      entry.refreshed = step.refreshed;
+      if (!step.ok()) {
+        quarantine(StatusCodeKebab(step.error_code));
         return;
       }
-      entry.refreshed = true;
-
-      if (refresh->stats.failed > 0) {
-        // Some region's re-cut failed (deadline overrun, rejected input,
-        // strict non-convergence). The engine kept those regions whole, so
-        // the assignment is valid — but the interval must not publish a
-        // partition we know is partially degraded.
-        quarantine(StatusCodeKebab(refresh->stats.first_failure));
-        return;
-      }
-
-      auto ans = AverageNcutSilhouette(graph.adjacency(), *densities,
-                                       refresh->assignment);
-      if (!ans.ok()) {
-        quarantine(StatusCodeKebab(ans.status().code()));
-        return;
-      }
-      measured_ans = *ans;
-
-      // Align LAST among the failable steps: it mutates the tracker, and
-      // once it succeeds this interval's labels are adopted (the tracker
-      // advances even if the gate then withholds publication).
-      auto align = tracker.Align(refresh->assignment);
-      if (!align.ok()) {
-        quarantine(StatusCodeKebab(align.status().code()));
-        return;
-      }
-      aligned = std::move(align).value();
-      journal.tracker_reference = aligned;
+      journal.tracker_reference = step.assignment;
       journal.tracker_next_id = tracker.num_regions_seen();
 
       // --- Publication gate ---
@@ -369,19 +313,19 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
       }
       const bool have_baseline = journal.last_published_path != "-";
       if (have_baseline &&
-          measured_ans > journal.last_published_ans + options.ans_margin) {
+          step.ans > journal.last_published_ans + options.ans_margin) {
         degrade("ans-regression");
         return;
       }
       if (options.churn_ceiling > 0.0 &&
-          tracker.last_churn() > options.churn_ceiling) {
+          step.churn > options.churn_ceiling) {
         degrade("churn-ceiling");
         return;
       }
 
       // --- Publish ---
       const std::string snap_path = SnapshotPath(options.state_dir, t);
-      auto snapshot = Snapshot::Build(network, aligned);
+      auto snapshot = Snapshot::Build(network, step.assignment);
       Status publish = snapshot.ok() ? snapshot->Save(snap_path, options.retry)
                                      : snapshot.status();
       if (!publish.ok()) {
@@ -392,11 +336,11 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
       }
       entry.outcome = PipelineIntervalOutcome::kPublished;
       entry.reason = "none";
-      entry.ans = measured_ans;
-      entry.churn = tracker.last_churn();
+      entry.ans = step.ans;
+      entry.churn = step.churn;
       entry.snapshot_path = snap_path;
       journal.last_published_path = snap_path;
-      journal.last_published_ans = measured_ans;
+      journal.last_published_ans = step.ans;
 
       if (options.serve != nullptr) {
         const Status reload = options.serve->LoadSnapshot(snap_path);

@@ -6,7 +6,9 @@
 /// crash-resume.
 ///
 /// Where temporal/interval_driver runs the Section 6.4 incremental loop as
-/// one in-memory experiment, RunPipeline runs it as a SERVICE:
+/// one in-memory experiment, RunPipeline runs it as a SERVICE. Both run
+/// every interval through the same step (RefreshInterval: sanitize, bounded
+/// refresh retries, failed-region check, ANS, align); the pipeline adds:
 ///
 ///  - Per-interval isolation. Every way an interval can fail — poisoned
 ///    densities (density_sanitizer kReject), an eigensolver that refuses to

@@ -65,7 +65,6 @@
 #include "serve/serve_loop.h"
 #include "serve/snapshot.h"
 #include "serve/spatial_index.h"
-#include "temporal/evolution_analyzer.h"
 #include "temporal/interval_driver.h"
 #include "temporal/series_io.h"
 #include "temporal/snapshot_series.h"

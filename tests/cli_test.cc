@@ -28,6 +28,26 @@ int RunCli(const std::string& args) {
   return std::system(command.c_str());
 }
 
+// Runs `binary args` and returns what it wrote to file descriptor `fd` (1
+// or 2), discarding the other stream; the exit code lands in *code.
+std::string RunCapturing(const std::string& binary, const std::string& args,
+                         int fd, int* code) {
+  const std::string path = testing::TempDir() + "/cli_captured.txt";
+  const char* redirect = fd == 1 ? " 2> /dev/null > " : " > /dev/null 2> ";
+  const std::string command = binary + " " + args + redirect + path;
+  const int status = std::system(command.c_str());
+  *code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+std::string RunForStderr(const std::string& binary, const std::string& args,
+                         int* code) {
+  return RunCapturing(binary, args, 2, code);
+}
+
 bool FileNonEmpty(const std::string& path) {
   std::ifstream in(path);
   return in.good() && in.peek() != std::ifstream::traits_type::eof();
@@ -78,7 +98,28 @@ TEST_F(CliWorkflowTest, SeriesAndAnalyze) {
                    series + " " + net_ + " " + densities),
             0);
   EXPECT_TRUE(FileNonEmpty(series));
-  EXPECT_EQ(RunCli("analyze --scheme=ASG --k=3 " + net_ + " " + series), 0);
+  int code = -1;
+  const std::string out =
+      RunCapturing(RP_CLI_PATH,
+                   "analyze --scheme=ASG --k=3 " + net_ + " " + series, 1,
+                   &code);
+  EXPECT_EQ(code, 0);
+  // A header, one row per snapshot (a 600 s horizon in 200 s intervals:
+  // t = 200, 400, 600), then the regime summary.
+  std::vector<std::string> lines;
+  std::istringstream in(out);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 5u) << out;
+  EXPECT_NE(lines[0].find("mean_dens"), std::string::npos) << out;
+  for (int row = 1; row <= 3; ++row) {
+    double t = 0.0;
+    int k = 0;
+    ASSERT_EQ(std::sscanf(lines[row].c_str(), "%lf %d", &t, &k), 2) << out;
+    EXPECT_EQ(t, 200.0 * row);
+    EXPECT_EQ(k, 3);
+  }
+  EXPECT_EQ(lines[4].rfind("mean churn ", 0), 0u) << out;
+  EXPECT_NE(lines[4].find("; regime changes at:"), std::string::npos) << out;
   std::remove(series.c_str());
   std::remove(densities.c_str());
 }
@@ -93,20 +134,6 @@ TEST_F(CliWorkflowTest, BadInputsFailCleanly) {
   EXPECT_NE(RunCli("evaluate /no/such.net /no/such.csv"), 0);
   EXPECT_NE(RunCli("nonsense"), 0);
   EXPECT_NE(RunCli(""), 0);
-}
-
-// Runs `binary args` and returns its stderr; the exit code lands in *code.
-std::string RunForStderr(const std::string& binary, const std::string& args,
-                         int* code) {
-  const std::string err = testing::TempDir() + "/cli_stderr.txt";
-  const std::string command =
-      binary + " " + args + " > /dev/null 2> " + err;
-  const int status = std::system(command.c_str());
-  *code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  std::ifstream in(err);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 TEST(CliTest, ThreadsFlagMustFitInt) {

@@ -45,7 +45,9 @@ TEST(FaultInjectorTest, PickIndicesDeterministicSortedDistinct) {
   for (size_t i = 0; i < ia.size(); ++i) {
     EXPECT_GE(ia[i], 0);
     EXPECT_LT(ia[i], 100);
-    if (i > 0) EXPECT_LT(ia[i - 1], ia[i]);  // sorted, distinct
+    if (i > 0) {
+      EXPECT_LT(ia[i - 1], ia[i]);  // sorted, distinct
+    }
   }
   FaultInjector c(43);
   EXPECT_NE(c.PickIndices(100, 13), ia);  // different seed, different choice

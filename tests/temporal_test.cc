@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <limits>
 
+#include "common/durable_io.h"
 #include "common/fault_injection.h"
 #include "common/parallel.h"
 #include "netgen/grid_generator.h"
 #include "network/road_graph.h"
-#include "temporal/evolution_analyzer.h"
+#include "pipeline/controller.h"
 #include "temporal/interval_driver.h"
 #include "temporal/snapshot_series.h"
 #include "traffic/congestion_field.h"
@@ -61,7 +64,7 @@ TEST(SnapshotSeriesTest, PeakSnapshot) {
   EXPECT_EQ(series.PeakSnapshot(), 1);
 }
 
-// --- AnalyzeEvolution ---
+// --- Repeated full re-partitioning: a one-region DriveIntervals ---
 
 class EvolutionFixture : public ::testing::Test {
  protected:
@@ -74,84 +77,20 @@ class EvolutionFixture : public ::testing::Test {
     graph_ = RoadGraph::FromNetwork(network_);
   }
 
-  RoadNetwork network_;
-  RoadGraph graph_;
-};
-
-TEST_F(EvolutionFixture, StableFieldLowChurn) {
-  CongestionFieldOptions field_opt;
-  field_opt.num_hotspots = 3;
-  field_opt.voronoi_tiling = true;
-  field_opt.noise_fraction = 0.02;
-  field_opt.seed = 9;
-  CongestionField field(network_, field_opt);
-
-  SnapshotSeries series(network_.num_segments());
-  // Slowly varying phases -> the same spatial structure every snapshot.
-  for (int t = 0; t < 5; ++t) {
-    ASSERT_TRUE(series.Append(t * 120.0, field.DensitiesAt(0.3 + 0.005 * t))
-                    .ok());
+  // Full re-cut at every snapshot: one region (the whole network), every
+  // interval dirty, cold solves, abort on the first error.
+  static IntervalDriverOptions FullRecutOptions(Scheme scheme, int k) {
+    IntervalDriverOptions options;
+    options.initial.k = 1;
+    options.refresh.partitioner.scheme = scheme;
+    options.refresh.partitioner.k = k;
+    options.refresh.partitioner.seed = 3;
+    options.refresh.trigger_ratio = 0.0;
+    options.refresh.warm_start_embeddings = false;
+    options.strict = true;
+    return options;
   }
 
-  EvolutionOptions options;
-  options.partitioner.scheme = Scheme::kASG;
-  options.partitioner.k = 3;
-  options.partitioner.seed = 3;
-  auto result = AnalyzeEvolution(graph_, series, options);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->steps.size(), 5u);
-  EXPECT_LT(result->mean_churn, 0.35);
-  for (const auto& step : result->steps) {
-    EXPECT_EQ(step.k_final, 3);
-    EXPECT_EQ(step.assignment.size(),
-              static_cast<size_t>(network_.num_segments()));
-  }
-}
-
-TEST_F(EvolutionFixture, RegimeChangeDetected) {
-  CongestionFieldOptions before_opt;
-  before_opt.num_hotspots = 2;
-  before_opt.voronoi_tiling = true;
-  before_opt.noise_fraction = 0.02;
-  before_opt.seed = 11;
-  CongestionField before(network_, before_opt);
-  CongestionFieldOptions after_opt = before_opt;
-  after_opt.seed = 77;  // completely different hotspot geometry
-  CongestionField after(network_, after_opt);
-
-  SnapshotSeries series(network_.num_segments());
-  for (int t = 0; t < 4; ++t) {
-    ASSERT_TRUE(series.Append(t * 120.0, before.Densities()).ok());
-  }
-  for (int t = 4; t < 8; ++t) {
-    ASSERT_TRUE(series.Append(t * 120.0, after.Densities()).ok());
-  }
-
-  EvolutionOptions options;
-  options.partitioner.scheme = Scheme::kASG;
-  options.partitioner.k = 2;
-  options.partitioner.seed = 3;
-  options.regime_threshold = 0.2;
-  auto result = AnalyzeEvolution(graph_, series, options);
-  ASSERT_TRUE(result.ok());
-  // The flip at t = 4 must register as a regime change.
-  bool found = false;
-  for (int t : result->regime_changes) found |= (t == 4);
-  EXPECT_TRUE(found) << "regime changes: " << result->regime_changes.size();
-}
-
-TEST_F(EvolutionFixture, Validation) {
-  SnapshotSeries wrong(graph_.num_nodes() + 1);
-  EvolutionOptions options;
-  EXPECT_FALSE(AnalyzeEvolution(graph_, wrong, options).ok());
-  SnapshotSeries empty(graph_.num_nodes());
-  EXPECT_FALSE(AnalyzeEvolution(graph_, empty, options).ok());
-}
-
-// --- DriveIntervals failure containment ---
-
-class IntervalDriverFixture : public EvolutionFixture {
- protected:
   SnapshotSeries StableSeries(int snapshots) const {
     CongestionFieldOptions field_opt;
     field_opt.num_hotspots = 3;
@@ -160,13 +99,146 @@ class IntervalDriverFixture : public EvolutionFixture {
     field_opt.seed = 9;
     CongestionField field(network_, field_opt);
     SnapshotSeries series(network_.num_segments());
+    // Slowly varying phases -> the same spatial structure every snapshot.
     for (int t = 0; t < snapshots; ++t) {
       EXPECT_TRUE(
           series.Append(t * 120.0, field.DensitiesAt(0.3 + 0.005 * t)).ok());
     }
     return series;
   }
+
+  // Two hotspot regimes with completely different geometry; the flip lands
+  // at t = 4.
+  SnapshotSeries RegimeFlipSeries() const {
+    CongestionFieldOptions before_opt;
+    before_opt.num_hotspots = 2;
+    before_opt.voronoi_tiling = true;
+    before_opt.noise_fraction = 0.02;
+    before_opt.seed = 11;
+    CongestionField before(network_, before_opt);
+    CongestionFieldOptions after_opt = before_opt;
+    after_opt.seed = 77;
+    CongestionField after(network_, after_opt);
+    SnapshotSeries series(network_.num_segments());
+    for (int t = 0; t < 8; ++t) {
+      EXPECT_TRUE(series
+                      .Append(t * 120.0,
+                              t < 4 ? before.Densities() : after.Densities())
+                      .ok());
+    }
+    return series;
+  }
+
+  RoadNetwork network_;
+  RoadGraph graph_;
 };
+
+// FNV-1a over one step's aligned labels, k_final, ANS bits and churn bits.
+uint64_t StepFingerprint(const IntervalStep& step) {
+  uint64_t h = Fnv1a64(step.assignment.data(),
+                       step.assignment.size() * sizeof(int));
+  h = Fnv1a64(&step.k_final, sizeof(step.k_final), h);
+  h = Fnv1a64(&step.ans, sizeof(step.ans), h);
+  return Fnv1a64(&step.churn, sizeof(step.churn), h);
+}
+
+// The per-step fingerprints below were recorded from the former dedicated
+// full-re-cut loop (re-partition, align, ANS, churn per snapshot); the
+// one-region DriveIntervals must reproduce them bit for bit.
+void ExpectFingerprints(const IntervalDriveResult& result,
+                        const std::vector<uint64_t>& expected) {
+  ASSERT_EQ(result.steps.size(), expected.size());
+  for (size_t t = 0; t < expected.size(); ++t) {
+    EXPECT_TRUE(result.steps[t].ok()) << "step " << t;
+    EXPECT_EQ(StepFingerprint(result.steps[t]), expected[t]) << "step " << t;
+  }
+}
+
+TEST_F(EvolutionFixture, StableFieldLowChurn) {
+  const SnapshotSeries series = StableSeries(5);
+  auto result = DriveIntervals(graph_, series,
+                               FullRecutOptions(Scheme::kASG, /*k=*/3));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->steps.size(), 5u);
+  EXPECT_EQ(result->k_top, 1);
+  EXPECT_LT(FindRegimeChanges(result->steps, 0.25).mean_churn, 0.35);
+  for (const IntervalStep& step : result->steps) {
+    EXPECT_EQ(step.k_final, 3);
+    EXPECT_EQ(step.assignment.size(),
+              static_cast<size_t>(network_.num_segments()));
+  }
+  ExpectFingerprints(*result,
+                     {0xfea802b1529b0644ULL, 0x9cd4ed31dd83e422ULL,
+                      0xa3b602ec6296e5a4ULL, 0x004150d9515fc5daULL,
+                      0xe40a4d871513d8a2ULL});
+}
+
+TEST_F(EvolutionFixture, RegimeChangeDetected) {
+  const SnapshotSeries series = RegimeFlipSeries();
+  auto result = DriveIntervals(graph_, series,
+                               FullRecutOptions(Scheme::kASG, /*k=*/2));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // The flip at t = 4 must register as a regime change.
+  const RegimeChanges regimes = FindRegimeChanges(result->steps, 0.2);
+  bool found = false;
+  for (int t : regimes.indices) found |= (t == 4);
+  EXPECT_TRUE(found) << "regime changes: " << regimes.indices.size();
+  ExpectFingerprints(*result,
+                     {0x4ddccec72d2f487fULL, 0x4ddccec72d2f487fULL,
+                      0x4ddccec72d2f487fULL, 0x4ddccec72d2f487fULL,
+                      0x4be14c9ffe9c5a68ULL, 0xe22158ac2a69a401ULL,
+                      0xe22158ac2a69a401ULL, 0xe22158ac2a69a401ULL});
+}
+
+TEST_F(EvolutionFixture, FullRecutMatchesPinnedFingerprintsAG) {
+  const SnapshotSeries series = RegimeFlipSeries();
+  auto result = DriveIntervals(graph_, series,
+                               FullRecutOptions(Scheme::kAG, /*k=*/3));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(FindRegimeChanges(result->steps, 0.2).indices,
+            std::vector<int>{4});
+  ExpectFingerprints(*result,
+                     {0x8765018c9ab2a082ULL, 0x8765018c9ab2a082ULL,
+                      0x8765018c9ab2a082ULL, 0x8765018c9ab2a082ULL,
+                      0x827c1c118f0d13c6ULL, 0x3228fc26b8057c0eULL,
+                      0x3228fc26b8057c0eULL, 0x3228fc26b8057c0eULL});
+}
+
+TEST_F(EvolutionFixture, FullRecutMatchesPinnedFingerprintsNG) {
+  const SnapshotSeries series = StableSeries(5);
+  auto result = DriveIntervals(graph_, series,
+                               FullRecutOptions(Scheme::kNG, /*k=*/4));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(FindRegimeChanges(result->steps, 0.25).mean_churn, 0.0);
+  ExpectFingerprints(*result,
+                     {0x3975a524a85737beULL, 0xe7d968d1ca208980ULL,
+                      0x62bdd35204872014ULL, 0x0e1464a0c65004fcULL,
+                      0x9fd0a93c01efb816ULL});
+}
+
+TEST_F(EvolutionFixture, Validation) {
+  const IntervalDriverOptions options = FullRecutOptions(Scheme::kASG, 6);
+  SnapshotSeries wrong(graph_.num_nodes() + 1);
+  EXPECT_FALSE(DriveIntervals(graph_, wrong, options).ok());
+  SnapshotSeries empty(graph_.num_nodes());
+  EXPECT_FALSE(DriveIntervals(graph_, empty, options).ok());
+}
+
+TEST(RegimeChangesTest, SpikeOverThresholdAndTwiceRunningMean) {
+  std::vector<IntervalStep> steps(5);
+  const double churn[] = {0.9, 0.1, 0.1, 0.5, 0.3};  // step 0 is ignored
+  for (size_t t = 0; t < steps.size(); ++t) steps[t].churn = churn[t];
+  const RegimeChanges regimes = FindRegimeChanges(steps, 0.25);
+  // t=1: 0.1 under the threshold; t=3: 0.5 > 0.25 and > 2 * 0.7/3;
+  // t=4: 0.3 > 0.25 but not > 2 * 1.0/4.
+  EXPECT_EQ(regimes.indices, std::vector<int>{3});
+  EXPECT_DOUBLE_EQ(regimes.mean_churn, 0.25);
+  EXPECT_EQ(FindRegimeChanges({}, 0.25).mean_churn, 0.0);
+}
+
+// --- DriveIntervals failure containment ---
+
+using IntervalDriverFixture = EvolutionFixture;
 
 TEST_F(IntervalDriverFixture, FailedRegionRecutsIsolatePerStepNotPerSeries) {
   const SnapshotSeries series = StableSeries(4);
@@ -238,6 +310,62 @@ TEST_F(IntervalDriverFixture, SingleFaultedIntervalDoesNotPoisonTheSeries) {
     EXPECT_TRUE(step.ok()) << "interval " << t << ": " << step.error_message;
     EXPECT_GE(step.k_final, result->k_top);  // every region has >= 1 part
   }
+}
+
+// A dead sensor at interval 2: the NaN must be rejected by the shared
+// interval step in BOTH loops — recorded and carried over by DriveIntervals,
+// quarantined by RunPipeline — never adopted as an `ok` step with ANS = NaN.
+TEST_F(IntervalDriverFixture, NaNDensityIsRejectedByBothLoops) {
+  const SnapshotSeries clean = StableSeries(5);
+  SnapshotSeries poisoned(network_.num_segments());
+  for (int t = 0; t < clean.num_snapshots(); ++t) {
+    std::vector<double> densities = clean.densities(t);
+    if (t == 2) densities[3] = std::numeric_limits<double>::quiet_NaN();
+    ASSERT_TRUE(poisoned.Append(clean.timestamp(t), densities).ok());
+  }
+  IntervalDriverOptions options;
+  options.initial.scheme = Scheme::kASG;
+  options.initial.k = 3;
+  options.initial.seed = 3;
+  options.refresh.partitioner.scheme = Scheme::kAG;
+  options.refresh.partitioner.k = 2;
+  options.refresh.partitioner.seed = 3;
+  options.refresh.trigger_ratio = 0.05;
+
+  auto result = DriveIntervals(graph_, poisoned, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->steps.size(), 5u);
+  const IntervalStep& bad = result->steps[2];
+  EXPECT_EQ(bad.error_code, StatusCode::kInvalidArgument);
+  EXPECT_FALSE(bad.refreshed);  // rejected before the engine saw it
+  EXPECT_EQ(bad.assignment, result->steps[1].assignment);
+  EXPECT_EQ(bad.k_final, result->steps[1].k_final);
+  EXPECT_EQ(bad.ans, result->steps[1].ans);
+  EXPECT_EQ(bad.churn, 0.0);
+  for (int t : {0, 1, 3, 4}) {
+    const IntervalStep& step = result->steps[t];
+    EXPECT_TRUE(step.ok()) << "interval " << t << ": " << step.error_message;
+    EXPECT_TRUE(std::isfinite(step.ans)) << "interval " << t;
+  }
+
+  PipelineOptions pipeline;
+  pipeline.driver = options;
+  pipeline.state_dir = testing::TempDir() + "/temporal_nan_pipeline";
+  std::filesystem::remove_all(pipeline.state_dir);
+  pipeline.ans_margin = 1e6;  // only the NaN may keep an interval back
+  pipeline.churn_ceiling = 1.5;
+  pipeline.retry.sleep = [](double) {};
+  auto run = RunPipeline(network_, poisoned, pipeline);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run->journal.entries.size(), 5u);
+  for (int t = 0; t < 5; ++t) {
+    const PipelineJournalEntry& entry = run->journal.entries[t];
+    EXPECT_EQ(entry.outcome, t == 2 ? PipelineIntervalOutcome::kQuarantined
+                                    : PipelineIntervalOutcome::kPublished)
+        << "interval " << t;
+  }
+  EXPECT_EQ(run->journal.entries[2].reason, "invalid-argument");
+  std::filesystem::remove_all(pipeline.state_dir);
 }
 
 }  // namespace

@@ -386,24 +386,33 @@ int CmdAnalyze(const FlagParser& flags) {
   if (!series.ok()) return Fail(series.status());
   RoadGraph rg = RoadGraph::FromNetwork(*net);
 
-  EvolutionOptions options;
-  options.partitioner.scheme = *scheme;
-  options.partitioner.k = static_cast<int>(*k);
-  options.partitioner.seed = static_cast<uint64_t>(*seed);
-  auto result = AnalyzeEvolution(rg, *series, options);
+  // Repeated full re-partitioning: one region (the whole network) re-cut
+  // at every snapshot, cold, aborting on the first error.
+  IntervalDriverOptions options;
+  options.initial.k = 1;
+  options.refresh.partitioner.scheme = *scheme;
+  options.refresh.partitioner.k = static_cast<int>(*k);
+  options.refresh.partitioner.seed = static_cast<uint64_t>(*seed);
+  options.refresh.trigger_ratio = 0.0;
+  options.refresh.warm_start_embeddings = false;
+  options.strict = true;
+  auto result = DriveIntervals(rg, *series, options);
   if (!result.ok()) return Fail(result.status());
+  const RegimeChanges regimes =
+      FindRegimeChanges(result->steps, /*threshold=*/0.25);
 
   std::printf("%10s %8s %10s %8s %8s %8s\n", "t(s)", "k", "mean_dens",
               "ANS", "churn", "sec");
-  for (const EvolutionStep& step : result->steps) {
+  for (int t = 0; t < series->num_snapshots(); ++t) {
+    const IntervalStep& step = result->steps[t];
     std::printf("%10.0f %8d %10.5f %8.4f %7.1f%% %8.3f\n",
-                step.timestamp_seconds, step.k_final, step.mean_density,
+                step.timestamp_seconds, step.k_final, series->MeanDensity(t),
                 step.ans, 100.0 * step.churn, step.seconds);
   }
-  std::printf("mean churn %.1f%%; regime changes at:", 
-              100.0 * result->mean_churn);
-  if (result->regime_changes.empty()) std::printf(" (none)");
-  for (int t : result->regime_changes) std::printf(" t=%d", t);
+  std::printf("mean churn %.1f%%; regime changes at:",
+              100.0 * regimes.mean_churn);
+  if (regimes.indices.empty()) std::printf(" (none)");
+  for (int t : regimes.indices) std::printf(" t=%d", t);
   std::printf("\n");
   return 0;
 }
