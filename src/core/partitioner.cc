@@ -173,6 +173,16 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
   }
   const RoadGraph& graph = *active;
 
+  // One region is the whole graph: no mining, no cut, nothing to
+  // checkpoint. Its objective is 0 under every method (no edge is cut).
+  if (k == 1) {
+    outcome.assignment.assign(graph.num_nodes(), 0);
+    outcome.k_final = 1;
+    outcome.k_prime = 1;
+    outcome.diagnostics.warnings = repairs.warnings;
+    return outcome;
+  }
+
   // Checkpoint store, keyed to the *input* graph (pre-sanitization) so the
   // manifest identifies what the caller handed us; a resumed run reruns the
   // (cheap, deterministic) sanitization itself and re-derives its warnings.

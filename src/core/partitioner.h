@@ -32,7 +32,10 @@ const char* SchemeName(Scheme scheme);
 /// End-to-end framework configuration.
 struct PartitionerOptions {
   Scheme scheme = Scheme::kASG;
-  int k = 6;  ///< desired number of partitions
+  /// Desired number of partitions. k = 1 returns the one all-zero region
+  /// with objective 0 right after density sanitization: no mining, no
+  /// solve, no checkpoint stage.
+  int k = 6;
   SupergraphMinerOptions miner;           ///< module 2 (supergraph schemes)
   SpectralOptions spectral;               ///< eigensolver policy
   KMeansOptions kmeans;                   ///< embedding clustering

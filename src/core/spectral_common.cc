@@ -107,59 +107,52 @@ Result<DenseMatrix> ExtremeEigenvectors(const LinearOperator& op, int k,
   }
 
   // Rung 1: Lanczos as configured.
-  RP_ASSIGN_OR_RETURN(EigenResult eig,
-                      LanczosEigen(op, k, end, options.lanczos));
-  int restarts = eig.restarts_used;
-  if (eig.converged) {
-    record(SolveRecord(SolverPath::kLanczosFirstTry, restarts,
+  const LanczosOptions& lanczos = options.lanczos;
+  LanczosSolver solver(op, k, end, lanczos);
+  RP_RETURN_IF_ERROR(solver.Run(lanczos.max_subspace, lanczos.max_restarts));
+  if (solver.converged()) {
+    RP_ASSIGN_OR_RETURN(EigenResult eig, solver.Eigenpairs());
+    record(SolveRecord(SolverPath::kLanczosFirstTry, eig.restarts_used,
                        eig.max_residual, true));
     return std::move(eig.eigenvectors);
   }
   const NonConvergencePolicy policy = options.on_nonconvergence;
   if (policy == NonConvergencePolicy::kFail) {
-    record(SolveRecord(SolverPath::kLanczosFirstTry, restarts,
-                       eig.max_residual, false));
+    record(SolveRecord(SolverPath::kLanczosFirstTry, solver.restarts_used(),
+                       solver.max_residual(), false));
     return Status::NotConverged(StrPrintf(
         "Lanczos did not converge (n=%d, k=%d, max Ritz residual %.3e, "
         "%d restarts); policy=fail",
-        n, k, eig.max_residual, restarts));
+        n, k, solver.max_residual(), solver.restarts_used()));
   }
 
-  // Rung 2: tightened retry — doubled subspace budget, one extra restart,
-  // and a fresh (still deterministic) start vector so a start direction that
-  // was accidentally deficient in the target eigenspace cannot fail twice.
-  LanczosOptions retry = options.lanczos;
-  retry.max_subspace = std::min(n, std::max(2 * retry.max_subspace,
-                                            retry.max_subspace + 100));
-  retry.max_restarts = retry.max_restarts + 1;
-  retry.seed = retry.seed ^ 0x5DEECE66DULL;
-  // A warm start that reached this rung did not help; drop it so the retry
-  // explores from the fresh seeded direction (the PR-3 ladder unchanged).
-  retry.warm_start = nullptr;
-  RP_ASSIGN_OR_RETURN(EigenResult eig2, LanczosEigen(op, k, end, retry));
-  restarts += 1 + eig2.restarts_used;  // the retry itself counts as a restart
-  if (eig2.converged) {
-    record(SolveRecord(SolverPath::kLanczosRetry, restarts, eig2.max_residual,
+  // Rung 2: resume the same factorization past the configured budget, to
+  // twice it (at least 100 rows more), with one extra checkpoint. Rung 1's
+  // rows are kept, so this rung costs only the rows it adds.
+  const int budget = std::min(n, std::max(2 * lanczos.max_subspace,
+                                          lanczos.max_subspace + 100));
+  RP_RETURN_IF_ERROR(solver.Run(budget, lanczos.max_restarts + 1));
+  const int restarts = solver.restarts_used();
+  if (solver.converged()) {
+    RP_ASSIGN_OR_RETURN(EigenResult eig, solver.Eigenpairs());
+    record(SolveRecord(SolverPath::kLanczosRetry, restarts, eig.max_residual,
                        true));
-    return std::move(eig2.eigenvectors);
+    return std::move(eig.eigenvectors);
   }
-  // Keep the better of the two non-converged estimates for best-effort.
-  EigenResult& best = eig2.max_residual < eig.max_residual ? eig2 : eig;
+  const double residual = solver.max_residual();
   if (policy == NonConvergencePolicy::kRetry) {
-    record(SolveRecord(SolverPath::kLanczosRetry, restarts, best.max_residual,
-                       false));
+    record(SolveRecord(SolverPath::kLanczosRetry, restarts, residual, false));
     return Status::NotConverged(StrPrintf(
-        "Lanczos did not converge after tightened retry (n=%d, k=%d, best "
-        "max Ritz residual %.3e, %d restarts); policy=retry",
-        n, k, best.max_residual, restarts));
+        "Lanczos did not converge after resuming to %d rows (n=%d, k=%d, "
+        "best max Ritz residual %.3e, %d restarts); policy=retry",
+        budget, n, k, residual, restarts));
   }
 
   // Rung 3: exact dense decomposition, when the order permits materializing
   // the operator.
   if (n <= options.dense_fallback_max) {
-    RP_LOG(Warning) << "Lanczos failed to converge (residual "
-                    << best.max_residual << "); falling back to dense solve"
-                    << " of order " << n;
+    RP_LOG(Warning) << "Lanczos failed to converge (residual " << residual
+                    << "); falling back to dense solve of order " << n;
     DenseMatrix dense = Materialize(op);
     RP_ASSIGN_OR_RETURN(EigenResult full, SymmetricEigenDecompose(dense));
     record(SolveRecord(SolverPath::kDenseFallback, restarts,
@@ -167,20 +160,18 @@ Result<DenseMatrix> ExtremeEigenvectors(const LinearOperator& op, int k,
     return SelectExtremeColumns(full, n, k, end);
   }
   if (policy == NonConvergencePolicy::kBestEffort) {
-    RP_LOG(Warning) << "Lanczos failed to converge (residual "
-                    << best.max_residual << ", n=" << n
-                    << " too large for dense fallback); accepting "
-                    << "best-effort estimate";
-    record(SolveRecord(SolverPath::kBestEffort, restarts, best.max_residual,
-                       false));
+    RP_LOG(Warning) << "Lanczos failed to converge (residual " << residual
+                    << ", n=" << n << " too large for dense fallback); "
+                    << "accepting best-effort estimate";
+    RP_ASSIGN_OR_RETURN(EigenResult best, solver.Eigenpairs());
+    record(SolveRecord(SolverPath::kBestEffort, restarts, residual, false));
     return std::move(best.eigenvectors);
   }
-  record(SolveRecord(SolverPath::kLanczosRetry, restarts, best.max_residual,
-                     false));
+  record(SolveRecord(SolverPath::kLanczosRetry, restarts, residual, false));
   return Status::NotConverged(StrPrintf(
       "Lanczos did not converge and n=%d exceeds dense_fallback_max=%d "
       "(best max Ritz residual %.3e, %d restarts); policy=dense",
-      n, options.dense_fallback_max, best.max_residual, restarts));
+      n, options.dense_fallback_max, residual, restarts));
 }
 
 Result<DenseMatrix> RowNormalize(const DenseMatrix& y) {

@@ -15,8 +15,8 @@ namespace roadpart {
 /// without converging (the fallback ladder of the numerical resilience
 /// layer). Every policy except kFail first climbs the ladder's retry rung.
 enum class NonConvergencePolicy {
-  kFail,           ///< no ladder: NotConverged immediately
-  kRetry,          ///< tightened Lanczos retry, then NotConverged
+  kFail,           ///< no ladder: NotConverged at the configured budget
+  kRetry,          ///< resume Lanczos past the budget, then NotConverged
   kFallbackDense,  ///< retry, then dense solve when n permits, else NotConverged
   kBestEffort,     ///< full ladder, then accept the best estimate with a warning
 };
@@ -29,7 +29,7 @@ enum class SolverPath {
   kNone = 0,         ///< no solve recorded yet
   kDense,            ///< primary dense solve (n <= dense_threshold)
   kLanczosFirstTry,  ///< Lanczos converged as configured
-  kLanczosRetry,     ///< tightened-parameter Lanczos retry converged
+  kLanczosRetry,     ///< converged after resuming past the configured budget
   kDenseFallback,    ///< dense solve after both Lanczos rungs failed
   kBestEffort,       ///< non-converged estimate accepted under kBestEffort
 };
@@ -68,10 +68,13 @@ struct SpectralOptions {
 /// k eigenvectors at the chosen end of a symmetric operator's spectrum, as
 /// the columns of an n x k matrix (ascending eigenvalue order). Runs the
 /// non-convergence fallback ladder of `options.on_nonconvergence`:
-/// Lanczos -> tightened Lanczos retry (doubled subspace, fresh seeded start)
-/// -> dense solve when the order permits -> NotConverged with residual
-/// diagnostics (or a best-effort accept). `diagnostics`, when given,
-/// receives the path taken, restart count and worst Ritz residual.
+/// Lanczos to the configured budget -> the same factorization resumed to
+/// twice that budget (at least 100 rows more) with one extra checkpoint ->
+/// dense solve when the order permits -> NotConverged with residual
+/// diagnostics (or a best-effort accept of the best checkpoint's estimate).
+/// `diagnostics`, when given, receives the path taken, restart count
+/// (checkpoints after the first, both Lanczos rungs together) and worst Ritz
+/// residual.
 Result<DenseMatrix> ExtremeEigenvectors(const LinearOperator& op, int k,
                                         SpectrumEnd end,
                                         const SpectralOptions& options,

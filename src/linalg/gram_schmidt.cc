@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "common/check.h"
 #include "common/parallel.h"
 
 namespace roadpart {
@@ -18,7 +19,7 @@ constexpr int64_t kElementGrain = 4096;  // elements per update task
 // Basis rows per micro-kernel call: eight rows keep four two-lane
 // projection sums in flight, and each element of w is loaded and stored once
 // per eight updates.
-constexpr int kBlockRows = 8;
+constexpr int kBlockRows = kGramSchmidtBlockRows;
 
 // Two doubles, one per lane. Lane arithmetic is scalar IEEE double
 // arithmetic (no FMA: a product is rounded before it is added), so each lane
@@ -123,26 +124,27 @@ int64_t ProjectionRowsPerTask(int n) {
                       kBlockRows * kBlockRows);
 }
 
-const double* Row(const double* basis, int64_t j, int64_t n) {
-  return basis + j * n;
-}
-
 }  // namespace
 
-void GramSchmidtPass(const double* basis, int m, int n, double* w,
-                     double* h) {
+void GramSchmidtPass(const double* const* chunks, int chunk_rows, int m,
+                     int n, double* w, double* h) {
+  // Blocks start at multiples of kBlockRows, and so never straddle a chunk.
+  RP_DCHECK(chunk_rows > 0 && chunk_rows % kBlockRows == 0);
+  auto row = [&](int64_t j) {
+    return chunks[j / chunk_rows] + (j % chunk_rows) * n;
+  };
   ParallelForBlocked(
       m, ProjectionRowsPerTask(n), [&](int64_t begin, int64_t end) {
         for (int64_t j = begin; j < end; j += kBlockRows) {
           const int rows = static_cast<int>(std::min<int64_t>(kBlockRows,
                                                               end - j));
-          ProjectBlock(Row(basis, j, n), rows, n, w, h + j);
+          ProjectBlock(row(j), rows, n, w, h + j);
         }
       });
   ParallelForBlocked(n, kElementGrain, [&](int64_t begin, int64_t end) {
     for (int j = 0; j < m; j += kBlockRows) {
       const int rows = std::min(kBlockRows, m - j);
-      SubtractBlock(Row(basis, j, n), rows, n, h + j, w, begin, end);
+      SubtractBlock(row(j), rows, n, h + j, w, begin, end);
     }
   });
 }

@@ -31,35 +31,47 @@ double SerialDot(const double* a, const double* b, int n) {
   return acc;
 }
 
+// Basis rows per storage chunk. Growth allocates whole chunks and never
+// moves a row, so no two copies of the basis coexist; chunks are left
+// uninitialized, so pages are only touched as rows are written.
+constexpr int kChunkRows = 8 * kGramSchmidtBlockRows;
+
+}  // namespace
+
 // A Lanczos factorization A V^T = V^T T + beta_m v_{m+1} e_m^T with full
-// reorthogonalization, grown in place. The basis rows v_1..v_m form one
-// contiguous row-major block; T has diagonal `alpha` and couplings `beta`,
+// reorthogonalization, grown in place. The basis rows v_1..v_m are row-major
+// in chunks of kChunkRows rows; T has diagonal `alpha` and couplings `beta`,
 // where beta[j] couples rows j and j+1 and beta[m-1] is the trailing beta_m
 // of the residual estimates. `residual` is beta_m v_{m+1}, kept so growth
 // resumes where a checkpoint stopped it. Any prefix of the first m' rows is
 // itself the factorization a build stopped at m' would have produced.
-struct KrylovFactorization {
+struct LanczosSolver::Factorization {
   int n = 0;
-  std::vector<double> basis;
+  int rows = 0;  // basis rows; alpha/beta trail by one inside a step
+  std::vector<std::unique_ptr<double[]>> chunks;
+  std::vector<double*> chunk_data;  // chunks[c].get(), for Gram-Schmidt
   std::vector<double> alpha;
   std::vector<double> beta;
   std::vector<double> residual;
   std::vector<double> h;  // projection coefficients, scratch
   bool exhausted = false;  // the basis spans the whole space
 
+  Factorization(int order, std::vector<double> start)
+      : n(order), residual(std::move(start)) {}
+
   int size() const { return static_cast<int>(alpha.size()); }
   const double* row(int j) const {
-    return basis.data() + static_cast<size_t>(j) * n;
+    return chunk_data[j / kChunkRows] + static_cast<size_t>(j % kChunkRows) * n;
   }
 
   // residual -= V V^T residual: classical Gram-Schmidt against every row,
   // repeated once under the DGKS test. Returns the resulting norm.
   double Orthogonalize() {
-    const int m = static_cast<int>(basis.size() / n);
-    h.resize(m);
+    h.resize(rows);
     double norm = std::sqrt(SerialDot(residual.data(), residual.data(), n));
     for (int pass = 0; pass < 2; ++pass) {
-      GramSchmidtPass(basis.data(), m, n, residual.data(), h.data());
+      GramSchmidtPass(chunk_data.data(), kChunkRows, rows, n, residual.data(),
+                      h.data());
       const double projected =
           std::sqrt(SerialDot(residual.data(), residual.data(), n));
       const bool enough = projected >= kDgksRatio * norm;
@@ -95,17 +107,22 @@ struct KrylovFactorization {
         return false;
       }
     }
+    if (rows == static_cast<int>(chunks.size()) * kChunkRows) {
+      chunks.emplace_back(new double[static_cast<size_t>(kChunkRows) * n]);
+      chunk_data.push_back(chunks.back().get());
+    }
+    double* next =
+        chunk_data.back() + static_cast<size_t>(rows % kChunkRows) * n;
     const double inv = 1.0 / norm;
-    const size_t offset = basis.size();
-    basis.resize(offset + n);
-    for (int i = 0; i < n; ++i) basis[offset + i] = residual[i] * inv;
+    for (int i = 0; i < n; ++i) next[i] = residual[i] * inv;
+    ++rows;
     return true;
   }
 
   // One Lanczos step on the newest basis row v_j: alpha_j, then the
   // reorthogonalized residual and its norm beta_j.
   void Step(const LinearOperator& op) {
-    const int j = static_cast<int>(basis.size() / n) - 1;
+    const int j = rows - 1;
     const double* v = row(j);
     op.Apply(v, residual.data());
     if (j > 0) {
@@ -125,19 +142,12 @@ struct KrylovFactorization {
   }
 
   // Grows the factorization to `m_target` rows, or fewer when exhausted.
-  // Capacity grows with the target, never to the cap up front.
   void GrowTo(const LinearOperator& op, int m_target, Rng& rng) {
-    basis.reserve(static_cast<size_t>(m_target) * n);
     while (size() < m_target && !exhausted && AppendNextRow(rng)) Step(op);
   }
 };
 
-KrylovFactorization StartFactorization(int n, std::vector<double> start) {
-  KrylovFactorization kf;
-  kf.n = n;
-  kf.residual = std::move(start);
-  return kf;
-}
+namespace {
 
 std::vector<double> RandomStart(int n, Rng& rng) {
   std::vector<double> v(n);
@@ -165,8 +175,8 @@ struct Checkpoint {
   bool converged = false;
 };
 
-Result<Checkpoint> CheckConvergence(const KrylovFactorization& kf, int k,
-                                    SpectrumEnd end, double tolerance,
+Result<Checkpoint> CheckConvergence(const LanczosSolver::Factorization& kf,
+                                    int k, SpectrumEnd end, double tolerance,
                                     bool forced_nonconvergence) {
   const int m = kf.size();
   if (m < k) return Status::Internal("Krylov subspace smaller than k");
@@ -196,7 +206,7 @@ Result<Checkpoint> CheckConvergence(const KrylovFactorization& kf, int k,
 // Ritz vectors x = V_m^T y of the first m rows for the given Ritz values,
 // with y from inverse iteration on T_m, as the unit columns of an n x k
 // matrix.
-Result<DenseMatrix> RitzVectors(const KrylovFactorization& kf, int m,
+Result<DenseMatrix> RitzVectors(const LanczosSolver::Factorization& kf, int m,
                                 const std::vector<double>& ritz_values) {
   const int n = kf.n;
   const int k = static_cast<int>(ritz_values.size());
@@ -230,78 +240,90 @@ Result<DenseMatrix> RitzVectors(const KrylovFactorization& kf, int m,
 
 }  // namespace
 
-Result<EigenResult> LanczosEigen(const LinearOperator& op, int k,
-                                 SpectrumEnd end,
-                                 const LanczosOptions& options) {
+LanczosSolver::LanczosSolver(const LinearOperator& op, int k, SpectrumEnd end,
+                             const LanczosOptions& options)
+    : op_(op),
+      k_(k),
+      end_(end),
+      tolerance_(options.tolerance),
+      rng_(options.seed),
+      warm_(UsableWarmStart(options.warm_start, op.Dim())),
+      next_target_(std::max(3 * k + 20, 60)) {
   const int n = op.Dim();
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  if (k > n) {
-    return Status::InvalidArgument(
-        StrPrintf("k=%d exceeds operator order %d", k, n));
-  }
+  kf_ = std::make_unique<Factorization>(
+      n, warm_ ? *options.warm_start : RandomStart(n, rng_));
+  best_.converged = false;
+  best_.max_residual = HUGE_VAL;
+}
 
-  Rng rng(options.seed);
-  int m_target = std::min(n, std::max({3 * k + 20, 60}));
+LanczosSolver::~LanczosSolver() = default;
+
+Status LanczosSolver::Run(int budget, int max_restarts) {
+  const int n = op_.Dim();
+  if (k_ <= 0) return Status::InvalidArgument("k must be positive");
+  if (k_ > n) {
+    return Status::InvalidArgument(
+        StrPrintf("k=%d exceeds operator order %d", k_, n));
+  }
+  const int cap = std::min(budget, n);
 
   // Armed by tests to simulate an operator whose spectrum defeats the
-  // iteration: the best Ritz estimates are still assembled, but the call
-  // refuses to declare convergence, exercising the caller's fallback ladder.
-  // One query per LanczosEigen call keeps arming counts predictable.
+  // iteration: the best Ritz estimates are still assembled, but no
+  // checkpoint of this call may declare convergence, exercising the caller's
+  // fallback ladder. One query per Run call keeps arming counts predictable.
   const bool forced_nonconvergence =
       RP_FAULT_FIRES(FaultSite::kLanczosNonConvergence);
 
-  // The best checkpoint so far. Its Ritz vectors are built once, at the end,
-  // from the factorization prefix of `best_m` rows; best_m == 0 means they
-  // are already in best.eigenvectors (or no checkpoint ran yet).
-  EigenResult best;
-  best.converged = false;
-  best.max_residual = HUGE_VAL;
-  int best_m = 0;
-  int restarts_used = 0;
-
-  bool warm = UsableWarmStart(options.warm_start, n);
-  KrylovFactorization kf = StartFactorization(
-      n, warm ? *options.warm_start : RandomStart(n, rng));
-
-  for (int checkpoint = 0; checkpoint <= options.max_restarts; ++checkpoint) {
-    restarts_used = checkpoint;
-    const int m_max = std::min({m_target, options.max_subspace, n});
-    kf.GrowTo(op, m_max, rng);
-    RP_ASSIGN_OR_RETURN(Checkpoint cp,
-                        CheckConvergence(kf, k, end, options.tolerance,
-                                         forced_nonconvergence));
-    if (cp.worst_residual < best.max_residual || cp.converged) {
-      best.eigenvalues = std::move(cp.ritz_values);
-      best.max_residual = cp.worst_residual;
-      best.converged = cp.converged;
-      best_m = kf.size();
-    }
-
-    if (best.converged) break;
-    if (m_max >= std::min(n, options.max_subspace)) break;
-    m_target = std::min({2 * m_target, options.max_subspace, n});
-    if (warm) {
+  for (int checkpoint = 0; checkpoint <= max_restarts; ++checkpoint) {
+    if (warm_ && checkpoints_ > 0) {
       // A warm-started factorization that missed its first checkpoint is
-      // discarded once, and the rest of the ladder grows a cold one from the
+      // discarded once, and the solve goes on with a cold one from the
       // seeded rng, so a misleading warm vector costs one checkpoint.
-      RP_ASSIGN_OR_RETURN(best.eigenvectors,
-                          RitzVectors(kf, best_m, best.eigenvalues));
-      best_m = 0;
-      kf = StartFactorization(n, RandomStart(n, rng));
-      warm = false;
+      RP_ASSIGN_OR_RETURN(best_.eigenvectors,
+                          RitzVectors(*kf_, best_m_, best_.eigenvalues));
+      best_m_ = 0;
+      kf_ = std::make_unique<Factorization>(n, RandomStart(n, rng_));
+      warm_ = false;
     }
+    const int m = std::min(next_target_, cap);
+    kf_->GrowTo(op_, m, rng_);
+    RP_ASSIGN_OR_RETURN(Checkpoint cp,
+                        CheckConvergence(*kf_, k_, end_, tolerance_,
+                                         forced_nonconvergence));
+    ++checkpoints_;
+    if (cp.worst_residual < best_.max_residual || cp.converged) {
+      best_.eigenvalues = std::move(cp.ritz_values);
+      best_.max_residual = cp.worst_residual;
+      best_.converged = cp.converged;
+      best_m_ = kf_->size();
+    }
+    // A checkpoint clamped to the budget keeps its target for the next call.
+    if (m == next_target_) next_target_ *= 2;
+    if (best_.converged || m == cap) break;
   }
-  if (best_m > 0) {
-    RP_ASSIGN_OR_RETURN(best.eigenvectors,
-                        RitzVectors(kf, best_m, best.eigenvalues));
-  }
+  return Status::OK();
+}
 
-  best.restarts_used = restarts_used;
-  if (!best.converged) {
-    RP_LOG(Warning) << "Lanczos did not fully converge; max residual "
-                    << best.max_residual;
+Result<EigenResult> LanczosSolver::Eigenpairs() const {
+  EigenResult result = best_;
+  if (best_m_ > 0) {
+    RP_ASSIGN_OR_RETURN(result.eigenvectors,
+                        RitzVectors(*kf_, best_m_, best_.eigenvalues));
   }
-  return best;
+  result.restarts_used = restarts_used();
+  return result;
+}
+
+Result<EigenResult> LanczosEigen(const LinearOperator& op, int k,
+                                 SpectrumEnd end,
+                                 const LanczosOptions& options) {
+  LanczosSolver solver(op, k, end, options);
+  RP_RETURN_IF_ERROR(solver.Run(options.max_subspace, options.max_restarts));
+  if (!solver.converged()) {
+    RP_LOG(Warning) << "Lanczos did not fully converge; max residual "
+                    << solver.max_residual();
+  }
+  return solver.Eigenpairs();
 }
 
 }  // namespace roadpart

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "cluster/kmeans1d.h"
-#include "cluster/kmeans1d_dp.h"
+#include "kmeans1d_dp.h"
 #include "common/rng.h"
 
 namespace roadpart {

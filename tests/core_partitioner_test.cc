@@ -5,10 +5,12 @@
 #include <memory>
 #include <set>
 
+#include "common/durable_io.h"
 #include "core/partitioner.h"
 #include "core/supergraph_miner.h"
 #include "metrics/partition_metrics.h"
 #include "metrics/validity.h"
+#include "netgen/city_generator.h"
 #include "netgen/grid_generator.h"
 #include "traffic/congestion_field.h"
 
@@ -222,6 +224,74 @@ TEST(PartitionerTest, RoadGraphFallbackRefinesLikeAG) {
   EXPECT_NE(ag_refined->assignment, ag->assignment);
   EXPECT_EQ(asg_refined->assignment, ag_refined->assignment);
   EXPECT_EQ(asg_refined->objective, ag_refined->objective);
+}
+
+// perfbench's cut-ag input: an 800-segment generated city under a
+// 4-hotspot Voronoi-tiled congestion field.
+RoadNetwork AgBenchCity() {
+  CityOptions city;
+  city.num_intersections = 470;
+  city.target_segments = 800;
+  city.area_sq_miles = 3.1;
+  city.seed = 1;
+  RoadNetwork net = GenerateCityNetwork(city).value();
+  CongestionFieldOptions field;
+  field.num_hotspots = 4;
+  field.voronoi_tiling = true;
+  field.seed = 1001;
+  EXPECT_TRUE(net.SetDensities(CongestionField(net, field).Densities()).ok());
+  return net;
+}
+
+// The cut-ag benchmark op, pinned: AG k=6 misses tolerance at the 400-row
+// Lanczos budget and converges on the retry rung. The labels are
+// fingerprinted as perfbench does (FNV-1a over the int label bytes), so a
+// change to them shows up here without running the benchmark.
+TEST(PartitionerTest, BenchmarkAgCityLabelsArePinned) {
+  const RoadNetwork net = AgBenchCity();
+  ASSERT_EQ(net.num_segments(), 800);
+  for (int threads : {1, 2, 4, 8}) {
+    PartitionerOptions options;
+    options.scheme = Scheme::kAG;
+    options.k = 6;
+    options.num_threads = threads;
+    auto outcome = Partitioner(options).PartitionNetwork(net);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    const std::vector<int>& labels = outcome->assignment;
+    EXPECT_EQ(Fnv1a64(labels.data(), labels.size() * sizeof(int)),
+              0xf77ee041a81f7a24ULL)
+        << "threads=" << threads;
+    EXPECT_EQ(outcome->k_final, 6);
+    EXPECT_EQ(outcome->k_prime, 7);
+    EXPECT_EQ(outcome->diagnostics.eigen.solver_path,
+              SolverPath::kLanczosRetry);
+    EXPECT_TRUE(outcome->diagnostics.eigen.all_converged);
+  }
+}
+
+// k = 1 is the whole network as one region, for every scheme: nothing is
+// mined or solved, and the objective is 0 (no edge is cut).
+TEST(PartitionerTest, OneRegionSkipsMiningAndTheCut) {
+  RoadNetwork net = GenerateDataset(DatasetPreset::kD1, 5).value();
+  CongestionField field(net, CongestionFieldOptions{});
+  ASSERT_TRUE(net.SetDensities(field.Densities()).ok());
+  for (Scheme scheme : {Scheme::kASG, Scheme::kAG, Scheme::kNSG,
+                        Scheme::kJiGeroliminis}) {
+    PartitionerOptions options;
+    options.scheme = scheme;
+    options.k = 1;
+    auto outcome = Partitioner(options).PartitionNetwork(net);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome->assignment,
+              std::vector<int>(net.num_segments(), 0));
+    EXPECT_EQ(outcome->k_final, 1);
+    EXPECT_EQ(outcome->k_prime, 1);
+    EXPECT_EQ(outcome->objective, 0.0);
+    EXPECT_EQ(outcome->num_supernodes, 0);
+    EXPECT_TRUE(outcome->mining_report.kappas.empty());
+    EXPECT_EQ(outcome->diagnostics.eigen.solves, 0);
+    EXPECT_TRUE(outcome->diagnostics.warnings.empty());
+  }
 }
 
 }  // namespace

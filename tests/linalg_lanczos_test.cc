@@ -7,6 +7,7 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/spectral_common.h"
 #include "linalg/gram_schmidt.h"
 #include "linalg/lanczos.h"
 #include "linalg/linear_operator.h"
@@ -254,6 +255,48 @@ TEST(LanczosTest, WarmStartOrthogonalToTargetStillConverges) {
   EXPECT_EQ(op.applies(), 60 + cold);
 }
 
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(LanczosTest, RetryRungResumesTheMissedFactorization) {
+  // A 100-row budget genuinely misses tolerance on this clustered spectrum
+  // (no fault injection): rung 1 checks at 60 and 100 rows. The retry rung
+  // resumes that factorization on the doubling schedule, checking at 120
+  // rows and converging at its 200-row budget. Its vectors are those of one
+  // 200-row-budget solve from the same seed (checkpoints 60, 120, 200), and
+  // the operator runs once per row of that factorization.
+  const int n = 600;
+  const int k = 4;
+  SparseMatrix m = RingMatrix(n, 9);
+  SparseOperator base(m);
+  SpectralOptions options;
+  options.dense_threshold = 0;
+  options.lanczos.max_subspace = 100;
+  options.on_nonconvergence = NonConvergencePolicy::kRetry;
+  CountingOperator laddered(base);
+  EigenSolveDiagnostics diagnostics;
+  auto ladder = ExtremeEigenvectors(laddered, k, SpectrumEnd::kSmallest,
+                                    options, &diagnostics);
+  ASSERT_TRUE(ladder.ok()) << ladder.status().ToString();
+  EXPECT_EQ(diagnostics.solver_path, SolverPath::kLanczosRetry);
+  EXPECT_TRUE(diagnostics.all_converged);
+  EXPECT_EQ(diagnostics.lanczos_restarts, 3);  // checkpoints 100, 120, 200
+
+  LanczosOptions once = options.lanczos;
+  once.max_subspace = 200;
+  CountingOperator single(base);
+  auto direct = LanczosEigen(single, k, SpectrumEnd::kSmallest, once);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_TRUE(direct->converged);
+  EXPECT_EQ(direct->restarts_used, 2);  // checkpoints 120, 200
+  EXPECT_TRUE(SameBits(ladder->data(), direct->eigenvectors.data()));
+  EXPECT_EQ(single.applies(), 200);
+  EXPECT_EQ(laddered.applies(), 200);
+}
+
 // The scalar Gram-Schmidt pass the vectorized kernels replaced, kept as
 // their bit-exact oracle: projections four rows at a time, each a serial
 // sum in index order, then the updates with each element's rows applied in
@@ -316,12 +359,6 @@ std::vector<double> RandomEntries(size_t count, Rng& rng) {
   return v;
 }
 
-bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
-
 TEST(GramSchmidtKernelTest, MatchesScalarOracleBitForBit) {
   Rng rng(2024);
   for (int m : {0, 1, 7, 8, 9, 63, 480}) {
@@ -333,18 +370,36 @@ TEST(GramSchmidtKernelTest, MatchesScalarOracleBitForBit) {
       std::vector<double> h_ref;
       ScalarGramSchmidtPass(basis, m, n, &w_ref, &h_ref);
 
-      // At 3 threads the larger shapes really split both phases (row groups
-      // of the projection, element blocks of the update).
-      for (int threads : {1, 3}) {
-        ScopedParallelism scoped(threads);
-        std::vector<double> w = w_in;
-        std::vector<double> h(m, -1.0);
-        GramSchmidtPass(basis.data(), m, n, w.data(), h.data());
-        const std::string where = "m=" + std::to_string(m) +
-                                  " n=" + std::to_string(n) +
-                                  " threads=" + std::to_string(threads);
-        EXPECT_TRUE(SameBits(h, h_ref)) << where;
-        EXPECT_TRUE(SameBits(w, w_ref)) << where;
+      // The same rows as one contiguous chunk and in chunks of 8 and 64
+      // rows (each chunk a separate allocation).
+      for (int chunk_rows : {0, 8, 64}) {
+        std::vector<std::vector<double>> storage;
+        std::vector<const double*> chunks;
+        if (chunk_rows == 0) {
+          chunk_rows = (m / 8 + 1) * 8;
+          chunks.push_back(basis.data());
+        } else {
+          for (int j = 0; j < m; j += chunk_rows) {
+            const size_t rows = std::min(chunk_rows, m - j);
+            storage.emplace_back(basis.begin() + static_cast<size_t>(j) * n,
+                                 basis.begin() + (j + rows) * n);
+            chunks.push_back(storage.back().data());
+          }
+        }
+        // At 3 threads the larger shapes really split both phases (row
+        // groups of the projection, element blocks of the update).
+        for (int threads : {1, 3}) {
+          ScopedParallelism scoped(threads);
+          std::vector<double> w = w_in;
+          std::vector<double> h(m, -1.0);
+          GramSchmidtPass(chunks.data(), chunk_rows, m, n, w.data(), h.data());
+          const std::string where =
+              "m=" + std::to_string(m) + " n=" + std::to_string(n) +
+              " chunk_rows=" + std::to_string(chunk_rows) +
+              " threads=" + std::to_string(threads);
+          EXPECT_TRUE(SameBits(h, h_ref)) << where;
+          EXPECT_TRUE(SameBits(w, w_ref)) << where;
+        }
       }
     }
   }
