@@ -2,9 +2,10 @@
 // >=50k-segment city network:
 //
 //   - snapshot build + (de)serialization round trip,
-//   - single-core point lookups (KD-tree seed + grid refinement), the
-//     headline number — target is >1M lookups/s on one core,
-//   - range counts (KD subtree aggregation),
+//   - single-core point lookups (grid ring scan), the headline number —
+//     target is >1M lookups/s on one core,
+//   - range counts (grid cells under the box, each segment counted in its
+//     midpoint's cell),
 //   - the batched text serve loop at 1 and DefaultParallelism() threads,
 //     with an answer fingerprint proving thread count changes nothing.
 //

@@ -219,11 +219,15 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
       engine_warnings_seen = 0;
     }
     if (!adopted) {
+      // The replay calls SanitizeDensities + Refresh directly, not
+      // RefreshInterval: the tracker was already restored from the journal,
+      // so RefreshInterval would run Align a second time on it, and its
+      // retries are for inputs not yet known to be good. These operations
+      // all succeeded before the crash on the same inputs; a failure here
+      // means the environment changed under the journal, which has no safe
+      // automatic answer.
       for (const PipelineJournalEntry& e : journal.entries) {
         if (!e.refreshed) continue;
-        // These operations all succeeded before the crash on the same
-        // inputs; a failure here means the environment changed under the
-        // journal, which has no safe automatic answer.
         RP_ASSIGN_OR_RETURN(
             std::vector<double> densities,
             SanitizeDensities(series.densities(e.index),

@@ -11,13 +11,13 @@
 namespace roadpart {
 namespace {
 
-constexpr char kMagic[8] = {'r', 'p', 's', 'n', 'a', 'p', '0', '1'};
+constexpr char kMagic[8] = {'r', 'p', 's', 'n', 'a', 'p', '0', '2'};
 constexpr uint32_t kEndianTag = 0x01020304u;
 constexpr int64_t kMaxCount = int64_t(1) << 30;  // sanity cap on any count
 constexpr double kGridTargetPerCell = 4.0;
 
 /// On-disk header, memcpy-encoded at offset 0. Field order keeps every
-/// member naturally aligned, so sizeof == 192 with no padding on any
+/// member naturally aligned, so sizeof == 168 with no padding on any
 /// supported ABI (static_assert'd below).
 struct SnapshotHeader {
   char magic[8];
@@ -31,8 +31,6 @@ struct SnapshotHeader {
   int64_t num_grid_entries;
   double min_x;
   double min_y;
-  double max_x;
-  double max_y;
   double cell_w;
   double cell_h;
   uint64_t source_fingerprint;
@@ -40,24 +38,22 @@ struct SnapshotHeader {
   uint64_t off_points;
   uint64_t off_endpoints;
   uint64_t off_midpoints;
-  uint64_t off_kd;
   uint64_t off_grid_starts;
   uint64_t off_grid_entries;
   uint64_t off_labels;
   uint64_t total_size;
 };
-static_assert(sizeof(SnapshotHeader) == 192,
-              "rpsnap v1 header layout must be exactly 192 bytes");
+static_assert(sizeof(SnapshotHeader) == 168,
+              "rpsnap v2 header layout must be exactly 168 bytes");
 
 /// The unique section layout implied by the counts. Section order
 /// (f64-sized sections before i32-sized ones is not required; what matters
 /// is that every f64 section offset stays 8-aligned, which holds because
-/// the header is 192 bytes and endpoint pairs are 8 bytes each).
+/// the header is 168 bytes and endpoint pairs are 8 bytes each).
 struct Layout {
   uint64_t off_points;
   uint64_t off_endpoints;
   uint64_t off_midpoints;
-  uint64_t off_kd;
   uint64_t off_grid_starts;
   uint64_t off_grid_entries;
   uint64_t off_labels;
@@ -69,8 +65,7 @@ Layout ComputeLayout(int64_t ni, int64_t ns, int64_t cells, int64_t entries) {
   l.off_points = sizeof(SnapshotHeader);
   l.off_endpoints = l.off_points + uint64_t(ni) * 2 * sizeof(double);
   l.off_midpoints = l.off_endpoints + uint64_t(ns) * 2 * sizeof(int32_t);
-  l.off_kd = l.off_midpoints + uint64_t(ns) * 2 * sizeof(double);
-  l.off_grid_starts = l.off_kd + uint64_t(ns) * sizeof(int32_t);
+  l.off_grid_starts = l.off_midpoints + uint64_t(ns) * 2 * sizeof(double);
   l.off_grid_entries = l.off_grid_starts + uint64_t(cells + 1) * sizeof(int32_t);
   l.off_labels = l.off_grid_entries + uint64_t(entries) * sizeof(int32_t);
   l.total_size = l.off_labels + uint64_t(ns) * sizeof(int32_t) + 1;
@@ -152,12 +147,11 @@ Result<Snapshot> Snapshot::Build(const RoadNetwork& network,
   }
   std::vector<int32_t> labels32(labels.begin(), labels.end());
 
-  // Indexes. Both are deterministic functions of the geometry alone.
-  std::vector<int32_t> kd = BuildKdTree(midpoints_xy.data(), ns);
+  // The index is a deterministic function of the geometry alone.
   SegmentGeometryView view{points_xy.data(), endpoints.data(),
                            midpoints_xy.data(), ns};
-  const BoundingBox bounds = network.Bounds();
-  const GridSpec grid = ChooseGridSpec(bounds, ns, kGridTargetPerCell);
+  const GridSpec grid =
+      ChooseGridSpec(network.Bounds(), ns, kGridTargetPerCell);
   std::vector<int32_t> grid_starts;
   std::vector<int32_t> grid_entries;
   BuildGridIndex(view, grid, &grid_starts, &grid_entries);
@@ -175,7 +169,6 @@ Result<Snapshot> Snapshot::Build(const RoadNetwork& network,
       endpoints.size() * sizeof(int32_t));
   put(layout.off_midpoints, midpoints_xy.data(),
       midpoints_xy.size() * sizeof(double));
-  put(layout.off_kd, kd.data(), kd.size() * sizeof(int32_t));
   put(layout.off_grid_starts, grid_starts.data(),
       grid_starts.size() * sizeof(int32_t));
   put(layout.off_grid_entries, grid_entries.data(),
@@ -194,8 +187,6 @@ Result<Snapshot> Snapshot::Build(const RoadNetwork& network,
   h.num_grid_entries = static_cast<int64_t>(grid_entries.size());
   h.min_x = grid.min_x;
   h.min_y = grid.min_y;
-  h.max_x = bounds.max.x;
-  h.max_y = bounds.max.y;
   h.cell_w = grid.cell_w;
   h.cell_h = grid.cell_h;
   h.source_fingerprint = ComputeSnapshotFingerprint(network, labels);
@@ -204,7 +195,6 @@ Result<Snapshot> Snapshot::Build(const RoadNetwork& network,
   h.off_points = layout.off_points;
   h.off_endpoints = layout.off_endpoints;
   h.off_midpoints = layout.off_midpoints;
-  h.off_kd = layout.off_kd;
   h.off_grid_starts = layout.off_grid_starts;
   h.off_grid_entries = layout.off_grid_entries;
   h.off_labels = layout.off_labels;
@@ -248,7 +238,7 @@ Result<Snapshot> Snapshot::FromBuffer(std::string buffer) {
                                       cells, h.num_grid_entries);
   if (h.off_points != layout.off_points ||
       h.off_endpoints != layout.off_endpoints ||
-      h.off_midpoints != layout.off_midpoints || h.off_kd != layout.off_kd ||
+      h.off_midpoints != layout.off_midpoints ||
       h.off_grid_starts != layout.off_grid_starts ||
       h.off_grid_entries != layout.off_grid_entries ||
       h.off_labels != layout.off_labels ||
@@ -294,14 +284,6 @@ Result<Snapshot> Snapshot::FromBuffer(std::string buffer) {
       return CorruptField("partition labels");
     }
   }
-  const int32_t* kd = snap.KdHeap();
-  std::vector<uint8_t> seen(static_cast<size_t>(ns), 0);
-  for (int32_t k = 0; k < ns; ++k) {
-    if (kd[k] < 0 || kd[k] >= ns || seen[static_cast<size_t>(kd[k])]) {
-      return CorruptField("KD-tree permutation");
-    }
-    seen[static_cast<size_t>(kd[k])] = 1;
-  }
   const int32_t* starts = snap.GridStarts();
   if (starts[0] != 0 ||
       starts[cells] != static_cast<int32_t>(h.num_grid_entries)) {
@@ -344,7 +326,7 @@ Status Snapshot::Save(const std::string& path,
                       const RetryOptions& retry) const {
   // buffer_ already ends in '\n', so WriteArtifact checksums it unchanged
   // and Load round-trips byte-identically.
-  return WriteArtifact(path, "rpsnap", 1, buffer_, retry);
+  return WriteArtifact(path, "rpsnap", 2, buffer_, retry);
 }
 
 // --- Typed views ------------------------------------------------------------
@@ -358,7 +340,6 @@ Snapshot::Snapshot(std::string buffer) : buffer_(std::move(buffer)) {
   decoded_.off_points = h.off_points;
   decoded_.off_endpoints = h.off_endpoints;
   decoded_.off_midpoints = h.off_midpoints;
-  decoded_.off_kd = h.off_kd;
   decoded_.off_grid_starts = h.off_grid_starts;
   decoded_.off_grid_entries = h.off_grid_entries;
   decoded_.off_labels = h.off_labels;
@@ -373,17 +354,8 @@ Snapshot::Snapshot(std::string buffer) : buffer_(std::move(buffer)) {
 #define RP_SNAPSHOT_SECTION_VIEW(type, field) \
   reinterpret_cast<const type*>(buffer_.data() + decoded_.field)
 
-const double* Snapshot::PointsXY() const {
-  return RP_SNAPSHOT_SECTION_VIEW(double, off_points);
-}
 const int32_t* Snapshot::Endpoints() const {
   return RP_SNAPSHOT_SECTION_VIEW(int32_t, off_endpoints);
-}
-const double* Snapshot::MidpointsXY() const {
-  return RP_SNAPSHOT_SECTION_VIEW(double, off_midpoints);
-}
-const int32_t* Snapshot::KdHeap() const {
-  return RP_SNAPSHOT_SECTION_VIEW(int32_t, off_kd);
 }
 const int32_t* Snapshot::GridStarts() const {
   return RP_SNAPSHOT_SECTION_VIEW(int32_t, off_grid_starts);
@@ -428,33 +400,10 @@ int32_t Snapshot::partition_of_segment(int32_t segment_id) const {
 
 PointAnswer Snapshot::NearestSegment(const Point& q) const {
   RP_DCHECK(std::isfinite(q.x) && std::isfinite(q.y));
-  const int32_t ns = static_cast<int32_t>(decoded_.num_segments);
   PointAnswer answer;
-  if (ns == 0) return answer;
-  const SegmentGeometryView view = Geometry();
-  const GridSpec spec = Grid();
-  const int32_t* starts = GridStarts();
-  const int32_t* entries = GridEntries();
-  // Seed the ring scan with an upper bound; exactness never depends on the
-  // seed — it only bounds how far GridRefineNearest must march. Its ring 0
-  // is the query's own grid cell, one contiguous read and almost always
-  // non-empty, which makes the first bound. Only when that cell is empty
-  // (sparse regions, queries far outside the network) is a seed needed: a
-  // greedy KD descent, which finds a near-optimal midpoint in O(log n)
-  // regardless of where the segments are.
-  NearestHit seed;
-  const size_t cell = static_cast<size_t>(spec.RowOf(q.y)) * spec.cols +
-                      spec.ColOf(q.x);
-  if (starts[cell] == starts[cell + 1]) {
-    const NearestHit kd_hit = KdDescendSeed(view.midpoints_xy, KdHeap(), ns, q);
-    ConsiderNearest(
-        kd_hit.segment_id,
-        PointSegmentDistanceSquared(q, view.SegmentA(kd_hit.segment_id),
-                                    view.SegmentB(kd_hit.segment_id)),
-        &seed);
-  }
-  const NearestHit best = GridRefineNearest(view, spec, starts, entries, q,
-                                            seed);
+  if (decoded_.num_segments == 0) return answer;
+  const NearestHit best = GridRefineNearest(Geometry(), Grid(), GridStarts(),
+                                            GridEntries(), q);
   answer.segment_id = best.segment_id;
   answer.partition_id = Labels()[best.segment_id];
   answer.distance = std::sqrt(best.distance_squared);
@@ -470,9 +419,8 @@ std::vector<int64_t> Snapshot::CountByPartition(const BoundingBox& box) const {
 void Snapshot::CountByPartitionInto(const BoundingBox& box,
                                     std::vector<int64_t>* counts) const {
   counts->assign(static_cast<size_t>(decoded_.num_partitions), 0);
-  KdRangeCountByPartition(MidpointsXY(), KdHeap(),
-                          static_cast<int32_t>(decoded_.num_segments), box,
-                          Labels(), counts);
+  GridRangeCountByPartition(Geometry(), Grid(), GridStarts(), GridEntries(),
+                            box, Labels(), counts);
 }
 
 }  // namespace roadpart

@@ -3,34 +3,34 @@
 
 /// Immutable partition-serving snapshot (`rpsnap` format).
 ///
-/// A snapshot freezes everything the read path needs — geometry, the KD-tree
-/// permutation, the grid index, and the per-segment partition labels — into
-/// ONE relocatable byte buffer. "Relocatable" means the buffer contains only
-/// section *offsets* (no pointers), so it can be memcpy'd, written to disk,
-/// read back anywhere, and served from directly without a deserialization
-/// pass: accessors reinterpret the section bytes in place.
+/// A snapshot freezes everything the read path needs — geometry, the grid
+/// index, and the per-segment partition labels — into ONE relocatable byte
+/// buffer. "Relocatable" means the buffer contains only section *offsets*
+/// (no pointers), so it can be memcpy'd, written to disk, read back
+/// anywhere, and served from directly without a deserialization pass:
+/// accessors reinterpret the section bytes in place.
 ///
-/// Layout (rpsnap v1, little-endian, all sections 8-byte aligned relative to
+/// Layout (rpsnap v2, little-endian, all sections 8-byte aligned relative to
 /// offset 0; integer fields memcpy-encoded):
 ///
-///   header (192 bytes)
-///     magic "rpsnap01" · endian tag 0x01020304 · counts (intersections,
+///   header (168 bytes)
+///     magic "rpsnap02" · endian tag 0x01020304 · counts (intersections,
 ///     segments, partitions, grid cols/rows/entries) · grid geometry
-///     (min_x/min_y/max_x/max_y, cell_w/cell_h) · source_fingerprint ·
-///     sections_fnv · seven section offsets · total_size
+///     (min_x/min_y, cell_w/cell_h) · source_fingerprint · sections_fnv ·
+///     six section offsets · total_size
 ///   points        num_intersections x {f64 x, f64 y}
 ///   endpoints     num_segments x {i32 from, i32 to}
 ///   midpoints     num_segments x {f64 x, f64 y}
-///   kd heap       num_segments x i32 (left-balanced permutation)
 ///   grid starts   (cols*rows + 1) x i32 (CSR offsets)
 ///   grid entries  num_grid_entries x i32 (ascending segment ids per cell)
 ///   labels        num_segments x i32 (partition id per segment)
 ///   '\n'          final byte, so durable_io's envelope appends nothing
 ///
-/// Versioning rules: the magic carries the version ("rpsnap01"); any layout
+/// Versioning rules: the magic carries the version ("rpsnap02"); any layout
 /// change bumps it and old readers reject the file as corrupt rather than
-/// misread it. The durable_io envelope independently records format "rpsnap"
-/// version 1 and checksums the whole buffer; `sections_fnv` additionally
+/// misread it, just as this reader refuses "rpsnap01" files (re-export
+/// them). The durable_io envelope independently records format "rpsnap"
+/// version 2 and checksums the whole buffer; `sections_fnv` additionally
 /// checksums the bytes after the header so header-only tampering and
 /// section tampering are distinguishable in error messages.
 ///
@@ -84,7 +84,7 @@ class Snapshot {
 
   /// Adopts a buffer produced by Build()+buffer() or read from disk,
   /// validating structure exhaustively (magic, offsets, section sizes, id
-  /// ranges, KD permutation, CSR monotonicity, section checksum). Any
+  /// ranges, CSR bounds and monotonicity, section checksum). Any
   /// violation is a typed kCorruption.
   static Result<Snapshot> FromBuffer(std::string buffer);
 
@@ -108,13 +108,16 @@ class Snapshot {
   uint64_t source_fingerprint() const;
   int32_t partition_of_segment(int32_t segment_id) const;
 
-  /// Nearest segment to `q` (KD seed + grid refinement; exactly the
-  /// brute-force answer under the smallest-id tie-break). `q` must be
-  /// finite. O(log n) typical.
+  /// Nearest segment to `q` (grid ring scan; exactly the brute-force
+  /// answer under the smallest-id tie-break). `q` must be finite. Typically
+  /// reads the query's cell and its first ring, O(1) cells of ~4 segments;
+  /// a query in a sparse region or far outside the network scans rings
+  /// until the first hit bounds the search.
   PointAnswer NearestSegment(const Point& q) const;
 
   /// Per-partition counts of segments whose midpoint lies in `box` (closed
-  /// bounds). Vector has num_partitions() slots.
+  /// bounds), from the grid cells the box overlaps. Vector has
+  /// num_partitions() slots.
   std::vector<int64_t> CountByPartition(const BoundingBox& box) const;
 
   /// CountByPartition into a caller-owned buffer, resized to
@@ -130,7 +133,7 @@ class Snapshot {
 
   // Hot-path cache of the decoded header: counts, section offsets and grid
   // geometry, filled once at construction so per-query code never re-decodes
-  // the 192-byte header. Plain scalars only, so moves copy it safely.
+  // the 168-byte header. Plain scalars only, so moves copy it safely.
   struct DecodedHeader {
     int64_t num_intersections = 0;
     int64_t num_segments = 0;
@@ -139,7 +142,6 @@ class Snapshot {
     uint64_t off_points = 0;
     uint64_t off_endpoints = 0;
     uint64_t off_midpoints = 0;
-    uint64_t off_kd = 0;
     uint64_t off_grid_starts = 0;
     uint64_t off_grid_entries = 0;
     uint64_t off_labels = 0;
@@ -148,10 +150,7 @@ class Snapshot {
 
   // Typed views into buffer_ (computed from cached offsets; the buffer owns
   // all storage, so moves stay valid).
-  const double* PointsXY() const;
   const int32_t* Endpoints() const;
-  const double* MidpointsXY() const;
-  const int32_t* KdHeap() const;
   const int32_t* GridStarts() const;
   const int32_t* GridEntries() const;
   const int32_t* Labels() const;

@@ -25,17 +25,6 @@ double PointSegmentDistanceSquared(const Point& q, const Point& a,
   return dx * dx + dy * dy;
 }
 
-NearestHit BruteForceNearestSegment(const SegmentGeometryView& view,
-                                    const Point& q) {
-  NearestHit best;
-  for (int32_t s = 0; s < view.num_segments; ++s) {
-    ConsiderNearest(s, PointSegmentDistanceSquared(q, view.SegmentA(s),
-                                                   view.SegmentB(s)),
-                    &best);
-  }
-  return best;
-}
-
 NearestHit BruteForceNearestSegment(const RoadNetwork& network,
                                     const Point& q) {
   NearestHit best;
@@ -55,179 +44,6 @@ Point SegmentMidpoint(const RoadNetwork& network, int s) {
   const Point& a = network.intersection(seg.from).position;
   const Point& b = network.intersection(seg.to).position;
   return {0.5 * (a.x + b.x), 0.5 * (a.y + b.y)};
-}
-
-// --- KD-tree over midpoints -------------------------------------------------
-
-namespace {
-
-/// Size of the left subtree in the left-balanced (heap-layout) KD-tree of
-/// `n` nodes: the left child receives a complete subtree wherever possible,
-/// so child indices are always 2k+1 / 2k+2 with no gaps.
-int32_t LeftSubtreeSize(int32_t n) {
-  if (n <= 1) return 0;
-  int shift = 1;  // height of the full upper part
-  while ((int64_t(1) << (shift + 1)) - 1 < n) ++shift;
-  const int32_t full = static_cast<int32_t>((int64_t(1) << shift) - 1);
-  const int32_t last = n - full;               // nodes on the bottom level
-  const int32_t last_left_cap = 1 << (shift - 1);
-  return (full - 1) / 2 + std::min(last, last_left_cap);
-}
-
-struct KdBuildFrame {
-  int32_t lo, hi;   // range of `order` feeding this subtree
-  int32_t node;     // heap slot
-  int32_t depth;
-};
-
-struct KdSearchFrame {
-  int32_t node;
-  int32_t depth;
-};
-
-}  // namespace
-
-std::vector<int32_t> BuildKdTree(const double* midpoints_xy, int32_t n) {
-  std::vector<int32_t> heap(static_cast<size_t>(std::max(n, 0)), 0);
-  if (n <= 0) return heap;
-  std::vector<int32_t> order(static_cast<size_t>(n));
-  for (int32_t i = 0; i < n; ++i) order[i] = i;
-
-  std::vector<KdBuildFrame> stack;
-  stack.push_back({0, n, 0, 0});
-  while (!stack.empty()) {
-    KdBuildFrame f = stack.back();
-    stack.pop_back();
-    const int32_t count = f.hi - f.lo;
-    if (count <= 0) continue;
-    const int axis = f.depth & 1;
-    const int32_t left = LeftSubtreeSize(count);
-    auto begin = order.begin() + f.lo;
-    // Total order (coordinate, id): unique median even under duplicate
-    // coordinates, so the tree shape is a pure function of the input.
-    std::nth_element(begin, begin + left, order.begin() + f.hi,
-                     [&](int32_t a, int32_t b) {
-                       const double ca = midpoints_xy[2 * a + axis];
-                       const double cb = midpoints_xy[2 * b + axis];
-                       if (ca != cb) return ca < cb;
-                       return a < b;
-                     });
-    heap[static_cast<size_t>(f.node)] = order[f.lo + left];
-    stack.push_back({f.lo, f.lo + left, 2 * f.node + 1, f.depth + 1});
-    stack.push_back({f.lo + left + 1, f.hi, 2 * f.node + 2, f.depth + 1});
-  }
-  return heap;
-}
-
-NearestHit KdNearestMidpoint(const double* midpoints_xy, const int32_t* heap,
-                             int32_t n, const Point& q) {
-  NearestHit best;
-  if (n <= 0) return best;
-  const double qc[2] = {q.x, q.y};
-  // Recursion emulated with one frame per tree level, so the search never
-  // heap-allocates (this is the serving hot path). Frame `d` remembers the
-  // not-yet-visited far child of the node the current descent passed at
-  // depth `d` (-1 once visited or absent) and the squared distance to that
-  // node's splitting plane; `top` doubles as the depth of `node`, so the
-  // split axis is `top & 1`. Depth is at most 31: counts are capped at
-  // kMaxCount = 2^30 segments and the heap is left-balanced.
-  struct Frame {
-    int32_t far;
-    double axis_d2;  // squared distance from q to the deferring split plane
-  };
-  Frame frames[40];
-  int top = 0;
-  int32_t node = 0;
-  for (;;) {
-    // Descend toward q, deferring far children with their plane distance.
-    while (node < n) {
-      const int32_t seg = heap[node];
-      const int axis = top & 1;
-      const double dx = qc[0] - midpoints_xy[2 * seg];
-      const double dy = qc[1] - midpoints_xy[2 * seg + 1];
-      ConsiderNearest(seg, dx * dx + dy * dy, &best);
-      const double plane = qc[axis] - midpoints_xy[2 * seg + axis];
-      const int32_t near_child = plane < 0.0 ? 2 * node + 1 : 2 * node + 2;
-      const int32_t far_child = plane < 0.0 ? 2 * node + 2 : 2 * node + 1;
-      RP_DCHECK_LT(top, 40);
-      frames[top].far = far_child < n ? far_child : -1;
-      frames[top].axis_d2 = plane * plane;
-      ++top;
-      node = near_child;
-    }
-    // Unwind to the deepest deferred subtree that can still contain a
-    // winner. Ties are kept: a subtree exactly at the best distance may
-    // hold a smaller id.
-    node = n;
-    while (top > 0) {
-      Frame& f = frames[top - 1];
-      if (f.far >= 0 && f.axis_d2 <= best.distance_squared) {
-        node = f.far;   // lives at depth `top`, which is already correct
-        f.far = -1;     // consumed; the frame stays until its level unwinds
-        break;
-      }
-      --top;
-    }
-    if (node >= n) return best;
-  }
-}
-
-NearestHit KdDescendSeed(const double* midpoints_xy, const int32_t* heap,
-                         int32_t n, const Point& q) {
-  NearestHit best;
-  if (n <= 0) return best;
-  const double qc[2] = {q.x, q.y};
-  int32_t node = 0;
-  int depth = 0;
-  while (node < n) {
-    const int32_t seg = heap[node];
-    const double dx = qc[0] - midpoints_xy[2 * seg];
-    const double dy = qc[1] - midpoints_xy[2 * seg + 1];
-    ConsiderNearest(seg, dx * dx + dy * dy, &best);
-    const int axis = depth & 1;
-    node = qc[axis] < midpoints_xy[2 * seg + axis] ? 2 * node + 1
-                                                   : 2 * node + 2;
-    ++depth;
-  }
-  return best;
-}
-
-void KdRangeCountByPartition(const double* midpoints_xy, const int32_t* heap,
-                             int32_t n, const BoundingBox& box,
-                             const int32_t* labels,
-                             std::vector<int64_t>* counts) {
-  if (n <= 0) return;
-  const double lo[2] = {box.min.x, box.min.y};
-  const double hi[2] = {box.max.x, box.max.y};
-  // Depth-first, each pop pushing at most its two children: the stack never
-  // holds more than one pending sibling per level plus the two just pushed,
-  // i.e. at most 32 frames for an int32 heap of depth <= 30, so a fixed
-  // array replaces a per-query heap allocation.
-  KdSearchFrame stack[64];
-  int top = 0;
-  stack[top++] = {0, 0};
-  while (top > 0) {
-    const KdSearchFrame f = stack[--top];
-    const int32_t seg = heap[f.node];
-    const int axis = f.depth & 1;
-    const double mx = midpoints_xy[2 * seg];
-    const double my = midpoints_xy[2 * seg + 1];
-    if (mx >= lo[0] && mx <= hi[0] && my >= lo[1] && my <= hi[1]) {
-      const int32_t label = labels[seg];
-      RP_DCHECK_GE(label, 0);
-      RP_DCHECK_LT(static_cast<size_t>(label), counts->size());
-      ++(*counts)[static_cast<size_t>(label)];
-    }
-    const double split = midpoints_xy[2 * seg + axis];
-    const int32_t left = 2 * f.node + 1;
-    const int32_t right = 2 * f.node + 2;
-    // Left subtree holds coordinates <= split, right holds >= split.
-    RP_DCHECK_LE(top + 2, 64);
-    if (left < n && lo[axis] <= split) stack[top++] = {left, f.depth + 1};
-    if (right < n && hi[axis] >= split) {
-      stack[top++] = {right, f.depth + 1};
-    }
-  }
 }
 
 // --- Uniform grid over segment bounding boxes -------------------------------
@@ -328,9 +144,8 @@ void BuildGridIndex(const SegmentGeometryView& view, const GridSpec& spec,
 
 NearestHit GridRefineNearest(const SegmentGeometryView& view,
                              const GridSpec& spec, const int32_t* starts,
-                             const int32_t* entries, const Point& q,
-                             NearestHit seed) {
-  NearestHit best = seed;
+                             const int32_t* entries, const Point& q) {
+  NearestHit best;
   if (view.num_segments <= 0) return best;
   const int32_t qc = spec.ColOf(q.x);
   const int32_t qr = spec.RowOf(q.y);
@@ -383,6 +198,38 @@ NearestHit GridRefineNearest(const SegmentGeometryView& view,
     }
   }
   return best;
+}
+
+void GridRangeCountByPartition(const SegmentGeometryView& view,
+                               const GridSpec& spec, const int32_t* starts,
+                               const int32_t* entries, const BoundingBox& box,
+                               const int32_t* labels,
+                               std::vector<int64_t>* counts) {
+  const int32_t c0 = spec.ColOf(box.min.x);
+  const int32_t c1 = spec.ColOf(box.max.x);
+  const int32_t r0 = spec.RowOf(box.min.y);
+  const int32_t r1 = spec.RowOf(box.max.y);
+  for (int32_t r = r0; r <= r1; ++r) {
+    for (int32_t c = c0; c <= c1; ++c) {
+      const size_t cell = static_cast<size_t>(r) * spec.cols + c;
+      const int32_t end = starts[cell + 1];
+      for (int32_t i = starts[cell]; i < end; ++i) {
+        const int32_t s = entries[i];
+        const Point m = view.Midpoint(s);
+        if (!(m.x >= box.min.x && m.x <= box.max.x && m.y >= box.min.y &&
+              m.y <= box.max.y)) {
+          continue;
+        }
+        // A segment spanning several cells is registered in each; only the
+        // cell holding its midpoint counts it.
+        if (spec.ColOf(m.x) != c || spec.RowOf(m.y) != r) continue;
+        const int32_t label = labels[s];
+        RP_DCHECK_GE(label, 0);
+        RP_DCHECK_LT(static_cast<size_t>(label), counts->size());
+        ++(*counts)[static_cast<size_t>(label)];
+      }
+    }
+  }
 }
 
 }  // namespace roadpart

@@ -3,20 +3,16 @@
 
 /// Spatial index kernels for the partition-serving read path.
 ///
-/// Two structures cooperate to answer "which road segment (and therefore
-/// which partition) is nearest to this coordinate?":
+/// One structure answers both query kinds: a uniform grid over the network
+/// bounding box in which every segment is registered with each cell its
+/// endpoint bounding box overlaps.
 ///
-///  - a static, left-balanced KD-tree over segment *midpoints*, stored as a
-///    heap-ordered permutation of segment ids (one int32 per segment, no
-///    child pointers). A nearest-midpoint descent is O(log n) and yields a
-///    tight upper bound on the true nearest-segment distance, because a
-///    segment's midpoint lies on the segment.
-///  - a uniform grid over the network bounding box in which every segment is
-///    registered with each cell its endpoint bounding box overlaps. Seeded
-///    with the KD bound, an outward ring scan over grid cells examines every
-///    segment that could still beat the bound and refines to the exact
-///    nearest segment under point-to-segment (not point-to-midpoint)
-///    distance.
+///  - Nearest segment: an outward ring scan from the query's cell examines
+///    every segment that could still beat the best distance found so far,
+///    under point-to-segment (not point-to-midpoint) distance. When the
+///    query's own cell is empty the scan simply starts with no bound.
+///  - Range counts: the cells a box overlaps are scanned, and a segment is
+///    counted only in the one cell holding its midpoint, so it counts once.
 ///
 /// Exact tie-break rule (asserted by tests/serve_property_test.cc): among
 /// segments with bit-identical squared point-to-segment distance, the
@@ -26,8 +22,8 @@
 /// where ties are the common case rather than the exception.
 ///
 /// Every function here is deterministic and thread-count-independent: the
-/// KD build uses a total order (coordinate, then id) and queries are pure
-/// reads over immutable arrays.
+/// grid build scans segments in id order and queries are pure reads over
+/// immutable arrays.
 
 #include <cstdint>
 #include <limits>
@@ -46,9 +42,8 @@ struct NearestHit {
 };
 
 /// Squared Euclidean distance from `q` to the closed segment a->b. The one
-/// arithmetic kernel shared by the brute-force reference, the KD seed, and
-/// the grid refinement; both search paths therefore compute bit-identical
-/// distances.
+/// arithmetic kernel shared by the brute-force reference and the grid
+/// refinement; both search paths therefore compute bit-identical distances.
 double PointSegmentDistanceSquared(const Point& q, const Point& a,
                                    const Point& b);
 
@@ -87,49 +82,14 @@ struct SegmentGeometryView {
   }
 };
 
-/// O(n) reference scan over a flat geometry view: ascending segment ids
-/// through ConsiderNearest, so the documented tie-break holds by
-/// construction.
-NearestHit BruteForceNearestSegment(const SegmentGeometryView& view,
-                                    const Point& q);
-
-/// Convenience overload for tests: the same scan over a RoadNetwork.
+/// O(n) reference scan over a RoadNetwork: ascending segment ids through
+/// ConsiderNearest, so the documented tie-break holds by construction.
 NearestHit BruteForceNearestSegment(const RoadNetwork& network,
                                     const Point& q);
 
 /// Midpoint of segment `s` of `network`, as the snapshot builder computes it
 /// (plain average of the endpoint coordinates).
 Point SegmentMidpoint(const RoadNetwork& network, int s);
-
-// --- KD-tree over midpoints -------------------------------------------------
-
-/// Builds the left-balanced KD-tree: returns a heap-ordered permutation of
-/// [0, n) where slot k holds the segment whose midpoint splits that
-/// subtree, and slots 2k+1 / 2k+2 root the children. Splitting alternates
-/// x/y by depth; the splitting order is the total order (coordinate, id), so
-/// the tree is unique regardless of duplicate coordinates.
-std::vector<int32_t> BuildKdTree(const double* midpoints_xy, int32_t n);
-
-/// Nearest *midpoint* under the same tie-break rule. Exact (with
-/// backtracking); for midpoint queries and as a robust refinement seed.
-NearestHit KdNearestMidpoint(const double* midpoints_xy, const int32_t* heap,
-                             int32_t n, const Point& q);
-
-/// Greedy root-to-leaf descent toward `q`: visits only the O(log n) nodes
-/// on the descent path (no backtracking) and returns the best midpoint seen.
-/// NOT the exact nearest midpoint — a cheap upper bound for seeding
-/// GridRefineNearest, which produces the exact answer for any valid seed.
-NearestHit KdDescendSeed(const double* midpoints_xy, const int32_t* heap,
-                         int32_t n, const Point& q);
-
-/// Adds, per partition, the number of segments whose midpoint lies in `box`
-/// (closed bounds: min <= coordinate <= max) into `counts`. `labels` maps
-/// segment id -> partition id; `counts` must already have one slot per
-/// partition.
-void KdRangeCountByPartition(const double* midpoints_xy, const int32_t* heap,
-                             int32_t n, const BoundingBox& box,
-                             const int32_t* labels,
-                             std::vector<int64_t>* counts);
 
 // --- Uniform grid over segment bounding boxes -------------------------------
 
@@ -171,15 +131,28 @@ void BuildGridIndex(const SegmentGeometryView& view, const GridSpec& spec,
                     std::vector<int32_t>* starts,
                     std::vector<int32_t>* entries);
 
-/// Exact nearest segment: refines `seed` (any valid upper bound, typically
-/// the KD midpoint hit evaluated under segment distance) by scanning grid
-/// cells in outward rings until no unscanned cell can beat the current
+/// Exact nearest segment: scans grid cells in outward rings from the
+/// query's (clamped) cell until no unscanned cell can beat the current
 /// best. Ties preserved: cells and rings are pruned only when *strictly*
 /// farther than the best squared distance.
 NearestHit GridRefineNearest(const SegmentGeometryView& view,
                              const GridSpec& spec, const int32_t* starts,
-                             const int32_t* entries, const Point& q,
-                             NearestHit seed);
+                             const int32_t* entries, const Point& q);
+
+/// Adds, per partition, the number of segments whose midpoint lies in `box`
+/// (closed bounds: min <= coordinate <= max) into `counts`. `labels` maps
+/// segment id -> partition id; `counts` must already have one slot per
+/// partition. Scans the cells [ColOf(min.x), ColOf(max.x)] x
+/// [RowOf(min.y), RowOf(max.y)] and counts a segment only in the cell that
+/// holds its midpoint. That counts every segment in the box exactly once:
+/// ColOf/RowOf are monotone, so an inside midpoint's cell is scanned, and a
+/// midpoint lies inside its segment's endpoint bounding box, so that cell is
+/// one the segment is registered in.
+void GridRangeCountByPartition(const SegmentGeometryView& view,
+                               const GridSpec& spec, const int32_t* starts,
+                               const int32_t* entries, const BoundingBox& box,
+                               const int32_t* labels,
+                               std::vector<int64_t>* counts);
 
 }  // namespace roadpart
 

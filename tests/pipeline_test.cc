@@ -392,6 +392,65 @@ TEST_F(PipelineFixture, ResumedRunReproducesUninterruptedJournalBytes) {
   EXPECT_EQ(ReadAll(third->journal_path), reference_journal);
 }
 
+// The resume replay: when the rpinc cache is missing or records a different
+// refresh count than the journal, the engine is rebuilt by replaying every
+// journaled refresh. A prefix run stands in for a crash after its last
+// interval: the cache and journal are saved after every interval and
+// nothing is written after the loop.
+TEST_F(PipelineFixture, ResumeReplaysAMissingOrStaleCache) {
+  const SnapshotSeries series = StableSeries(6);
+  auto prefix_of = [&](int n) {
+    SnapshotSeries prefix(network_.num_segments());
+    for (int t = 0; t < n; ++t) {
+      RP_CHECK_OK(prefix.Append(series.timestamp(t), series.densities(t)));
+    }
+    return prefix;
+  };
+  auto warned = [](const PipelineRunResult& result, const std::string& what) {
+    for (const std::string& w : result.warnings) {
+      if (w.find(what) != std::string::npos) return true;
+    }
+    return false;
+  };
+  const std::string dir = TempPath("pipe_replay");
+  const std::string cache = dir + "/cache.rpinc";
+
+  std::filesystem::remove_all(dir);
+  auto reference = RunPipeline(network_, series, BaseOptions(dir));
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::string reference_journal = ReadAll(reference->journal_path);
+  // The cache records the refresh count and every region's warm state, so
+  // it differs unless the replay rebuilt the engine exactly.
+  const std::string reference_cache = ReadAll(cache);
+
+  // Crash after interval 2, then the cache is lost.
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(RunPipeline(network_, prefix_of(3), BaseOptions(dir)).ok());
+  ASSERT_TRUE(std::filesystem::remove(cache));
+  auto missing = RunPipeline(network_, series, BaseOptions(dir));
+  ASSERT_TRUE(missing.ok()) << missing.status().ToString();
+  EXPECT_EQ(missing->stats.resumed, 3);
+  EXPECT_TRUE(warned(*missing, "incremental cache not adopted"));
+  EXPECT_EQ(ReadAll(missing->journal_path), reference_journal);
+  EXPECT_EQ(ReadAll(cache), reference_cache);
+
+  // A cache one interval newer than the journal — a crash between the
+  // cache save and the journal save of interval 3.
+  std::filesystem::remove_all(dir);
+  auto first = RunPipeline(network_, prefix_of(3), BaseOptions(dir));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const std::string journal_after_2 = ReadAll(first->journal_path);
+  ASSERT_TRUE(RunPipeline(network_, prefix_of(4), BaseOptions(dir)).ok());
+  ASSERT_TRUE(AtomicWriteFile(first->journal_path, journal_after_2).ok());
+  auto stale = RunPipeline(network_, series, BaseOptions(dir));
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  EXPECT_EQ(stale->stats.resumed, 3);
+  EXPECT_TRUE(warned(*stale, "incremental cache records 4 refreshes but the "
+                             "journal 3; replaying"));
+  EXPECT_EQ(ReadAll(stale->journal_path), reference_journal);
+  EXPECT_EQ(ReadAll(cache), reference_cache);
+}
+
 TEST_F(PipelineFixture, ResumeRejectsAForeignSeries) {
   const SnapshotSeries series = StableSeries(4);
   const std::string dir = FreshStateDir("pipe_foreign");

@@ -1,18 +1,22 @@
 // Property suite for the partition-serving read path: on seeded random
-// networks and query clouds, the KD-tree + grid index must return EXACTLY
-// the answer of the O(n) brute-force nearest-segment scan — same segment id,
+// networks and query clouds, the grid index must return EXACTLY the answer
+// of the O(n) brute-force nearest-segment scan — same segment id,
 // bit-identical distance, same partition — including on the degenerate
 // geometry the index is most likely to get wrong (duplicate two-way
 // segments, collinear chains, single-segment and zero-area networks,
-// queries far outside the bounding box).
+// queries far outside the bounding box or in empty cells between far-apart
+// clusters). Range counts must equal a brute-force midpoint count, also for
+// boxes whose edges lie on cell lines or on midpoint coordinates.
 //
 // The tie-break rule under test (documented in serve/spatial_index.h): among
 // segments at bit-identical squared distance, the smallest segment id wins.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
@@ -87,6 +91,36 @@ void ExpectIndexMatchesBruteForce(const Snapshot& snap, const RoadNetwork& net,
   }
 }
 
+/// Two copies of one small city, the second shifted 20 city-widths up and to
+/// the right. The grid spans both, so almost every cell is empty and a query
+/// between the clusters starts its ring scan with no bound.
+RoadNetwork TwoFarApartClusters() {
+  CityOptions city;
+  city.num_intersections = 150;
+  city.target_segments = 260;
+  city.seed = 61;
+  const RoadNetwork one = GenerateCityNetwork(city).value();
+  const BoundingBox box = one.Bounds();
+  const double shift = 20.0 * std::max(box.max.x - box.min.x,
+                                       box.max.y - box.min.y);
+  std::vector<Intersection> nodes = one.intersections();
+  std::vector<RoadSegment> segs = one.segments();
+  const int ni = one.num_intersections();
+  for (int i = 0; i < ni; ++i) {
+    Intersection far = one.intersection(i);
+    far.position.x += shift;
+    far.position.y += shift;
+    nodes.push_back(far);
+  }
+  for (int s = 0; s < one.num_segments(); ++s) {
+    RoadSegment far = one.segment(s);
+    far.from += ni;
+    far.to += ni;
+    segs.push_back(far);
+  }
+  return RoadNetwork::Create(std::move(nodes), std::move(segs)).value();
+}
+
 TEST(ServePropertyTest, MatchesBruteForceOnCityNetworks) {
   for (uint64_t seed : {11u, 29u, 47u}) {
     CityOptions city;
@@ -103,6 +137,12 @@ TEST(ServePropertyTest, MatchesBruteForceOnCityNetworks) {
     ExpectIndexMatchesBruteForce(snap, *net, labels,
                                  QueryCloud(*net, 10000, seed + 2));
   }
+
+  const RoadNetwork clusters = TwoFarApartClusters();
+  const std::vector<int> labels = RandomLabels(clusters.num_segments(), 7, 62);
+  const Snapshot snap = MustBuild(clusters, labels);
+  ExpectIndexMatchesBruteForce(snap, clusters, labels,
+                               QueryCloud(clusters, 10000, 63));
 }
 
 TEST(ServePropertyTest, MatchesBruteForceOnTwoWayGridsAndTiesPickSmallestId) {
@@ -239,6 +279,79 @@ TEST(ServePropertyTest, EmptyNetworkServesMisses) {
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
 }
 
+void ExpectRangeCountsMatchBruteForce(const Snapshot& snap,
+                                      const RoadNetwork& net,
+                                      const std::vector<int>& labels, int k,
+                                      const std::vector<BoundingBox>& boxes) {
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    const BoundingBox& box = boxes[i];
+    std::vector<int64_t> want(static_cast<size_t>(k), 0);
+    for (int s = 0; s < net.num_segments(); ++s) {
+      const Point m = SegmentMidpoint(net, s);
+      if (m.x >= box.min.x && m.x <= box.max.x && m.y >= box.min.y &&
+          m.y <= box.max.y) {
+        ++want[static_cast<size_t>(labels[static_cast<size_t>(s)])];
+      }
+    }
+    ASSERT_EQ(snap.CountByPartition(box), want)
+        << "box " << i << " [" << box.min.x << ", " << box.max.x << "] x ["
+        << box.min.y << ", " << box.max.y << "]";
+  }
+}
+
+/// Boxes whose edges sit exactly where the grid count could go wrong:
+///  - on the cell lines of the snapshot's grid (the builder's
+///    ChooseGridSpec(bounds, ns, 4.0)), so a box edge and a cell edge
+///    coincide;
+///  - on the midpoint coordinates of segments that straddle two or more
+///    cells, so the closed-box test decides at equality for a segment that
+///    is registered in several scanned cells.
+std::vector<BoundingBox> EdgeBoxes(const RoadNetwork& net, uint64_t seed) {
+  const BoundingBox bounds = net.Bounds();
+  const GridSpec spec = ChooseGridSpec(bounds, net.num_segments(), 4.0);
+  Rng rng(seed);
+  std::vector<BoundingBox> boxes;
+  auto line_x = [&](int32_t c) { return spec.min_x + c * spec.cell_w; };
+  auto line_y = [&](int32_t r) { return spec.min_y + r * spec.cell_h; };
+  for (int i = 0; i < 150; ++i) {
+    int32_t c0 = static_cast<int32_t>(rng.NextBounded(spec.cols + 1));
+    int32_t c1 = static_cast<int32_t>(rng.NextBounded(spec.cols + 1));
+    int32_t r0 = static_cast<int32_t>(rng.NextBounded(spec.rows + 1));
+    int32_t r1 = static_cast<int32_t>(rng.NextBounded(spec.rows + 1));
+    if (c0 > c1) std::swap(c0, c1);
+    if (r0 > r1) std::swap(r0, r1);
+    boxes.push_back({{line_x(c0), line_y(r0)}, {line_x(c1), line_y(r1)}});
+  }
+  // Every single cell, closed on all four lines.
+  for (int32_t r = 0; r < spec.rows; ++r) {
+    for (int32_t c = 0; c < spec.cols; ++c) {
+      boxes.push_back({{line_x(c), line_y(r)}, {line_x(c + 1), line_y(r + 1)}});
+    }
+  }
+  const double w = bounds.max.x - bounds.min.x;
+  const double h = bounds.max.y - bounds.min.y;
+  int straddlers = 0;
+  for (int s = 0; s < net.num_segments(); ++s) {
+    const Point a = net.intersection(net.segment(s).from).position;
+    const Point b = net.intersection(net.segment(s).to).position;
+    if (spec.ColOf(a.x) == spec.ColOf(b.x) &&
+        spec.RowOf(a.y) == spec.RowOf(b.y)) {
+      continue;
+    }
+    if (++straddlers > 60) break;
+    const Point m = SegmentMidpoint(net, s);
+    const double dx = rng.NextDouble(0.0, 0.3 * w);
+    const double dy = rng.NextDouble(0.0, 0.3 * h);
+    boxes.push_back({m, {m.x + dx, m.y + dy}});            // min corner on m
+    boxes.push_back({{m.x - dx, m.y - dy}, m});            // max corner on m
+    boxes.push_back({{m.x, bounds.min.y}, {m.x, bounds.max.y}});  // x = m.x
+    boxes.push_back({{bounds.min.x, m.y}, {bounds.max.x, m.y}});  // y = m.y
+    boxes.push_back({{m.x, m.y - dy}, {m.x + dx, m.y}});
+  }
+  EXPECT_GT(straddlers, 0);
+  return boxes;
+}
+
 TEST(ServePropertyTest, RangeCountsMatchBruteForce) {
   CityOptions city;
   city.num_intersections = 400;
@@ -287,6 +400,25 @@ TEST(ServePropertyTest, RangeCountsMatchBruteForce) {
     }
     EXPECT_EQ(snap.CountByPartition(box), want) << "trial " << trial;
   }
+
+  // Edge inputs for the grid count, which scans the cells a box overlaps
+  // and counts a segment only in the cell holding its midpoint.
+  ExpectRangeCountsMatchBruteForce(snap, *net, labels, k,
+                                   EdgeBoxes(*net, 16));
+
+  // Two-way grid: opposite segments share a midpoint, and every row or
+  // column of segments shares one midpoint coordinate.
+  GridOptions grid;
+  grid.rows = 12;
+  grid.cols = 15;
+  grid.two_way_fraction = 1.0;
+  grid.seed = 17;
+  auto two_way = GenerateGridNetwork(grid);
+  ASSERT_TRUE(two_way.ok()) << two_way.status().ToString();
+  const std::vector<int> grid_labels =
+      RandomLabels(two_way->num_segments(), k, 18);
+  ExpectRangeCountsMatchBruteForce(MustBuild(*two_way, grid_labels), *two_way,
+                                   grid_labels, k, EdgeBoxes(*two_way, 19));
 }
 
 TEST(ServePropertyTest, ServeLoopMatchesDirectApiAndNamesBadLines) {

@@ -6,9 +6,12 @@
 //    depth, yields typed kCorruption from Snapshot::Load — never OK, never
 //    a crash, never a silently different snapshot;
 //  - section-level tampering with a *recomputed* section checksum is still
-//    rejected by FromBuffer's structural validators (KD permutation, CSR
-//    monotonicity, id ranges), so validation does not lean on the checksum
-//    alone;
+//    rejected by FromBuffer's structural validators (CSR bounds and
+//    monotonicity, endpoint / grid-entry / label id ranges), so validation
+//    does not lean on the checksum alone;
+//  - the rpsnap02 bytes of a fixed network are pinned by a golden hash, and
+//    a buffer or file carrying the old rpsnap01 magic is refused as
+//    corruption naming the magic/version tag;
 //  - the builder rejects label/segment mismatches, and empty / zero-area
 //    networks round-trip as valid trivial snapshots (PR-4 regression
 //    class).
@@ -44,24 +47,32 @@ std::vector<int> AlternatingLabels(int num_segments, int k) {
   return labels;
 }
 
-// rpsnap v1 layout constants, duplicated here on purpose: the test pins the
+// rpsnap v2 layout constants, duplicated here on purpose: the test pins the
 // on-disk format. If the layout changes, the format version must change too
 // and this test must be updated deliberately (see DESIGN.md versioning
 // rules).
-constexpr size_t kHeaderSize = 192;
-constexpr size_t kSectionsFnvOffset = 120;
-
-size_t OffsetOfKd(const Snapshot& snap) {
-  return kHeaderSize + size_t(snap.num_intersections()) * 16 +
-         size_t(snap.num_segments()) * 8 + size_t(snap.num_segments()) * 16;
-}
+constexpr size_t kHeaderSize = 168;
+constexpr size_t kNumGridEntriesOffset = 56;
+constexpr size_t kSectionsFnvOffset = 104;
 
 size_t OffsetOfEndpoints(const Snapshot& snap) {
   return kHeaderSize + size_t(snap.num_intersections()) * 16;
 }
 
 size_t OffsetOfGridStarts(const Snapshot& snap) {
-  return OffsetOfKd(snap) + size_t(snap.num_segments()) * 4;
+  return OffsetOfEndpoints(snap) + size_t(snap.num_segments()) * 8 +
+         size_t(snap.num_segments()) * 16;
+}
+
+size_t OffsetOfLabels(const Snapshot& snap) {
+  return snap.buffer().size() - 1 - size_t(snap.num_segments()) * 4;
+}
+
+size_t OffsetOfGridEntries(const Snapshot& snap) {
+  int64_t entries;
+  std::memcpy(&entries, snap.buffer().data() + kNumGridEntriesOffset,
+              sizeof(entries));
+  return OffsetOfLabels(snap) - size_t(entries) * 4;
 }
 
 // Rewrites the stored section checksum to match the (tampered) section
@@ -179,8 +190,10 @@ TEST(ServeSnapshotTest, StructuralValidatorsCatchTamperingBehindValidFnv) {
   const int32_t ni = snap.num_intersections();
   ASSERT_GT(ns, 1);
 
-  auto tamper_int32 = [&](size_t offset, int32_t value,
-                          const char* what) {
+  // `validator` names the check that must fire: the tampering is caught
+  // where it was aimed, not by an earlier gate.
+  auto tamper_int32 = [&](size_t offset, int32_t value, const char* what,
+                          const char* validator) {
     std::string buffer = snap.buffer();
     std::memcpy(&buffer[offset], &value, sizeof(value));
     RecomputeSectionsFnv(&buffer);
@@ -188,31 +201,70 @@ TEST(ServeSnapshotTest, StructuralValidatorsCatchTamperingBehindValidFnv) {
     ASSERT_FALSE(st.ok()) << what << " accepted";
     EXPECT_EQ(st.code(), StatusCode::kCorruption) << what << ": "
                                                   << st.ToString();
+    EXPECT_NE(st.message().find(validator), std::string::npos)
+        << what << ": " << st.ToString();
   };
-  // kd[0] out of range -> not a permutation.
-  tamper_int32(OffsetOfKd(snap), ns, "kd entry out of range");
-  // kd[0] duplicating kd[1] -> not a permutation either.
-  int32_t kd1;
-  std::memcpy(&kd1, snap.buffer().data() + OffsetOfKd(snap) + 4, 4);
-  tamper_int32(OffsetOfKd(snap), kd1, "kd duplicate entry");
   // endpoints[0] out of range.
-  tamper_int32(OffsetOfEndpoints(snap), ni, "endpoint id out of range");
+  tamper_int32(OffsetOfEndpoints(snap), ni, "endpoint id out of range",
+               "segment endpoint ids");
   // grid starts must begin at 0.
-  tamper_int32(OffsetOfGridStarts(snap), 1, "grid CSR start");
+  tamper_int32(OffsetOfGridStarts(snap), 1, "grid CSR start",
+               "grid CSR bounds");
+  // grid starts must not decrease: starts[1] above starts[2].
+  int32_t start2;
+  std::memcpy(&start2, snap.buffer().data() + OffsetOfGridStarts(snap) + 8, 4);
+  tamper_int32(OffsetOfGridStarts(snap) + 4, start2 + 1,
+               "non-monotone grid starts", "grid CSR monotonicity");
+  // A grid entry naming a segment that does not exist.
+  tamper_int32(OffsetOfGridEntries(snap), ns, "grid entry id out of range",
+               "grid entry segment ids");
   // A label outside [0, num_partitions).
-  tamper_int32(snap.buffer().size() - 1 - size_t(ns) * 4, -1,
-               "negative partition label");
+  tamper_int32(OffsetOfLabels(snap), -1, "negative partition label",
+               "partition labels");
 
   // Without the recomputed checksum, the same tampering dies earlier at the
   // section-checksum gate — also as Corruption.
   std::string buffer = snap.buffer();
   const int32_t bad = ns;
-  std::memcpy(&buffer[OffsetOfKd(snap)], &bad, sizeof(bad));
+  std::memcpy(&buffer[OffsetOfGridEntries(snap)], &bad, sizeof(bad));
   Status st = Snapshot::FromBuffer(std::move(buffer)).status();
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCorruption);
   EXPECT_NE(st.message().find("checksum"), std::string::npos)
       << st.ToString();
+}
+
+TEST(ServeSnapshotTest, GoldenBytesPinRpsnap02AndRpsnap01IsRefused) {
+  auto net = SmallGridNetwork();
+  ASSERT_TRUE(net.ok()) << net.status().ToString();
+  auto snap = Snapshot::Build(*net, AlternatingLabels(net->num_segments(), 2));
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  const std::string& buffer = snap->buffer();
+  EXPECT_EQ(buffer.substr(0, 8), "rpsnap02");
+  // Any change here is a format change: bump the magic, then re-pin.
+  EXPECT_EQ(Uint64ToHex(Fnv1a64(buffer)), "6c0d30fcfb8d2ccf");
+
+  // A v1-shaped buffer: the rpsnap01 magic in front of a 192-byte header
+  // (v1 also stored max_x/max_y and the KD section offset).
+  std::string v1 = buffer;
+  v1.insert(kHeaderSize, 192 - kHeaderSize, '\0');
+  std::memcpy(&v1[0], "rpsnap01", 8);
+  Status st = Snapshot::FromBuffer(v1).status();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("magic/version tag"), std::string::npos)
+      << st.ToString();
+
+  // The same bytes in a valid version-1 envelope, as an old Save wrote them:
+  // the envelope verifies, the payload does not.
+  const std::string path = TempPath("v1.rpsnap");
+  ASSERT_TRUE(WriteArtifact(path, "rpsnap", 1, v1).ok());
+  st = Snapshot::Load(path).status();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("magic/version tag"), std::string::npos)
+      << st.ToString();
+  std::remove(path.c_str());
 }
 
 TEST(ServeSnapshotTest, FromBufferRejectsGarbage) {
