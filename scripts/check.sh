@@ -59,6 +59,11 @@ cmake --build "${RELEASE_DIR}" -j "${JOBS}"
 echo "==> [2/7] ctest: full suite (Release)"
 ctest --test-dir "${RELEASE_DIR}" --output-on-failure -j "${JOBS}"
 
+# Standalone reruns write their scratch files where ctest's runs of the same
+# tree do (tests/CMakeLists.txt sets TEST_TMPDIR per tree), never into a
+# directory another tree's suite shares.
+export TEST_TMPDIR="${RELEASE_DIR}/tests/tmp"
+
 echo "==> [2b/7] crash-injection suite (Release, verbose)"
 # Part of the full Release run above, but re-run on its own so a durability
 # regression (torn output, stale checkpoint served, resume divergence) is
@@ -136,6 +141,8 @@ echo "==> [6/7] ctest under AddressSanitizer"
 # exit path as a leak-check failure inside the forked child.
 export ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+:${ASAN_OPTIONS}}"
 ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}"
+
+export TEST_TMPDIR="${ASAN_DIR}/tests/tmp"
 
 echo "==> [6b/7] fault-injection suite under AddressSanitizer (verbose)"
 # Part of the full ASan run above, but re-run on its own so a fault-path

@@ -25,6 +25,59 @@ double RowDistanceSq(const DenseMatrix& points, int row, const double* center,
   return acc;
 }
 
+// Two doubles, one per lane. Lane arithmetic is scalar IEEE double
+// arithmetic (no FMA: a product is rounded before it is added), so each lane
+// computes exactly what the same chain of scalar operations computes.
+typedef double V2 __attribute__((vector_size(16)));
+
+// Centres 2q and 2q+1 interleaved lane by lane: pairs[q * dim + d] holds
+// {c_2q[d], c_2q+1[d]}. An odd last centre is left out.
+void PackCentrePairs(const DenseMatrix& centroids, std::vector<V2>* pairs) {
+  const int dim = centroids.cols();
+  pairs->resize(static_cast<size_t>(centroids.rows() / 2) * dim);
+  for (int q = 0; q < centroids.rows() / 2; ++q) {
+    for (int d = 0; d < dim; ++d) {
+      (*pairs)[q * dim + d] =
+          V2{centroids(2 * q, d), centroids(2 * q + 1, d)};
+    }
+  }
+}
+
+// The centre nearest to row `row`, first index on ties: the scalar scan of
+// RowDistanceSq in centre order with a strict <, two centres per vector.
+// Each lane sums its centre's squared differences in dimension order from
+// 0.0, as RowDistanceSq does, so the distances and the choice are the
+// scalar ones bit for bit.
+int NearestCentre(const DenseMatrix& points, int row,
+                  const DenseMatrix& centroids, const std::vector<V2>& pairs) {
+  const int k = centroids.rows();
+  const int dim = points.cols();
+  const double* p = points.Row(row);
+  int best = 0;
+  double best_d = std::numeric_limits<double>::infinity();
+  for (int q = 0; q < k / 2; ++q) {
+    const V2* c = pairs.data() + static_cast<size_t>(q) * dim;
+    V2 acc = {0.0, 0.0};
+    for (int d = 0; d < dim; ++d) {
+      const V2 diff = V2{p[d], p[d]} - c[d];
+      acc += diff * diff;
+    }
+    if (acc[0] < best_d) {
+      best_d = acc[0];
+      best = 2 * q;
+    }
+    if (acc[1] < best_d) {
+      best_d = acc[1];
+      best = 2 * q + 1;
+    }
+  }
+  if (k % 2 == 1 &&
+      RowDistanceSq(points, row, centroids.Row(k - 1), dim) < best_d) {
+    best = k - 1;
+  }
+  return best;
+}
+
 // One full Lloyd run from a given seeding.
 KMeansResult RunOnce(const DenseMatrix& points, int k,
                      const KMeansOptions& options, Rng& rng) {
@@ -66,19 +119,13 @@ KMeansResult RunOnce(const DenseMatrix& points, int k,
 
   std::vector<int> assignment(n, -1);
   std::vector<int> counts(k, 0);
+  std::vector<V2> pairs;
   int iterations = 0;
   for (; iterations < options.max_iterations; ++iterations) {
     bool changed = false;
+    PackCentrePairs(centroids, &pairs);
     for (int i = 0; i < n; ++i) {
-      int best = 0;
-      double best_d = std::numeric_limits<double>::infinity();
-      for (int c = 0; c < k; ++c) {
-        double d = RowDistanceSq(points, i, centroids.Row(c), dim);
-        if (d < best_d) {
-          best_d = d;
-          best = c;
-        }
-      }
+      const int best = NearestCentre(points, i, centroids, pairs);
       if (assignment[i] != best) {
         assignment[i] = best;
         changed = true;

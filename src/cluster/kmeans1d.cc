@@ -2,20 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 
 #include "common/fault_injection.h"
+#include "common/radix_sort.h"
 #include "common/string_util.h"
 
 namespace roadpart {
 
 Sorted1DWorkspace::Sorted1DWorkspace(const std::vector<double>& values) {
   const int n = static_cast<int>(values.size());
-  order_.resize(n);
-  std::iota(order_.begin(), order_.end(), 0);
-  std::sort(order_.begin(), order_.end(),
-            [&](int a, int b) { return values[a] < values[b]; });
+  // Order-preserving keys: flipping every bit of a negative and the sign bit
+  // of a non-negative makes unsigned key order the numeric order. -0.0 takes
+  // the key of +0.0, as the two compare equal.
+  auto key_of = [&values](int i) {
+    const double v = values[i] == 0.0 ? 0.0 : values[i];
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+  };
+  StableRadixSortIndices(n, key_of, &order_);
   sorted_.resize(n);
   for (int i = 0; i < n; ++i) sorted_[i] = values[order_[i]];
 
@@ -31,6 +39,46 @@ Sorted1DWorkspace::Sorted1DWorkspace(const std::vector<double>& values) {
     if (i == 0 || sorted_[i] != sorted_[i - 1]) ++num_distinct_;
   }
 }
+
+namespace {
+
+// std::upper_bound(sorted, x), found by galloping from `hint`, a guess at the
+// answer: probes 1, 2, 4, ... ranks away from the hint bracket the answer and
+// a binary search inside the bracket finishes. A cut that moved d ranks since
+// its last position costs O(log d) comparisons instead of O(log n). Every
+// probe uses upper_bound's own test (x < value), so on sorted data the index
+// is exactly upper_bound's.
+int UpperBoundFrom(const std::vector<double>& sorted, double x, int hint) {
+  const int n = static_cast<int>(sorted.size());
+  int lo = 0;  // the answer lies in [lo, hi]
+  int hi = n;
+  if (hint < n && !(x < sorted[hint])) {
+    lo = hint + 1;
+    for (int64_t step = 1; step <= n - lo; step *= 2) {
+      const int probe = lo + static_cast<int>(step) - 1;
+      if (x < sorted[probe]) {
+        hi = probe;
+        break;
+      }
+      lo = probe + 1;
+    }
+  } else {
+    hi = hint;
+    for (int64_t step = 1; step <= hi; step *= 2) {
+      const int probe = hi - static_cast<int>(step);
+      if (!(x < sorted[probe])) {
+        lo = probe + 1;
+        break;
+      }
+      hi = probe;
+    }
+  }
+  return static_cast<int>(
+      std::upper_bound(sorted.begin() + lo, sorted.begin() + hi, x) -
+      sorted.begin());
+}
+
+}  // namespace
 
 Result<KMeans1DResult> KMeans1D(const std::vector<double>& values, int k,
                                 int max_iterations) {
@@ -91,20 +139,22 @@ Result<KMeans1DResult> KMeans1DCuts(const Sorted1DWorkspace& workspace, int k,
   std::sort(means.begin(), means.end());
 
   // In 1-D with sorted means, clusters are contiguous runs split at the
-  // midpoints between consecutive means.
+  // midpoints between consecutive means. Each cut gallops from where it
+  // last stood: Lloyd moves cuts little between iterations.
   std::vector<int> boundary(eff_k + 1, 0);  // cluster c covers [boundary[c], boundary[c+1])
   boundary[eff_k] = n;
+  auto place_cuts = [&] {
+    for (int c = 1; c < eff_k; ++c) {
+      const double mid = 0.5 * (means[c - 1] + means[c]);
+      boundary[c] = std::max(UpperBoundFrom(sorted, mid, boundary[c]),
+                             boundary[c - 1]);
+    }
+  };
   std::vector<int> prev_boundary;
 
   int iterations = 0;
   for (; iterations < max_iterations; ++iterations) {
-    for (int c = 1; c < eff_k; ++c) {
-      double mid = 0.5 * (means[c - 1] + means[c]);
-      boundary[c] = static_cast<int>(
-          std::upper_bound(sorted.begin(), sorted.end(), mid) -
-          sorted.begin());
-      boundary[c] = std::max(boundary[c], boundary[c - 1]);
-    }
+    place_cuts();
     if (boundary == prev_boundary) break;
     prev_boundary = boundary;
 
@@ -146,13 +196,7 @@ Result<KMeans1DResult> KMeans1DCuts(const Sorted1DWorkspace& workspace, int k,
                         (boundary[big + 1] - boundary[big]);
         means[big] = mu_big;
         std::sort(means.begin(), means.end());
-        for (int c2 = 1; c2 < eff_k; ++c2) {
-          double mid = 0.5 * (means[c2 - 1] + means[c2]);
-          boundary[c2] = static_cast<int>(
-              std::upper_bound(sorted.begin(), sorted.end(), mid) -
-              sorted.begin());
-          boundary[c2] = std::max(boundary[c2], boundary[c2 - 1]);
-        }
+        place_cuts();
         break;
       }
     }

@@ -35,6 +35,10 @@ struct KMeans1DResult {
 /// sweep) construct one workspace and pass it to every call instead of
 /// re-sorting per k. Immutable after construction and therefore safe to
 /// share across concurrent KMeans1D calls.
+///
+/// The sort is stable: equal values (-0.0 and +0.0 included) keep ascending
+/// input order in `order()`. It is an O(n) LSD radix sort on order-preserving
+/// 64-bit keys. Values must not be NaN.
 class Sorted1DWorkspace {
  public:
   explicit Sorted1DWorkspace(const std::vector<double>& values);

@@ -200,8 +200,9 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
       store = CheckpointStore();
     }
   }
+  // Callers test store.enabled() first, so no payload is encoded for a
+  // store that keeps nothing.
   auto save_stage = [&](CheckpointStage stage, const std::string& payload) {
-    if (!store.enabled()) return;
     Status saved = store.SaveStage(stage, payload);
     if (!saved.ok()) {
       outcome.diagnostics.warnings.push_back(
@@ -298,7 +299,9 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
         fresh.module2_seconds = timer.Seconds();
         fresh.report = outcome.mining_report;
         if (!fresh.roadgraph_fallback) fresh.supergraph = std::move(sg);
-        save_stage(CheckpointStage::kMining, EncodeMiningCheckpoint(fresh));
+        if (store.enabled()) {
+          save_stage(CheckpointStage::kMining, EncodeMiningCheckpoint(fresh));
+        }
         mined = std::move(fresh);
       }
       outcome.module2_seconds = mined->module2_seconds;
@@ -360,7 +363,9 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
       if (!cut_stored) {
         RP_ASSIGN_OR_RETURN(
             cut, SpectralKWayPartition(target, k, *method, pipeline));
-        save_stage(CheckpointStage::kCut, EncodeCutCheckpoint(cut));
+        if (store.enabled()) {
+          save_stage(CheckpointStage::kCut, EncodeCutCheckpoint(cut));
+        }
       }
       if (options_.refine_boundary) {
         // On the supergraph, refinement keeps supernodes atomic, as the

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
+#include "common/radix_sort.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -252,7 +253,9 @@ Result<Supergraph> MineSupergraph(const RoadGraph& road_graph,
   }
   // Flat accumulation: gather one packed (p, q) key per cross edge, sort,
   // and count runs. The sorted key order equals the old ordered-map
-  // iteration order, at a fraction of the allocation and cache cost.
+  // iteration order, at a fraction of the allocation and cache cost. Both
+  // halves of a key are supernode ids, so the radix sort only pays for the
+  // bytes they use.
   std::vector<uint64_t> cross_keys;
   cross_keys.reserve(static_cast<size_t>(graph.num_edges()));
   for (int u = 0; u < n; ++u) {
@@ -266,7 +269,10 @@ Result<Supergraph> MineSupergraph(const RoadGraph& road_graph,
                            static_cast<uint32_t>(q));
     }
   }
-  std::sort(cross_keys.begin(), cross_keys.end());
+  std::vector<int> by_key;
+  StableRadixSortIndices(static_cast<int>(cross_keys.size()),
+                         [&cross_keys](int i) { return cross_keys[i]; },
+                         &by_key);
 
   std::vector<double> sfeatures(supernodes.size());
   for (size_t s = 0; s < supernodes.size(); ++s) {
@@ -275,11 +281,12 @@ Result<Supergraph> MineSupergraph(const RoadGraph& road_graph,
   const double sigma_sq = Variance(sfeatures);
 
   std::vector<Edge> superlinks;
-  for (size_t i = 0; i < cross_keys.size();) {
+  for (size_t i = 0; i < by_key.size();) {
+    const uint64_t key = cross_keys[by_key[i]];
     size_t j = i;
-    while (j < cross_keys.size() && cross_keys[j] == cross_keys[i]) ++j;
-    const int p = static_cast<int>(cross_keys[i] >> 32);
-    const int q = static_cast<int>(cross_keys[i] & 0xffffffffu);
+    while (j < by_key.size() && cross_keys[by_key[j]] == key) ++j;
+    const int p = static_cast<int>(key >> 32);
+    const int q = static_cast<int>(key & 0xffffffffu);
     double w = SuperlinkWeight(sfeatures[p], sfeatures[q],
                                static_cast<int>(j - i), sigma_sq,
                                options.weight_scheme);

@@ -34,6 +34,11 @@ ComponentLabels LabelConstrainedComponents(const CsrGraph& graph,
 /// that stay inside a bucket, with no per-node label array and no BFS.
 /// CountComponents(cuts) equals LabelConstrainedComponents(graph, labels)
 /// .num_components for the labels those cuts induce.
+///
+/// Only edges that can decide a count are kept: an edge (lo, hi) in rank
+/// space is dropped when a common neighbour t ranks strictly between lo and
+/// hi (a witness), because any bucket holding lo and hi also holds t and its
+/// two edges. This is exact for every bucketing into rank intervals.
 class BucketComponentCounter {
  public:
   /// `order[r]` is the node of rank r; it must be a permutation of
@@ -45,10 +50,14 @@ class BucketComponentCounter {
   /// Read-only, so safe to call concurrently.
   int CountComponents(const std::vector<int>& cuts) const;
 
+  /// Rank-space edges left after dropping those with a witness.
+  int64_t kept_edges() const { return static_cast<int64_t>(edges_.size()) / 2; }
+
  private:
-  // Row r lists the higher ranks adjacent to rank r, ascending.
-  std::vector<int64_t> offsets_;
-  std::vector<int> higher_;
+  int num_nodes_ = 0;
+  // The rank-space edges without a witness as (lo, hi) pairs, lo < hi, by
+  // ascending lo: edge e is edges_[2e], edges_[2e + 1].
+  std::vector<int> edges_;
 };
 
 /// Components of the subgraph induced on `subset` (ids refer to positions in

@@ -12,27 +12,43 @@ namespace roadpart {
 CsrGraph BuildDualAdjacency(const RoadNetwork& network) {
   // Two segments are adjacent when they share an intersection, so segment
   // s's row is the union of the incidence lists at its two endpoints, minus
-  // s itself. The two lists can both hold a segment (two segments sharing
-  // both endpoints, e.g. the two directions of a two-way road); sort +
-  // unique keeps the adjacency binary. The relation is symmetric and every
-  // row comes out sorted, so the rows go straight into CSR.
+  // s itself. Incidence lists are filled in segment order, so each ascends
+  // and holds a segment once (there are no self-loops); their merge is
+  // ascending too and keeps a segment listed at both endpoints (e.g. the
+  // other direction of a two-way road) once, so the adjacency is binary.
+  // The relation is symmetric, so the rows go straight into CSR.
   const int n = network.num_segments();
   std::vector<int64_t> offsets(static_cast<size_t>(n) + 1, 0);
-  std::vector<int> neighbors;
-  std::vector<int> row;
+  // Row s holds at most both lists' lengths minus 2: s is in each.
+  size_t bound = 0;
+  for (int s = 0; s < n; ++s) {
+    const RoadSegment& segment = network.segment(s);
+    bound += network.SegmentsAt(segment.from).size() +
+             network.SegmentsAt(segment.to).size() - 2;
+  }
+  std::vector<int> neighbors(bound);
+  size_t size = 0;
   for (int s = 0; s < n; ++s) {
     const RoadSegment& segment = network.segment(s);
     const std::vector<int>& at_from = network.SegmentsAt(segment.from);
     const std::vector<int>& at_to = network.SegmentsAt(segment.to);
-    row.assign(at_from.begin(), at_from.end());
-    row.insert(row.end(), at_to.begin(), at_to.end());
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-    for (int t : row) {
-      if (t != s) neighbors.push_back(t);
+    auto a = at_from.begin();
+    auto b = at_to.begin();
+    auto emit = [&](int t) {
+      if (t != s) neighbors[size++] = t;
+    };
+    while (a != at_from.end() && b != at_to.end()) {
+      const int x = *a;
+      const int y = *b;
+      a += x <= y;
+      b += y <= x;
+      emit(std::min(x, y));
     }
-    offsets[s + 1] = static_cast<int64_t>(neighbors.size());
+    for (; a != at_from.end(); ++a) emit(*a);
+    for (; b != at_to.end(); ++b) emit(*b);
+    offsets[s + 1] = static_cast<int64_t>(size);
   }
+  neighbors.resize(size);
   std::vector<double> weights(neighbors.size(), 1.0);
   return CsrGraph::FromRawParts(n, std::move(offsets), std::move(neighbors),
                                 std::move(weights));

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
+#include "common/radix_sort.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -318,6 +323,35 @@ TEST(PhaseTimerTest, ReenteringPhaseAccumulates) {
   pt.Stop();
   EXPECT_GE(pt.PhaseSeconds("a"), first);
   EXPECT_EQ(pt.PhaseNames().size(), 1u);
+}
+
+TEST(StableRadixSortTest, MatchesStableSortOracle) {
+  Rng rng(17);
+  auto check = [](const std::vector<uint64_t>& keys, const std::string& what) {
+    SCOPED_TRACE(what);
+    const int n = static_cast<int>(keys.size());
+    std::vector<int> oracle(n);
+    std::iota(oracle.begin(), oracle.end(), 0);
+    std::stable_sort(oracle.begin(), oracle.end(),
+                     [&](int a, int b) { return keys[a] < keys[b]; });
+    std::vector<int> order = {5, 6};  // overwritten
+    StableRadixSortIndices(n, [&keys](int i) { return keys[i]; }, &order);
+    EXPECT_EQ(order, oracle);  // equal keys keep ascending index order
+  };
+  check({}, "empty");
+  check({42}, "one key");
+  check({7, 7, 7, 7}, "all equal: every pass skipped");
+  std::vector<uint64_t> wide(5000);
+  for (uint64_t& k : wide) k = rng.Next();
+  check(wide, "full 64-bit keys");
+  std::vector<uint64_t> packed(5000);
+  for (uint64_t& k : packed) {
+    k = (rng.NextBounded(4000) << 32) | rng.NextBounded(4000);
+  }
+  check(packed, "two packed 12-bit ids");
+  std::vector<uint64_t> few(5000);
+  for (uint64_t& k : few) k = rng.NextBounded(3) << 56;
+  check(few, "few values in the top byte");
 }
 
 }  // namespace

@@ -3,10 +3,11 @@
 // edges that stay inside one 1-D k-means bucket, and only the winning kappa
 // is labelled by the BFS of LabelConstrainedComponents. This suite checks
 // the union-find count against that BFS for every kappa on seeded random
-// graphs (ties, isolated nodes, one bucket, all-singleton buckets), checks
-// that KMeans1DCuts + AssignFromCuts reproduce KMeans1D, and pins the full
-// mining output on the congested D1 / M1 / M3 presets to fingerprints
-// recorded with the per-kappa BFS implementation.
+// graphs (ties, isolated nodes, one bucket, all-singleton buckets) and on
+// city dual graphs, checks on hand-built graphs which edges the witness rule
+// drops, checks that KMeans1DCuts + AssignFromCuts reproduce KMeans1D, and
+// pins the full mining output on the congested D1 / M1 / M3 presets to
+// fingerprints recorded with the per-kappa BFS implementation.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -176,6 +178,83 @@ TEST(BucketComponentCounter, ArbitraryCutsOverAnyOrder) {
       EXPECT_EQ(counter.CountComponents(cuts), BfsCount(graph, order, cuts))
           << "seed " << seed << " trial " << trial;
     }
+  }
+}
+
+// The graph whose rank-space edges are `rank_edges` under `order` (node
+// order[r] has rank r).
+CsrGraph GraphInRankSpace(const std::vector<int>& order,
+                          const std::vector<std::pair<int, int>>& rank_edges) {
+  std::vector<Edge> edges;
+  for (const auto& [a, b] : rank_edges) {
+    edges.push_back({order[a], order[b], 1.0});
+  }
+  return CsrGraph::FromEdges(static_cast<int>(order.size()), edges).value();
+}
+
+// Every cut set over n ranks: each subset of [1, n) as interior cuts.
+void ExpectEveryCutSetMatchesBfs(const CsrGraph& graph,
+                                 const std::vector<int>& order,
+                                 const BucketComponentCounter& counter) {
+  const int n = static_cast<int>(order.size());
+  for (int mask = 0; mask < (1 << (n - 1)); ++mask) {
+    std::vector<int> cuts = {0};
+    for (int c = 1; c < n; ++c) {
+      if ((mask >> (c - 1)) & 1) cuts.push_back(c);
+    }
+    cuts.push_back(n);
+    EXPECT_EQ(counter.CountComponents(cuts), BfsCount(graph, order, cuts))
+        << "cut mask " << mask;
+  }
+}
+
+TEST(BucketComponentCounter, DropsAnEdgeWithAWitnessAndKeepsOneWithout) {
+  // In rank space: (0, 2) has the witness 1 and (1, 3) the witness 2, so
+  // both are dropped. (1, 2) has the common neighbours 0 and 3, both outside
+  // (1, 2): it is kept, and the bucket {1, 2} is one component only through
+  // it. A non-identity order checks the relabelling.
+  const std::vector<int> order = {3, 0, 2, 1};
+  CsrGraph graph = GraphInRankSpace(
+      order, {{0, 1}, {1, 2}, {2, 3}, {0, 2}, {1, 3}});
+  const BucketComponentCounter counter(graph, order);
+  EXPECT_EQ(counter.kept_edges(), 3);
+  EXPECT_EQ(counter.CountComponents({0, 1, 3, 4}), 3);
+  EXPECT_EQ(counter.CountComponents({0, 2, 4}), 2);
+  ExpectEveryCutSetMatchesBfs(graph, order, counter);
+
+  // A triangle keeps its two short edges; (0, 2) has the witness 1.
+  const std::vector<int> triangle_order = {1, 2, 0};
+  CsrGraph triangle =
+      GraphInRankSpace(triangle_order, {{0, 1}, {1, 2}, {0, 2}});
+  const BucketComponentCounter triangle_counter(triangle, triangle_order);
+  EXPECT_EQ(triangle_counter.kept_edges(), 2);
+  ExpectEveryCutSetMatchesBfs(triangle, triangle_order, triangle_counter);
+
+  const BucketComponentCounter empty(CsrGraph::FromEdges(0, {}).value(), {});
+  EXPECT_EQ(empty.kept_edges(), 0);
+  EXPECT_EQ(empty.CountComponents({0, 0}), 0);
+}
+
+TEST(BucketComponentCounter, CityDualGraphsWithTiesAndConstantDensities) {
+  // Dual graphs carry a clique per intersection, so most of their edges have
+  // a witness. Few density levels put long runs of ties into one bucket;
+  // constant densities collapse every kappa to one bucket.
+  for (uint64_t seed : {3, 11}) {
+    CityOptions city;
+    city.num_intersections = 260;
+    city.target_segments = 440;
+    city.area_sq_miles = 1.5;
+    city.seed = seed;
+    RoadGraph graph = RoadGraph::FromNetwork(GenerateCityNetwork(city).value());
+    const int n = graph.num_nodes();
+    Rng rng(seed);
+    for (int levels : {2, 5}) {
+      ExpectCountsMatchBfs(graph.adjacency(), RandomValues(rng, n, levels),
+                           "seed " + std::to_string(seed) + " levels " +
+                               std::to_string(levels));
+    }
+    ExpectCountsMatchBfs(graph.adjacency(), std::vector<double>(n, 2.5),
+                         "seed " + std::to_string(seed) + " constant");
   }
 }
 
