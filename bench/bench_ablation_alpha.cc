@@ -19,7 +19,7 @@ class ConstAlphaCutMethod : public SpectralCutMethod {
   explicit ConstAlphaCutMethod(double alpha) : alpha_(alpha) {}
 
   Result<DenseMatrix> Embed(const CsrGraph& graph, int k) const override {
-    SparseMatrix a = graph.ToSparseMatrix();
+    const SparseMatrix& a = graph.ToSparseMatrix();
     SparseOperator a_op(a);
     std::vector<double> d = a.RowSums();
     // y = alpha * D x - A x implemented as a diagonal update of -A.

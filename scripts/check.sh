@@ -124,9 +124,11 @@ else
   # vectors (linalg_eigen_test), run under UBSan as well;
   # 'core_component_count' covers the union-find component counts that
   # Phase B of mining fans out per kappa, and 'network_dual_graph' the
-  # dual-graph CSR build every partition starts from.
+  # dual-graph CSR build every partition starts from; 'graph_test' and
+  # 'linalg_sparse' cover the one CSR store (a CsrGraph is its adjacency
+  # SparseMatrix) under the parallel Multiply/RowSums kernels.
   ctest --test-dir "${TSAN_DIR}" --output-on-failure -j "${JOBS}" \
-    -R 'parallel|determinism|lanczos|eigen|mining|serve|distributed|tracker|temporal|pipeline|core_component_count|network_dual_graph'
+    -R 'parallel|determinism|lanczos|eigen|mining|serve|distributed|tracker|temporal|pipeline|core_component_count|network_dual_graph|graph_test|linalg_sparse'
 fi
 
 echo "==> [5/7] Configure + build ASan+UBSan tree (${ASAN_DIR})"

@@ -10,54 +10,13 @@
 
 namespace roadpart {
 
-namespace {
-
-// Accumulates, per partition: node count, volume (sum of weighted degrees)
-// and the ordered-pair internal weight sum_{p,q in P} A(p,q).
-struct PartitionSums {
-  std::vector<double> volume;
-  std::vector<double> internal;  // each intra edge counted twice
-  std::vector<int> size;
-  double total = 0.0;  // s = 1^T d = 2 * total edge weight
-  int k = 0;
-};
-
-PartitionSums Accumulate(const CsrGraph& graph,
-                         const std::vector<int>& assignment) {
-  PartitionSums sums;
-  for (int a : assignment) sums.k = std::max(sums.k, a + 1);
-  // A negative label would index out of bounds below; sparse (empty) labels
-  // are tolerated here because the objectives skip empty partitions.
-  RP_DCHECK_OK(ValidatePartitionLabels(assignment, graph.num_nodes(), sums.k,
-                                       /*require_all_labels_used=*/false));
-  sums.volume.assign(sums.k, 0.0);
-  sums.internal.assign(sums.k, 0.0);
-  sums.size.assign(sums.k, 0);
-  for (int u = 0; u < graph.num_nodes(); ++u) {
-    int p = assignment[u];
-    sums.size[p]++;
-    auto nbrs = graph.Neighbors(u);
-    auto wts = graph.NeighborWeights(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      sums.volume[p] += wts[i];
-      sums.total += wts[i];
-      if (assignment[nbrs[i]] == p) sums.internal[p] += wts[i];
-    }
-  }
-  return sums;
-}
-
-}  // namespace
-
 DenseMatrix AlphaCutMatrix(const CsrGraph& graph) {
   const int n = graph.num_nodes();
-  DenseMatrix a = graph.ToSparseMatrix().ToDense();
-  std::vector<double> d(n, 0.0);
+  const SparseMatrix& adjacency = graph.ToSparseMatrix();
+  DenseMatrix a = adjacency.ToDense();
+  const std::vector<double> d = adjacency.RowSums();
   double s = 0.0;
-  for (int i = 0; i < n; ++i) {
-    d[i] = graph.WeightedDegree(i);
-    s += d[i];
-  }
+  for (double x : d) s += x;
   DenseMatrix m(n, n);
   // Row-blocked fill; rows are written disjointly.
   ParallelForBlocked(n, /*grain=*/64, [&](int64_t begin, int64_t end) {
@@ -72,7 +31,7 @@ DenseMatrix AlphaCutMatrix(const CsrGraph& graph) {
 }
 
 Result<DenseMatrix> AlphaCutMethod::Embed(const CsrGraph& graph, int k) const {
-  SparseMatrix a = graph.ToSparseMatrix();
+  const SparseMatrix& a = graph.ToSparseMatrix();
   SparseOperator a_op(a);
   std::vector<double> d = a.RowSums();
   double s = 0.0;
@@ -89,11 +48,6 @@ Result<DenseMatrix> AlphaCutMethod::Embed(const CsrGraph& graph, int k) const {
   return RowNormalize(y);
 }
 
-double AlphaCutMethod::Objective(const CsrGraph& graph,
-                                 const std::vector<int>& assignment) const {
-  return AlphaCutObjective(graph, assignment);
-}
-
 double AlphaCutMethod::PartitionTerm(double volume, double internal, int size,
                                      double total) const {
   if (size <= 0) return 0.0;
@@ -103,25 +57,17 @@ double AlphaCutMethod::PartitionTerm(double volume, double internal, int size,
 
 double AlphaCutObjective(const CsrGraph& graph,
                          const std::vector<int>& assignment) {
-  RP_CHECK_EQ(static_cast<int>(assignment.size()), graph.num_nodes());
-  PartitionSums sums = Accumulate(graph, assignment);
-  double value = 0.0;
-  for (int p = 0; p < sums.k; ++p) {
-    if (sums.size[p] == 0) continue;
-    double vol_sq_over_s =
-        sums.total > 0.0 ? sums.volume[p] * sums.volume[p] / sums.total : 0.0;
-    value += (vol_sq_over_s - sums.internal[p]) / sums.size[p];
-  }
-  return value;
+  return AlphaCutMethod().Objective(graph, assignment);
 }
 
 double AlphaCutObjectiveConstAlpha(const CsrGraph& graph,
                                    const std::vector<int>& assignment,
                                    double alpha) {
-  RP_CHECK_EQ(static_cast<int>(assignment.size()), graph.num_nodes());
-  PartitionSums sums = Accumulate(graph, assignment);
+  int k = 0;
+  for (int a : assignment) k = std::max(k, a + 1);
+  const PartitionSums sums = SumPartitions(graph, assignment, k);
   double value = 0.0;
-  for (int p = 0; p < sums.k; ++p) {
+  for (int p = 0; p < k; ++p) {
     if (sums.size[p] == 0) continue;
     double cut = sums.volume[p] - sums.internal[p];
     value += (alpha * cut - (1.0 - alpha) * sums.internal[p]) / sums.size[p];

@@ -7,6 +7,7 @@
 
 #include "common/string_util.h"
 #include "core/partitioner.h"
+#include "core/supergraph_io.h"
 #include "graph/csr_graph.h"
 
 namespace roadpart {
@@ -205,16 +206,7 @@ std::string EncodeMiningCheckpoint(const MiningCheckpoint& checkpoint) {
   out.Line("components").IntVec(report.component_counts);
   out.Line("stability-values").DoubleVec(report.stability_values);
   if (!checkpoint.roadgraph_fallback && checkpoint.supergraph.has_value()) {
-    const Supergraph& sg = *checkpoint.supergraph;
-    out.Line("supergraph").Int(sg.num_road_nodes()).Int(sg.num_supernodes());
-    for (const Supernode& sn : sg.supernodes()) {
-      out.Line("sn").Double(sn.feature).IntVec(sn.members);
-    }
-    const CsrGraph& links = sg.links();
-    out.Line("links").Int(links.num_nodes());
-    out.Line("offsets").IntVec(links.offsets());
-    out.Line("neighbors").IntVec(links.neighbors());
-    out.Line("weights").DoubleVec(links.weights());
+    AppendSupergraph(out, *checkpoint.supergraph);
   }
   return out.Finish();
 }
@@ -252,47 +244,9 @@ Result<MiningCheckpoint> DecodeMiningCheckpoint(std::string_view payload) {
     return checkpoint;
   }
 
-  RP_ASSIGN_OR_RETURN(int num_road_nodes, ReadInt(cursor, "supergraph"));
-  RP_ASSIGN_OR_RETURN(int num_supernodes, cursor.IntField());
-  if (num_road_nodes < 0 || num_supernodes < 0) {
-    return Status::Corruption("checkpoint 'supergraph' sizes are negative");
-  }
-  std::vector<Supernode> supernodes(num_supernodes);
-  for (Supernode& sn : supernodes) {
-    RP_ASSIGN_OR_RETURN(sn.feature, ReadDouble(cursor, "sn"));
-    RP_ASSIGN_OR_RETURN(sn.members, cursor.IntVecField());
-  }
-  RP_ASSIGN_OR_RETURN(int link_nodes, ReadInt(cursor, "links"));
-  RP_ASSIGN_OR_RETURN(std::vector<int64_t> offsets,
-                      ReadIntVec<int64_t>(cursor, "offsets"));
-  RP_ASSIGN_OR_RETURN(std::vector<int> neighbors,
-                      ReadIntVec(cursor, "neighbors"));
-  RP_ASSIGN_OR_RETURN(std::vector<double> weights,
-                      ReadDoubleVec(cursor, "weights"));
+  RP_ASSIGN_OR_RETURN(Supergraph supergraph, ReadSupergraph(cursor));
   RP_RETURN_IF_ERROR(cursor.Finish());
-  if (link_nodes != num_supernodes ||
-      offsets.size() != static_cast<size_t>(link_nodes) + 1 ||
-      neighbors.size() != weights.size()) {
-    return Status::Corruption("checkpoint supergraph arrays are inconsistent");
-  }
-  // Adopting the raw arrays skips the sort-and-merge pass. The checksum only
-  // vouches that the bytes are the ones written, not that they form a
-  // graph, so the CSR invariants are validated here (Supergraph::Create then
-  // re-validates the member partition).
-  auto links = CsrGraph::FromUntrustedParts(link_nodes, std::move(offsets),
-                                            std::move(neighbors),
-                                            std::move(weights));
-  if (!links.ok()) {
-    return Status::Corruption("checkpoint superlinks fail validation: " +
-                              links.status().ToString());
-  }
-  auto supergraph = Supergraph::Create(std::move(supernodes),
-                                       std::move(*links), num_road_nodes);
-  if (!supergraph.ok()) {
-    return Status::Corruption("checkpoint supergraph fails validation: " +
-                              supergraph.status().ToString());
-  }
-  checkpoint.supergraph = std::move(*supergraph);
+  checkpoint.supergraph = std::move(supergraph);
   return checkpoint;
 }
 

@@ -1,6 +1,5 @@
 #include "core/normalized_cut.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -50,8 +49,7 @@ class NormalizedAdjacencyOperator : public LinearOperator {
 
 Result<DenseMatrix> NormalizedCutMethod::Embed(const CsrGraph& graph,
                                                int k) const {
-  SparseMatrix a = graph.ToSparseMatrix();
-  NormalizedAdjacencyOperator n_op(a);
+  NormalizedAdjacencyOperator n_op(graph.ToSparseMatrix());
   // Largest eigenvectors of D^{-1/2} A D^{-1/2} == smallest of L_sym; the
   // extreme end converges faster under Lanczos.
   EigenSolveDiagnostics solve;
@@ -60,11 +58,6 @@ Result<DenseMatrix> NormalizedCutMethod::Embed(const CsrGraph& graph,
       ExtremeEigenvectors(n_op, k, SpectrumEnd::kLargest, spectral_, &solve));
   RecordEigenSolve(solve);
   return RowNormalize(y);
-}
-
-double NormalizedCutMethod::Objective(
-    const CsrGraph& graph, const std::vector<int>& assignment) const {
-  return NormalizedCutObjective(graph, assignment);
 }
 
 double NormalizedCutMethod::PartitionTerm(double volume, double internal,
@@ -77,30 +70,7 @@ double NormalizedCutMethod::PartitionTerm(double volume, double internal,
 
 double NormalizedCutObjective(const CsrGraph& graph,
                               const std::vector<int>& assignment) {
-  RP_CHECK_EQ(static_cast<int>(assignment.size()), graph.num_nodes());
-  int k = 0;
-  for (int a : assignment) k = std::max(k, a + 1);
-  // Negative labels would index out of bounds in the volume accumulators.
-  RP_DCHECK_OK(ValidatePartitionLabels(assignment, graph.num_nodes(), k,
-                                       /*require_all_labels_used=*/false));
-  std::vector<double> volume(k, 0.0);
-  std::vector<double> internal(k, 0.0);
-  for (int u = 0; u < graph.num_nodes(); ++u) {
-    int p = assignment[u];
-    auto nbrs = graph.Neighbors(u);
-    auto wts = graph.NeighborWeights(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      volume[p] += wts[i];
-      if (assignment[nbrs[i]] == p) internal[p] += wts[i];
-    }
-  }
-  double value = 0.0;
-  for (int p = 0; p < k; ++p) {
-    if (volume[p] > 0.0) {
-      value += (volume[p] - internal[p]) / volume[p];
-    }
-  }
-  return value;
+  return NormalizedCutMethod().Objective(graph, assignment);
 }
 
 Result<GraphCutResult> NormalizedCutPartition(

@@ -19,8 +19,6 @@ class NormalizedCutMethod : public SpectralCutMethod {
       : spectral_(spectral) {}
 
   Result<DenseMatrix> Embed(const CsrGraph& graph, int k) const override;
-  double Objective(const CsrGraph& graph,
-                   const std::vector<int>& assignment) const override;
   double PartitionTerm(double volume, double internal, int size,
                        double total) const override;
   const char* name() const override { return "normalized-cut"; }

@@ -8,38 +8,6 @@
 
 namespace roadpart {
 
-namespace {
-
-// Mutable per-partition bookkeeping for O(deg) move evaluation.
-struct Sums {
-  std::vector<double> volume;    // sum of weighted degrees
-  std::vector<double> internal;  // ordered-pair internal weight
-  std::vector<int> size;
-  double total = 0.0;
-};
-
-Sums Accumulate(const CsrGraph& graph, const std::vector<int>& assignment,
-                int k) {
-  Sums sums;
-  sums.volume.assign(k, 0.0);
-  sums.internal.assign(k, 0.0);
-  sums.size.assign(k, 0);
-  for (int u = 0; u < graph.num_nodes(); ++u) {
-    int p = assignment[u];
-    sums.size[p]++;
-    auto nbrs = graph.Neighbors(u);
-    auto wts = graph.NeighborWeights(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      sums.volume[p] += wts[i];
-      sums.total += wts[i];
-      if (assignment[nbrs[i]] == p) sums.internal[p] += wts[i];
-    }
-  }
-  return sums;
-}
-
-}  // namespace
-
 Result<std::vector<int>> RefineBoundary(const CsrGraph& graph,
                                         std::vector<int> assignment,
                                         const SpectralCutMethod& method,
@@ -52,7 +20,7 @@ Result<std::vector<int>> RefineBoundary(const CsrGraph& graph,
                   n));
   }
   int k = DensifyAssignment(assignment);
-  Sums sums = Accumulate(graph, assignment, k);
+  PartitionSums sums = SumPartitions(graph, assignment, k);
 
   int applied = 0;
   for (int round = 0; round < options.max_rounds; ++round) {

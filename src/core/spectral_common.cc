@@ -13,7 +13,6 @@
 #include "common/string_util.h"
 #include "graph/connected_components.h"
 #include "graph/graph_algos.h"
-#include "graph/graph_builder.h"
 #include "linalg/symmetric_eigen.h"
 
 namespace roadpart {
@@ -251,21 +250,56 @@ CsrGraph GaussianWeightedGraph(const CsrGraph& adjacency,
       });
   double sigma_sq =
       tot.count > 0 ? tot.sum / static_cast<double>(tot.count) : 0.0;
-  CsrGraph weighted = ReweightGraph(adjacency, [&](int u, int v) {
+  CsrGraph weighted = ReweightGraph(adjacency, [&](int u, int v, double) {
     if (sigma_sq <= 0.0) return 1.0;
     double diff = features[u] - features[v];
     return std::exp(-(diff * diff) / (2.0 * sigma_sq));
   });
   if (!degree_normalize) return weighted;
-  std::vector<double> degree(weighted.num_nodes(), 0.0);
-  for (int v = 0; v < weighted.num_nodes(); ++v) {
-    degree[v] = weighted.WeightedDegree(v);
-  }
-  return ReweightGraph(weighted, [&](int u, int v) {
+  const std::vector<double> degree = weighted.ToSparseMatrix().RowSums();
+  return ReweightGraph(weighted, [&](int u, int v, double w) {
     double d = degree[u] * degree[v];
     if (d <= 0.0) return 0.0;
-    return weighted.EdgeWeight(u, v) / std::sqrt(d);
+    return w / std::sqrt(d);
   });
+}
+
+PartitionSums SumPartitions(const CsrGraph& graph,
+                            const std::vector<int>& assignment, int k) {
+  RP_CHECK_EQ(static_cast<int>(assignment.size()), graph.num_nodes());
+  // A label outside [0, k) would index out of bounds below; unused labels
+  // are tolerated because every PartitionTerm of an empty partition is 0.
+  RP_DCHECK_OK(ValidatePartitionLabels(assignment, graph.num_nodes(), k,
+                                       /*require_all_labels_used=*/false));
+  PartitionSums sums;
+  sums.volume.assign(k, 0.0);
+  sums.internal.assign(k, 0.0);
+  sums.size.assign(k, 0);
+  for (int u = 0; u < graph.num_nodes(); ++u) {
+    const int p = assignment[u];
+    sums.size[p]++;
+    auto nbrs = graph.Neighbors(u);
+    auto wts = graph.NeighborWeights(u);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      sums.volume[p] += wts[i];
+      sums.total += wts[i];
+      if (assignment[nbrs[i]] == p) sums.internal[p] += wts[i];
+    }
+  }
+  return sums;
+}
+
+double SpectralCutMethod::Objective(const CsrGraph& graph,
+                                    const std::vector<int>& assignment) const {
+  int k = 0;
+  for (int a : assignment) k = std::max(k, a + 1);
+  const PartitionSums sums = SumPartitions(graph, assignment, k);
+  double value = 0.0;
+  for (int p = 0; p < k; ++p) {
+    value += PartitionTerm(sums.volume[p], sums.internal[p], sums.size[p],
+                           sums.total);
+  }
+  return value;
 }
 
 Result<CsrGraph> PartitionConnectivityGraph(const CsrGraph& graph,
@@ -457,21 +491,11 @@ Result<GraphCutResult> SpectralKWayPartition(
     // adjacent partitions whose merge lowers the cut objective the most
     // (equivalently, raises it the least). Per-partition sums make each
     // candidate evaluation O(1).
-    std::vector<double> volume(k_prime, 0.0);
-    std::vector<double> internal(k_prime, 0.0);
-    std::vector<int> size(k_prime, 0);
-    double total = 0.0;
-    for (int u = 0; u < n; ++u) {
-      int p = partition[u];
-      size[p]++;
-      auto nbrs = graph.Neighbors(u);
-      auto wts = graph.NeighborWeights(u);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        volume[p] += wts[i];
-        total += wts[i];
-        if (partition[nbrs[i]] == p) internal[p] += wts[i];
-      }
-    }
+    PartitionSums sums = SumPartitions(graph, partition, k_prime);
+    std::vector<double>& volume = sums.volume;
+    std::vector<double>& internal = sums.internal;
+    std::vector<int>& size = sums.size;
+    const double total = sums.total;
     // Ordered-pair cross weights between partitions.
     std::map<std::pair<int, int>, double> cross;
     for (int u = 0; u < n; ++u) {

@@ -111,6 +111,21 @@ struct GraphCutResult {
   EigenSolveDiagnostics eigen;  ///< solver-ladder diagnostics, all embeds
 };
 
+/// Per-partition sums of a labelling: the inputs of
+/// SpectralCutMethod::PartitionTerm.
+struct PartitionSums {
+  std::vector<double> volume;    ///< sum of member weighted degrees
+  std::vector<double> internal;  ///< ordered-pair weight, intra edges twice
+  std::vector<int> size;         ///< node count
+  double total = 0.0;            ///< the graph's 1^T d (twice the weight)
+};
+
+/// One pass over the graph, nodes and neighbours in stored order, summing
+/// each partition of `assignment` (one label in [0, k) per node; a label may
+/// go unused).
+PartitionSums SumPartitions(const CsrGraph& graph,
+                            const std::vector<int>& assignment, int k);
+
 /// A spectral k-way cut method is defined by its embedding.
 class SpectralCutMethod {
  public:
@@ -128,9 +143,11 @@ class SpectralCutMethod {
   /// (row-normalized; one row per node).
   virtual Result<DenseMatrix> Embed(const CsrGraph& graph, int k) const = 0;
 
-  /// Objective value of an assignment (smaller = better).
+  /// Objective value of an assignment (smaller = better). By default the
+  /// sum of PartitionTerm over the partitions of SumPartitions, labels
+  /// [0, max label]; an empty partition adds 0.
   virtual double Objective(const CsrGraph& graph,
-                           const std::vector<int>& assignment) const = 0;
+                           const std::vector<int>& assignment) const;
 
   /// One partition's contribution to the objective, given its weighted
   /// volume (sum of member degrees), its ordered-pair internal weight

@@ -1,41 +1,92 @@
 #include "core/supergraph_io.h"
 
-#include <sstream>
+#include <utility>
+#include <vector>
 
-#include "common/durable_io.h"
 #include "common/string_util.h"
 
 namespace roadpart {
 
 namespace {
 constexpr char kSupergraphFormat[] = "supergraph";
-constexpr int kSupergraphVersion = 1;
+constexpr int kSupergraphVersion = 2;
 }  // namespace
+
+void AppendSupergraph(LineWriter& out, const Supergraph& supergraph) {
+  out.Line("supergraph").Int(supergraph.num_road_nodes())
+      .Int(supergraph.num_supernodes());
+  for (const Supernode& sn : supergraph.supernodes()) {
+    out.Line("sn").Double(sn.feature).IntVec(sn.members);
+  }
+  const CsrGraph& links = supergraph.links();
+  out.Line("links").Int(links.num_nodes());
+  out.Line("offsets").IntVec(links.offsets());
+  out.Line("neighbors").IntVec(links.neighbors());
+  out.Line("weights").DoubleVec(links.weights());
+}
+
+Result<Supergraph> ReadSupergraph(LineCursor& cursor) {
+  RP_ASSIGN_OR_RETURN(int num_road_nodes, ReadInt(cursor, "supergraph"));
+  RP_ASSIGN_OR_RETURN(int num_supernodes, cursor.IntField());
+  if (num_road_nodes < 0 || num_supernodes < 0) {
+    return Status::Corruption("'supergraph' sizes are negative");
+  }
+  // One line per supernode, appended as it is read: a count the lines do
+  // not back ends in a truncation error, not in an allocation.
+  std::vector<Supernode> supernodes;
+  int64_t members = 0;
+  for (int s = 0; s < num_supernodes; ++s) {
+    Supernode sn;
+    RP_ASSIGN_OR_RETURN(sn.feature, ReadDouble(cursor, "sn"));
+    RP_ASSIGN_OR_RETURN(sn.members, cursor.IntVecField());
+    members += static_cast<int64_t>(sn.members.size());
+    supernodes.push_back(std::move(sn));
+  }
+  // The supernodes partition the road nodes. Checking the total first keeps
+  // a corrupt road-node count from sizing Supergraph::Create's owner table.
+  if (members != num_road_nodes) {
+    return Status::Corruption(
+        StrPrintf("supernodes hold %lld members for %d road nodes",
+                  static_cast<long long>(members), num_road_nodes));
+  }
+  RP_ASSIGN_OR_RETURN(int link_nodes, ReadInt(cursor, "links"));
+  RP_ASSIGN_OR_RETURN(std::vector<int64_t> offsets,
+                      ReadIntVec<int64_t>(cursor, "offsets"));
+  RP_ASSIGN_OR_RETURN(std::vector<int> neighbors,
+                      ReadIntVec(cursor, "neighbors"));
+  RP_ASSIGN_OR_RETURN(std::vector<double> weights,
+                      ReadDoubleVec(cursor, "weights"));
+  if (link_nodes != num_supernodes ||
+      offsets.size() != static_cast<size_t>(link_nodes) + 1 ||
+      neighbors.size() != weights.size()) {
+    return Status::Corruption("supergraph link arrays are inconsistent");
+  }
+  // Adopting the raw arrays skips the sort-and-merge pass. A checksum only
+  // vouches that the bytes are the ones written, not that they form a
+  // graph, so the CSR invariants are validated here (Supergraph::Create then
+  // validates the member partition).
+  auto links = CsrGraph::FromUntrustedParts(link_nodes, std::move(offsets),
+                                            std::move(neighbors),
+                                            std::move(weights));
+  if (!links.ok()) {
+    return Status::Corruption("superlinks fail validation: " +
+                              links.status().ToString());
+  }
+  auto supergraph = Supergraph::Create(std::move(supernodes),
+                                       std::move(*links), num_road_nodes);
+  if (!supergraph.ok()) {
+    return Status::Corruption("supergraph fails validation: " +
+                              supergraph.status().ToString());
+  }
+  return std::move(*supergraph);
+}
 
 Status SaveSupergraph(const Supergraph& supergraph, const std::string& path,
                       const RetryOptions& retry) {
-  std::ostringstream out;
-  out << "# supergraph v1\n";
-  out << "G " << supergraph.num_road_nodes() << " "
-      << supergraph.num_supernodes() << "\n";
-  for (const Supernode& sn : supergraph.supernodes()) {
-    out << StrPrintf("%.12g %zu", sn.feature, sn.members.size());
-    for (int v : sn.members) out << " " << v;
-    out << "\n";
-  }
-  const CsrGraph& links = supergraph.links();
-  out << "L " << links.num_edges() << "\n";
-  for (int p = 0; p < links.num_nodes(); ++p) {
-    auto nbrs = links.Neighbors(p);
-    auto wts = links.NeighborWeights(p);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      if (p < nbrs[i]) {
-        out << StrPrintf("%d %d %.12g\n", p, nbrs[i], wts[i]);
-      }
-    }
-  }
-  return WriteArtifact(path, kSupergraphFormat, kSupergraphVersion, out.str(),
-                       retry);
+  LineWriter out;
+  AppendSupergraph(out, supergraph);
+  return WriteArtifact(path, kSupergraphFormat, kSupergraphVersion,
+                       out.Finish(), retry);
 }
 
 Result<Supergraph> LoadSupergraph(const std::string& path,
@@ -43,71 +94,19 @@ Result<Supergraph> LoadSupergraph(const std::string& path,
   ArtifactReadOptions read_options;
   read_options.expected_format = kSupergraphFormat;
   read_options.retry = retry;
-  RP_ASSIGN_OR_RETURN(std::string payload, ReadArtifact(path, read_options));
-  std::istringstream in(payload);
-  std::string line;
-
-  auto next_line = [&](std::string& out_line) -> bool {
-    while (std::getline(in, out_line)) {
-      std::string_view t = Trim(out_line);
-      if (!t.empty() && t[0] != '#') {
-        out_line = std::string(t);
-        return true;
-      }
-    }
-    return false;
-  };
-
-  if (!next_line(line)) return Status::IOError("empty supergraph file");
-  char tag = 0;
-  int num_road_nodes = 0;
-  int num_supernodes = 0;
-  {
-    std::istringstream ss(line);
-    if (!(ss >> tag >> num_road_nodes >> num_supernodes) || tag != 'G' ||
-        num_road_nodes < 0 || num_supernodes < 0) {
-      return Status::IOError("malformed supergraph header");
-    }
+  ArtifactInfo info;
+  RP_ASSIGN_OR_RETURN(std::string payload,
+                      ReadArtifact(path, read_options, &info));
+  if (info.enveloped && info.version != kSupergraphVersion) {
+    return Status::Corruption(
+        StrPrintf("%s: supergraph version %d, this build reads version %d "
+                  "(re-save it)",
+                  path.c_str(), info.version, kSupergraphVersion));
   }
-
-  std::vector<Supernode> supernodes(num_supernodes);
-  for (int s = 0; s < num_supernodes; ++s) {
-    if (!next_line(line)) return Status::IOError("truncated supernodes");
-    std::istringstream ss(line);
-    size_t count = 0;
-    if (!(ss >> supernodes[s].feature >> count)) {
-      return Status::IOError(StrPrintf("bad supernode line %d", s));
-    }
-    supernodes[s].members.resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (!(ss >> supernodes[s].members[i])) {
-        return Status::IOError(StrPrintf("bad member list on supernode %d", s));
-      }
-    }
-  }
-
-  if (!next_line(line)) return Status::IOError("missing link header");
-  int64_t num_links = 0;
-  {
-    std::istringstream ss(line);
-    if (!(ss >> tag >> num_links) || tag != 'L' || num_links < 0) {
-      return Status::IOError("malformed link header");
-    }
-  }
-  std::vector<Edge> links(num_links);
-  for (int64_t i = 0; i < num_links; ++i) {
-    if (!next_line(line)) return Status::IOError("truncated links");
-    std::istringstream ss(line);
-    if (!(ss >> links[i].u >> links[i].v >> links[i].weight)) {
-      return Status::IOError(
-          StrPrintf("bad link line %lld", static_cast<long long>(i)));
-    }
-  }
-
-  RP_ASSIGN_OR_RETURN(CsrGraph link_graph,
-                      CsrGraph::FromEdges(num_supernodes, links));
-  return Supergraph::Create(std::move(supernodes), std::move(link_graph),
-                            num_road_nodes);
+  LineCursor cursor(std::move(payload));
+  RP_ASSIGN_OR_RETURN(Supergraph supergraph, ReadSupergraph(cursor));
+  RP_RETURN_IF_ERROR(cursor.Finish());
+  return supergraph;
 }
 
 }  // namespace roadpart

@@ -30,31 +30,24 @@ Result<SparseMatrix> SparseMatrix::FromTriplets(
           StrPrintf("triplet (%d,%d) outside %dx%d", t.row, t.col, rows, cols));
     }
   }
+  return Assemble(rows, cols, [&entries](auto emit) {
+    for (const Triplet& t : entries) emit(t.row, t.col, t.value);
+  });
+}
 
-  // Counting sort by row, then sort each row's slice by column and merge
-  // duplicates.
-  std::vector<int64_t> counts(static_cast<size_t>(rows) + 1, 0);
-  for (const Triplet& t : entries) counts[t.row + 1]++;
-  for (int r = 0; r < rows; ++r) counts[r + 1] += counts[r];
-
-  std::vector<std::pair<int, double>> slots(entries.size());
-  {
-    std::vector<int64_t> cursor(counts.begin(), counts.end() - 1);
-    for (const Triplet& t : entries) {
-      slots[cursor[t.row]++] = {t.col, t.value};
-    }
-  }
-
+SparseMatrix SparseMatrix::FromRowSlots(
+    int rows, int cols, const std::vector<int64_t>& starts,
+    std::vector<std::pair<int, double>>& slots) {
   SparseMatrix m;
   m.rows_ = rows;
   m.cols_ = cols;
   m.row_offsets_.assign(static_cast<size_t>(rows) + 1, 0);
-  m.col_indices_.reserve(entries.size());
-  m.values_.reserve(entries.size());
+  m.col_indices_.reserve(slots.size());
+  m.values_.reserve(slots.size());
 
   for (int r = 0; r < rows; ++r) {
-    auto begin = slots.begin() + counts[r];
-    auto end = slots.begin() + counts[r + 1];
+    auto begin = slots.begin() + starts[r];
+    auto end = slots.begin() + starts[r + 1];
     std::sort(begin, end,
               [](const auto& a, const auto& b) { return a.first < b.first; });
     for (auto it = begin; it != end;) {
@@ -64,10 +57,9 @@ Result<SparseMatrix> SparseMatrix::FromTriplets(
         sum += it->second;
         ++it;
       }
-      if (sum != 0.0) {
-        m.col_indices_.push_back(col);
-        m.values_.push_back(sum);
-      }
+      // A zero sum stays stored: the entry is structure (e.g. a graph edge).
+      m.col_indices_.push_back(col);
+      m.values_.push_back(sum);
     }
     m.row_offsets_[r + 1] = static_cast<int64_t>(m.col_indices_.size());
   }
@@ -79,13 +71,18 @@ SparseMatrix SparseMatrix::FromRawCsr(int rows, int cols,
                                       std::vector<int64_t> row_offsets,
                                       std::vector<int> col_indices,
                                       std::vector<double> values) {
-  SparseMatrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.row_offsets_ = std::move(row_offsets);
-  m.col_indices_ = std::move(col_indices);
-  m.values_ = std::move(values);
+  SparseMatrix m(rows, cols, std::move(row_offsets), std::move(col_indices),
+                 std::move(values));
   RP_DCHECK_OK(m.Validate());
+  return m;
+}
+
+Result<SparseMatrix> SparseMatrix::FromUntrustedCsr(
+    int rows, int cols, std::vector<int64_t> row_offsets,
+    std::vector<int> col_indices, std::vector<double> values) {
+  SparseMatrix m(rows, cols, std::move(row_offsets), std::move(col_indices),
+                 std::move(values));
+  RP_RETURN_IF_ERROR(m.Validate());
   return m;
 }
 

@@ -108,12 +108,12 @@ TEST(CsrGraphValidateDeath, SelfLoop) {
 TEST(CsrGraphValidateDeath, NonFiniteWeight) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_DEATH(CsrGraph::FromRawParts(2, {0, 1, 2}, {1, 0}, {nan, nan}),
-               "non-finite weight");
+               "non-finite value");
 }
 
 TEST(CsrGraphValidateDeath, NonMonotoneOffsets) {
   EXPECT_DEATH(CsrGraph::FromRawParts(2, {0, 2, 1}, {1}, {1.0}),
-               "offsets");
+               "row pointers not monotone");
 }
 
 #endif  // RP_DCHECK_ENABLED

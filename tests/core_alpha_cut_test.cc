@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/rng.h"
 #include "core/alpha_cut.h"
+#include "core/normalized_cut.h"
 #include "core/spectral_common.h"
 #include "graph/connected_components.h"
 #include "metrics/modularity.h"
@@ -81,6 +83,52 @@ TEST(AlphaCutObjectiveTest, MatchesMatrixQuadraticForm) {
     expected += quad / count;
   }
   EXPECT_NEAR(AlphaCutObjective(g, assignment), expected, 1e-10);
+}
+
+// Both objectives are the sum of their PartitionTerm over SumPartitions. A
+// hand-written reference that skips empty partitions (labels 1 and 4 are
+// unused here) gives the same bits: an empty partition adds +0.0.
+TEST(AlphaCutObjectiveTest, ObjectivesAreSumsOfPartitionTerms) {
+  CsrGraph g = CliqueRing(4, 6);
+  Rng rng(3);
+  std::vector<int> assignment(g.num_nodes());
+  for (int& a : assignment) {
+    const int labels[] = {0, 2, 3, 5};
+    a = labels[rng.NextBounded(4)];
+  }
+  const PartitionSums sums = SumPartitions(g, assignment, 6);
+  ASSERT_EQ(sums.size[1], 0);
+  ASSERT_EQ(sums.size[4], 0);
+  double alpha = 0.0;
+  double ncut = 0.0;
+  double total = 0.0;
+  for (double w : g.weights()) total += w;
+  for (int p = 0; p < 6; ++p) {
+    double volume = 0.0;
+    double internal = 0.0;
+    int size = 0;
+    for (int u = 0; u < g.num_nodes(); ++u) {
+      if (assignment[u] != p) continue;
+      ++size;
+      auto nbrs = g.Neighbors(u);
+      auto wts = g.NeighborWeights(u);
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        volume += wts[i];
+        if (assignment[nbrs[i]] == p) internal += wts[i];
+      }
+    }
+    if (size == 0) continue;
+    alpha += (volume * volume / total - internal) / size;
+    ncut += (volume - internal) / volume;
+  }
+  const double got_alpha = AlphaCutObjective(g, assignment);
+  const double got_ncut = NormalizedCutObjective(g, assignment);
+  EXPECT_EQ(std::memcmp(&got_alpha, &alpha, sizeof(double)), 0)
+      << got_alpha << " vs " << alpha;
+  EXPECT_EQ(std::memcmp(&got_ncut, &ncut, sizeof(double)), 0)
+      << got_ncut << " vs " << ncut;
+  EXPECT_EQ(AlphaCutMethod().Objective(g, assignment), got_alpha);
+  EXPECT_EQ(NormalizedCutMethod().Objective(g, assignment), got_ncut);
 }
 
 TEST(AlphaCutObjectiveTest, GoodSplitBeatsBadSplit) {

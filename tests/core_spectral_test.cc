@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "core/alpha_cut.h"
+#include "core/normalized_cut.h"
 #include "core/spectral_common.h"
+#include "graph/connected_components.h"
+#include "linalg/linear_operator.h"
 #include "linalg/symmetric_eigen.h"
 #include "metrics/validity.h"
+#include "netgen/grid_generator.h"
+#include "network/road_graph.h"
 
 namespace roadpart {
 namespace {
@@ -183,6 +189,114 @@ TEST_P(RandomGraphSweep, PipelineAlwaysValid) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphSweep,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21));
+
+// y = D^{-1/2} A D^{-1/2} x in the arithmetic order of NormalizedCutMethod's
+// operator, over any matrix A.
+class NormalizedAdjacency : public LinearOperator {
+ public:
+  explicit NormalizedAdjacency(const SparseMatrix& a)
+      : a_(a), inv_sqrt_deg_(a.rows(), 0.0), scratch_(a.rows(), 0.0) {
+    std::vector<double> deg = a.RowSums();
+    for (int i = 0; i < a.rows(); ++i) {
+      if (deg[i] > 0.0) inv_sqrt_deg_[i] = 1.0 / std::sqrt(deg[i]);
+    }
+  }
+  int Dim() const override { return a_.rows(); }
+  void Apply(const double* x, double* y) const override {
+    for (int i = 0; i < a_.rows(); ++i) scratch_[i] = inv_sqrt_deg_[i] * x[i];
+    a_.Multiply(scratch_.data(), y);
+    for (int i = 0; i < a_.rows(); ++i) y[i] *= inv_sqrt_deg_[i];
+  }
+
+ private:
+  const SparseMatrix& a_;
+  std::vector<double> inv_sqrt_deg_;
+  mutable std::vector<double> scratch_;
+};
+
+bool SameBits(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
+// One density outlier on a 70x70 grid drives the Gaussian similarity of its
+// segment's arcs to exactly 0. Those arcs are topology: the graph's matrix
+// keeps them, subset connectivity sees them, and they change no bit of
+// either embedding against the same solve over a copy with the zeros
+// dropped.
+TEST(ZeroWeightArcsTest, StayStoredAndLeaveEmbeddingsBitIdentical) {
+  GridOptions grid;
+  grid.rows = 70;
+  grid.cols = 70;
+  RoadNetwork net = GenerateGridNetwork(grid).value();
+  const CsrGraph adjacency = RoadGraph::FromNetwork(net).adjacency();
+  std::vector<double> f(adjacency.num_nodes());
+  Rng rng(7);
+  for (double& x : f) x = 1.0 + 0.1 * rng.NextDouble();
+  f[0] = 1e6;
+  const CsrGraph g = GaussianWeightedGraph(adjacency, f);
+
+  // 1. Every arc of the topology is stored, zeros included.
+  const SparseMatrix& a = g.ToSparseMatrix();
+  ASSERT_EQ(a.NumNonZeros(), 2 * adjacency.num_edges());
+  EXPECT_EQ(g.neighbors(), adjacency.neighbors());
+  std::vector<int64_t> offsets = {0};
+  std::vector<int> cols;
+  std::vector<double> values;
+  for (int r = 0; r < a.rows(); ++r) {
+    for (int64_t i = a.row_offsets()[r]; i < a.row_offsets()[r + 1]; ++i) {
+      if (a.values()[i] != 0.0) {
+        cols.push_back(a.col_indices()[i]);
+        values.push_back(a.values()[i]);
+      }
+    }
+    offsets.push_back(static_cast<int64_t>(cols.size()));
+  }
+  const int64_t zeros = a.NumNonZeros() - static_cast<int64_t>(cols.size());
+  EXPECT_GT(zeros, 0);
+  const SparseMatrix dropped =
+      SparseMatrix::FromRawCsr(a.rows(), a.cols(), std::move(offsets),
+                               std::move(cols), std::move(values));
+
+  // 2. Connectivity runs over zero-weight arcs: segment 0 reaches each
+  // neighbour through one.
+  ASSERT_GT(g.Degree(0), 0);
+  for (int v : g.Neighbors(0)) {
+    ASSERT_EQ(g.EdgeWeight(0, v), 0.0);
+    EXPECT_TRUE(IsSubsetConnected(g, {0, v}));
+    EXPECT_EQ(ComponentsOfSubset(g, {v, 0}).size(), 1u);
+  }
+
+  // 3. Bit-identical embeddings. A small Lanczos budget keeps the test fast;
+  // identity does not depend on convergence.
+  SpectralOptions spectral;
+  spectral.lanczos.max_subspace = 60;
+  spectral.lanczos.max_restarts = 1;
+  constexpr int kK = 4;
+
+  const DenseMatrix alpha = AlphaCutMethod(spectral).Embed(g, kK).value();
+  SparseOperator a_op(dropped);
+  std::vector<double> d = dropped.RowSums();
+  double s = 0.0;
+  for (double x : d) s += x;
+  RankOneUpdatedOperator m_op(a_op, d, 1.0 / s, -1.0);
+  const DenseMatrix alpha_ref =
+      RowNormalize(
+          ExtremeEigenvectors(m_op, kK, SpectrumEnd::kSmallest, spectral)
+              .value())
+          .value();
+  EXPECT_TRUE(SameBits(alpha, alpha_ref));
+
+  const DenseMatrix ncut = NormalizedCutMethod(spectral).Embed(g, kK).value();
+  NormalizedAdjacency n_op(dropped);
+  const DenseMatrix ncut_ref =
+      RowNormalize(
+          ExtremeEigenvectors(n_op, kK, SpectrumEnd::kLargest, spectral)
+              .value())
+          .value();
+  EXPECT_TRUE(SameBits(ncut, ncut_ref));
+}
 
 }  // namespace
 }  // namespace roadpart

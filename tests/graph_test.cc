@@ -5,7 +5,6 @@
 #include "graph/connected_components.h"
 #include "graph/csr_graph.h"
 #include "graph/graph_algos.h"
-#include "graph/graph_builder.h"
 
 namespace roadpart {
 namespace {
@@ -68,6 +67,35 @@ TEST(CsrGraphTest, ToSparseMatrixSymmetric) {
   EXPECT_DOUBLE_EQ(a.At(1, 0), 2.0);
   EXPECT_DOUBLE_EQ(a.SymmetryError(), 0.0);
   EXPECT_DOUBLE_EQ(a.TotalSum(), 10.0);  // each edge twice
+}
+
+TEST(CsrGraphTest, IsStoredAsItsAdjacencyMatrix) {
+  auto g = CsrGraph::FromEdges(3, {{0, 1, 2.0}, {1, 2, 3.0}});
+  ASSERT_TRUE(g.ok());
+  // No copy: both calls return the graph's own storage.
+  EXPECT_EQ(&g->ToSparseMatrix(), &g->ToSparseMatrix());
+  EXPECT_EQ(&g->offsets(), &g->ToSparseMatrix().row_offsets());
+  EXPECT_EQ(&g->neighbors(), &g->ToSparseMatrix().col_indices());
+  EXPECT_EQ(&g->weights(), &g->ToSparseMatrix().values());
+  EXPECT_EQ(g->ToSparseMatrix().rows(), 3);
+  EXPECT_EQ(g->ToSparseMatrix().cols(), 3);
+}
+
+TEST(CsrGraphTest, ZeroWeightEdgesStayStored) {
+  // Parallel edges summing to 0 and an edge of weight 0 are topology.
+  auto g = CsrGraph::FromEdges(
+      4, {{0, 1, 1.0}, {1, 0, -1.0}, {1, 2, 0.0}, {2, 3, 1.0}});
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(g->num_edges(), 3);
+  EXPECT_TRUE(g->HasEdge(0, 1));
+  EXPECT_TRUE(g->HasEdge(2, 1));
+  EXPECT_EQ(g->EdgeWeight(1, 2), 0.0);
+  EXPECT_EQ(g->ToSparseMatrix().NumNonZeros(), 6);
+  EXPECT_EQ(ConnectedComponents(*g).num_components, 1);
+  EXPECT_TRUE(g->Validate().ok());
+  CsrGraph sub = g->InducedSubgraph({2, 1});
+  EXPECT_EQ(sub.num_edges(), 1);
+  EXPECT_TRUE(sub.HasEdge(0, 1));
 }
 
 TEST(CsrGraphTest, InducedSubgraph) {
@@ -204,22 +232,43 @@ TEST(GroupByAssignmentTest, Groups) {
   EXPECT_EQ(groups[2], (std::vector<int>{3}));
 }
 
-TEST(GraphBuilderTest, BuildsGraph) {
-  GraphBuilder b(3);
-  b.AddEdge(0, 1);
-  b.AddEdge(1, 2, 2.0);
-  EXPECT_EQ(b.num_pending_edges(), 2u);
-  auto g = b.Build();
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->num_edges(), 2);
-}
-
 TEST(ReweightGraphTest, PreservesTopology) {
   CsrGraph g = Path(4);
-  CsrGraph w = ReweightGraph(g, [](int u, int v) { return double(u + v); });
+  CsrGraph w = ReweightGraph(
+      g, [](int u, int v, double weight) { return u + v + weight; });
   EXPECT_EQ(w.num_edges(), g.num_edges());
-  EXPECT_DOUBLE_EQ(w.EdgeWeight(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(w.EdgeWeight(2, 3), 5.0);
+  EXPECT_EQ(w.offsets(), g.offsets());
+  EXPECT_EQ(w.neighbors(), g.neighbors());
+  EXPECT_DOUBLE_EQ(w.EdgeWeight(0, 1), 2.0);
+  EXPECT_DOUBLE_EQ(w.EdgeWeight(3, 2), 6.0);
+  EXPECT_TRUE(w.Validate().ok());
+}
+
+TEST(ReweightGraphTest, CallsOncePerEdgeInRowOrderAndMirrors) {
+  // A star plus a chord: row 0 holds three higher neighbours, and the mirror
+  // slots of 1, 2 and 3 are each their row's first entry.
+  auto g = CsrGraph::FromEdges(4, {{0, 1, 1.0}, {0, 2, 1.0}, {0, 3, 1.0},
+                                   {2, 3, 1.0}});
+  ASSERT_TRUE(g.ok());
+  std::vector<std::pair<int, int>> calls;
+  CsrGraph w = ReweightGraph(*g, [&](int u, int v, double) {
+    calls.emplace_back(u, v);
+    return 10.0 * u + v;
+  });
+  EXPECT_EQ(calls, (std::vector<std::pair<int, int>>{
+                       {0, 1}, {0, 2}, {0, 3}, {2, 3}}));
+  EXPECT_EQ(w.weights(),
+            (std::vector<double>{1.0, 2.0, 3.0, 1.0, 2.0, 23.0, 3.0, 23.0}));
+  EXPECT_TRUE(w.Validate().ok());
+}
+
+TEST(ReweightGraphTest, ZeroWeightKeepsTheEdge) {
+  CsrGraph g = Path(3);
+  CsrGraph w = ReweightGraph(g, [](int, int, double) { return 0.0; });
+  EXPECT_EQ(w.num_edges(), 2);
+  EXPECT_TRUE(w.HasEdge(0, 1));
+  EXPECT_EQ(w.ToSparseMatrix().NumNonZeros(), 4);
+  EXPECT_TRUE(IsSubsetConnected(w, {0, 1, 2}));
 }
 
 }  // namespace

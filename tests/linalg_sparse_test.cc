@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "linalg/sparse_matrix.h"
 
 namespace roadpart {
@@ -22,10 +25,28 @@ TEST(SparseMatrixTest, DuplicatesSummed) {
   EXPECT_DOUBLE_EQ(m->At(0, 0), 3.5);
 }
 
-TEST(SparseMatrixTest, ExplicitZerosDropped) {
-  auto m = SparseMatrix::FromTriplets(2, 2, {{0, 0, 1.0}, {0, 0, -1.0}});
+TEST(SparseMatrixTest, ExplicitZerosStored) {
+  // (0,0) sums to 0 and (1,0) is an explicit 0: both stay stored, and
+  // At, Multiply, RowSums and ToDense read exactly as if they were absent.
+  auto m = SparseMatrix::FromTriplets(
+      2, 2, {{0, 0, 1.0}, {0, 0, -1.0}, {1, 0, 0.0}, {1, 1, 2.0}});
   ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m->NumNonZeros(), 0);
+  EXPECT_EQ(m->NumNonZeros(), 3);
+  EXPECT_EQ(m->col_indices(), (std::vector<int>{0, 0, 1}));
+  EXPECT_TRUE(m->Validate().ok());
+  auto without = SparseMatrix::FromTriplets(2, 2, {{1, 1, 2.0}});
+  ASSERT_TRUE(without.ok());
+  EXPECT_EQ(m->At(0, 0), 0.0);
+  EXPECT_EQ(m->At(1, 0), 0.0);
+  const double x[2] = {-3.0, 0.5};
+  double y[2];
+  double y_without[2];
+  m->Multiply(x, y);
+  without->Multiply(x, y_without);
+  EXPECT_EQ(std::memcmp(y, y_without, sizeof(y)), 0);
+  EXPECT_FALSE(std::signbit(y[0]));  // +0.0: the zero entries add nothing
+  EXPECT_EQ(m->RowSums(), without->RowSums());
+  EXPECT_EQ(m->ToDense().data(), without->ToDense().data());
 }
 
 TEST(SparseMatrixTest, OutOfRangeRejected) {
