@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full verification gate: three build trees plus a static-analysis stage,
-# printed as stages [1/7]..[7/7] with sub-stages 2b-2e and 6b-6g.
+# printed as stages [1/7]..[7/7] with sub-stages 2b-2e and 6b-6h.
 #
 #   1. Configure + build the -O2 Release tree (build-check-release).
 #   2. ctest: the complete suite on the Release tree, then standalone reruns:
@@ -29,7 +29,8 @@
 #      overflows, use-after-free, leaks), then standalone verbose reruns:
 #      6b fault injection, 6c serving read path, 6d pipeline fault soak,
 #      6e keyed-state codec, 6f serve text path, 6g mining component counts
-#      and dual graph. Every injected fault path (corrupted densities,
+#      and dual graph, 6h Lanczos solver (Chebyshev filter and pathological
+#      spectra). Every injected fault path (corrupted densities,
 #      forced non-convergence, degenerate embeddings, torn snapshots,
 #      corrupt checkpoints) must be memory-clean, not just Status-clean.
 #   7. Static analysis: tools/rp_analyze over src/, tools/, bench/, tests/ —
@@ -190,6 +191,14 @@ echo "==> [6g/7] mining component counts + dual graph under AddressSanitizer (ve
 # nodes, hubs and empty networks.
 "${ASAN_DIR}/tests/core_component_count_test"
 "${ASAN_DIR}/tests/network_dual_graph_test"
+
+echo "==> [6h/7] Lanczos solver under AddressSanitizer (verbose)"
+# A solve that misses its 120-row checkpoint drops its plain basis and
+# grows a fresh one of the Chebyshev filter, whose recurrence runs in two
+# scratch vectors, then accepts pairs by Rayleigh-Ritz on k x n blocks;
+# the filtered tests and the pathological spectra cover each of them.
+"${ASAN_DIR}/tests/linalg_lanczos_test"
+"${ASAN_DIR}/tests/lanczos_pathological_test"
 
 echo "==> [7/7] Static analysis: rp_analyze + clang-tidy"
 # JSON report is archived next to the build so CI and humans can diff runs;

@@ -125,9 +125,10 @@ Result<DenseMatrix> ExtremeEigenvectors(const LinearOperator& op, int k,
         n, k, solver.max_residual(), solver.restarts_used()));
   }
 
-  // Rung 2: resume the same factorization past the configured budget, to
-  // twice it (at least 100 rows more), with one extra checkpoint. Rung 1's
-  // rows are kept, so this rung costs only the rows it adds.
+  // Rung 2: resume the same solver past the configured budget, to twice it
+  // (at least 100 rows more), with one extra checkpoint. Rung 1's rows (of
+  // the plain or the Chebyshev-filtered factorization, whichever it stopped
+  // in) are kept, so this rung costs only the rows it adds.
   const int budget = std::min(n, std::max(2 * lanczos.max_subspace,
                                           lanczos.max_subspace + 100));
   RP_RETURN_IF_ERROR(solver.Run(budget, lanczos.max_restarts + 1));

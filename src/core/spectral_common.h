@@ -68,13 +68,18 @@ struct SpectralOptions {
 /// k eigenvectors at the chosen end of a symmetric operator's spectrum, as
 /// the columns of an n x k matrix (ascending eigenvalue order). Runs the
 /// non-convergence fallback ladder of `options.on_nonconvergence`:
-/// Lanczos to the configured budget -> the same factorization resumed to
-/// twice that budget (at least 100 rows more) with one extra checkpoint ->
-/// dense solve when the order permits -> NotConverged with residual
-/// diagnostics (or a best-effort accept of the best checkpoint's estimate).
+/// Lanczos to the configured budget -> the same solver resumed to twice
+/// that budget (at least 100 rows more) with one extra checkpoint -> dense
+/// solve when the order permits -> NotConverged with residual diagnostics
+/// (or a best-effort accept of the best checkpoint's estimate). Both Lanczos
+/// rungs run the plain factorization to its checkpoint at twice the first
+/// dimension and, if that misses, the Chebyshev-filtered one (see
+/// LanczosSolver); the retry rung resumes whichever factorization rung 1
+/// stopped in, which at the default budget is the filtered one.
 /// `diagnostics`, when given, receives the path taken, restart count
-/// (checkpoints after the first, both Lanczos rungs together) and worst Ritz
-/// residual.
+/// (checkpoints after the first, both Lanczos rungs together) and worst
+/// residual (a Ritz estimate at a plain checkpoint, the true residual at a
+/// filtered one).
 Result<DenseMatrix> ExtremeEigenvectors(const LinearOperator& op, int k,
                                         SpectrumEnd end,
                                         const SpectralOptions& options,

@@ -24,7 +24,11 @@ struct LanczosOptions {
   /// Seed for the random start vector.
   uint64_t seed = 12345;
   /// Number of convergence checkpoints after the first (each at twice the
-  /// previous Krylov dimension, up to max_subspace) before giving up.
+  /// previous Krylov dimension, up to max_subspace) before giving up. The
+  /// checkpoints of the plain factorization and of the Chebyshev-filtered
+  /// one that replaces it after a miss at twice the first dimension count
+  /// alike: at the defaults 60 and 120 plain rows, then 60 and 120 filtered
+  /// ones.
   int max_restarts = 3;
   /// Optional warm start: a non-owning pointer to a start vector carried over
   /// from a previous, similar solve (e.g. the first embedding column of the
@@ -57,10 +61,28 @@ enum class SpectrumEnd { kSmallest, kLargest };
 ///     solver tests convergence from the eigenvalues of T and the last row of
 ///     its eigenvectors only (QL on one tracked row, O(m^2)). A checkpoint
 ///     past a call's budget is clamped to it; the next call resumes the
-///     doubling schedule (budget 400 then 800: 60, 120, 240, 400, 480, 800).
+///     doubling schedule (a filtered factorization under budget 200, then
+///     400: 60, 120, 200, then 240, 400).
 ///     `restarts_used` counts the checkpoints after the first, over every
-///     Run call; no basis is discarded between checkpoints (but see
-///     `warm_start`).
+///     Run call. A basis is discarded only by the switch to the filter
+///     below and by the `warm_start` guard.
+///   - Chebyshev filter. If the checkpoint at twice the first dimension
+///     (120 rows by default) misses, the plain factorization is dropped
+///     (its best Ritz pairs kept) and a fresh one of the degree-32
+///     Chebyshev polynomial p(A) grows from a random start on the same
+///     doubling schedule and budget, 32 applies per row. p damps the
+///     interval from the (k+1)-th Ritz value from the wanted end (the cut;
+///     by interlacing every wanted eigenvalue lies beyond it) to the
+///     opposite extreme Ritz value pushed out by beta_m, so the wanted
+///     pairs become p(A)'s largest with a far wider relative gap, and far
+///     fewer rows need reorthogonalizing. Only Apply is used, so a
+///     forwarding decorator around `op` changes no bit.
+///   - Filtered checkpoints. Rayleigh-Ritz of A itself on the Ritz vectors
+///     of p(A)'s k largest Ritz values: k applies and a k x k dense solve.
+///     A checkpoint converges only when every pair's true residual
+///     ||A x - theta x|| is within tolerance of the plain checkpoint's
+///     spectral scale and every theta lies on the wanted side of the cut.
+///     Eigenvalues and `max_residual` are always A's, never p's.
 ///   - Reorthogonalization. Classical Gram-Schmidt against the whole basis,
 ///     with a second pass only under the DGKS test (the first pass shrank
 ///     the vector below 1/sqrt(2) of its norm); see linalg/gram_schmidt.h.
@@ -70,15 +92,19 @@ enum class SpectrumEnd { kSmallest, kLargest };
 ///     product (one serial sum in index order) or one element's updates (in
 ///     row order), so results are bit-identical to the scalar loops and at
 ///     any thread count.
-///   - Ritz vectors. Built once, by Eigenpairs, from the prefix of the
-///     factorization at the best checkpoint (the converged one, else the one
-///     with the smallest worst residual), with the k tridiagonal
-///     eigenvectors from inverse iteration (TridiagonalInverseIteration).
-///     No m x m matrix is formed.
+///   - Ritz vectors. The best checkpoint is the converged one, else the one
+///     with the smallest worst residual, plain or filtered. A plain one's
+///     vectors are built once, by Eigenpairs (or before its basis is
+///     dropped), from the prefix of the factorization at that checkpoint,
+///     with the k tridiagonal eigenvectors from inverse iteration
+///     (TridiagonalInverseIteration); a filtered one's come from its
+///     Rayleigh-Ritz step. No m x m matrix is formed.
 /// Any prefix of the rows is the factorization a shorter build would have
-/// produced: when Run(400) misses and a following Run(800) converges, the
-/// result has the bits of one Run(800) from the same seed, at the same
-/// operator-apply count.
+/// produced, and the switch to the filter happens at the same checkpoint
+/// whichever call reaches it: when Run(400) misses and a following Run(800)
+/// converges, the result has the bits of one Run(800) from the same seed,
+/// at the same operator-apply count. A later call resumes the filtered
+/// factorization once the switch has happened.
 class LanczosSolver {
  public:
   /// Starts the factorization from `options.warm_start` when usable, else
@@ -112,8 +138,10 @@ class LanczosSolver {
   /// `max_residual` reporting their worst Ritz residual.
   Result<EigenResult> Eigenpairs() const;
 
-  /// The Krylov factorization; defined in lanczos.cc.
+  /// The Krylov factorization and the Chebyshev filter; defined in
+  /// lanczos.cc.
   struct Factorization;
+  struct Filter;
 
  private:
   const LinearOperator& op_;
@@ -122,7 +150,9 @@ class LanczosSolver {
   const double tolerance_;
   Rng rng_;
   std::unique_ptr<Factorization> kf_;
+  std::unique_ptr<Filter> filter_;  // set once kf_ factorizes the filter
   bool warm_ = false;  // kf_ still grows from the warm start
+  const int first_target_;  // the first checkpoint's dimension
   int next_target_ = 0;  // the next checkpoint's unclamped dimension
   int checkpoints_ = 0;
   // The best checkpoint so far. Its Ritz vectors are built by Eigenpairs

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -167,6 +168,17 @@ class CountingOperator : public LinearOperator {
   mutable int applies_ = 0;
 };
 
+// Operator applies per filtered Lanczos step: lanczos.cc's kFilterDegree.
+// Past a missed 120-row plain checkpoint a solve costs 120 applies, then
+// kFilterDegree per filtered row and k per filtered checkpoint.
+constexpr int kFilterDegree = 32;
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 TEST(LanczosTest, ZeroOperatorGivesOrthonormalVectors) {
   // Every vector is an eigenvector of the zero operator: the factorization
   // breaks down at every step and T is all zeros, yet the Ritz vectors must
@@ -190,21 +202,23 @@ TEST(LanczosTest, ZeroOperatorGivesOrthonormalVectors) {
 }
 
 TEST(LanczosTest, CheckpointsGrowOneFactorization) {
-  // A zero tolerance is never met, so the solve climbs every checkpoint of
-  // the ladder: 60 -> 120 -> 240 (the cap). The factorization grows in
-  // place, so the operator runs once per basis vector — 240 times, not
-  // 60 + 120 + 240.
+  // A zero tolerance is never met, so the solve climbs every checkpoint:
+  // plain 60 -> 120, then filtered 60 -> 120 -> 240 (the cap). Each
+  // factorization grows in place, so the operator runs once per plain row
+  // and kFilterDegree times per filtered row — 120 + 240 rows, not
+  // 60 + 120 + 60 + 120 + 240 — plus k per filtered checkpoint.
   SparseMatrix m = RingMatrix(320, 5);
   SparseOperator base(m);
   CountingOperator op(base);
   LanczosOptions options;
   options.tolerance = 0.0;
   options.max_subspace = 240;
+  options.max_restarts = 4;
   auto eig = LanczosEigen(op, 4, SpectrumEnd::kSmallest, options);
   ASSERT_TRUE(eig.ok());
   EXPECT_FALSE(eig->converged);
-  EXPECT_EQ(eig->restarts_used, 2);
-  EXPECT_EQ(op.applies(), 240);
+  EXPECT_EQ(eig->restarts_used, 4);
+  EXPECT_EQ(op.applies(), 120 + kFilterDegree * 240 + 3 * 4);
   // The best-of estimate is still a usable set of Ritz pairs.
   auto dense = SymmetricEigenDecompose(m.ToDense());
   ASSERT_TRUE(dense.ok());
@@ -217,7 +231,8 @@ TEST(LanczosTest, WarmStartOrthogonalToTargetStillConverges) {
   // The warm vector has no component along the k wanted eigenvectors, so
   // its Krylov space cannot find them: the first checkpoint misses, the
   // warm factorization is discarded, and a cold one from the seeded rng
-  // converges to the right pairs.
+  // grows on (it misses at 120 rows on this clustered spectrum, so the
+  // filtered factorization converges to the right pairs).
   const int n = 400;
   const int k = 4;
   SparseMatrix m = RingMatrix(n, 17);
@@ -245,29 +260,20 @@ TEST(LanczosTest, WarmStartOrthogonalToTargetStillConverges) {
     EXPECT_NEAR(eig->eigenvalues[i], dense->eigenvalues[i], 1e-8)
         << "eigenvalue " << i;
   }
-  EXPECT_GE(eig->restarts_used, 1);
-  // The discarded warm factorization cost exactly its first checkpoint.
-  int cold = 0;
-  for (int m_target = 60, c = 1; c <= eig->restarts_used; ++c) {
-    m_target *= 2;
-    cold = std::min(m_target, n);
-  }
-  EXPECT_EQ(op.applies(), 60 + cold);
-}
-
-bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+  // Checkpoints: warm 60, cold 120, filtered 60. The discarded warm
+  // factorization cost exactly its first checkpoint.
+  EXPECT_EQ(eig->restarts_used, 2);
+  EXPECT_EQ(op.applies(), 60 + 120 + kFilterDegree * 60 + k);
 }
 
 TEST(LanczosTest, RetryRungResumesTheMissedFactorization) {
   // A 100-row budget genuinely misses tolerance on this clustered spectrum
   // (no fault injection): rung 1 checks at 60 and 100 rows. The retry rung
-  // resumes that factorization on the doubling schedule, checking at 120
-  // rows and converging at its 200-row budget. Its vectors are those of one
-  // 200-row-budget solve from the same seed (checkpoints 60, 120, 200), and
-  // the operator runs once per row of that factorization.
+  // resumes that factorization on the doubling schedule and checks it at
+  // 120 rows; that misses too, so it grows the filtered factorization,
+  // which converges at its first checkpoint (60 rows). Its vectors are
+  // those of one 200-row-budget solve from the same seed (checkpoints 60,
+  // 120, filtered 60), at the same operator-apply count.
   const int n = 600;
   const int k = 4;
   SparseMatrix m = RingMatrix(n, 9);
@@ -283,7 +289,7 @@ TEST(LanczosTest, RetryRungResumesTheMissedFactorization) {
   ASSERT_TRUE(ladder.ok()) << ladder.status().ToString();
   EXPECT_EQ(diagnostics.solver_path, SolverPath::kLanczosRetry);
   EXPECT_TRUE(diagnostics.all_converged);
-  EXPECT_EQ(diagnostics.lanczos_restarts, 3);  // checkpoints 100, 120, 200
+  EXPECT_EQ(diagnostics.lanczos_restarts, 3);  // 100, 120, filtered 60
 
   LanczosOptions once = options.lanczos;
   once.max_subspace = 200;
@@ -291,10 +297,174 @@ TEST(LanczosTest, RetryRungResumesTheMissedFactorization) {
   auto direct = LanczosEigen(single, k, SpectrumEnd::kSmallest, once);
   ASSERT_TRUE(direct.ok());
   EXPECT_TRUE(direct->converged);
-  EXPECT_EQ(direct->restarts_used, 2);  // checkpoints 120, 200
+  EXPECT_EQ(direct->restarts_used, 2);  // 120, filtered 60
   EXPECT_TRUE(SameBits(ladder->data(), direct->eigenvectors.data()));
-  EXPECT_EQ(single.applies(), 200);
-  EXPECT_EQ(laddered.applies(), 200);
+  EXPECT_EQ(single.applies(), 120 + kFilterDegree * 60 + k);
+  EXPECT_EQ(laddered.applies(), single.applies());
+}
+
+// A weighted path Laplacian: both ends of its spectrum are runs of
+// eigenvalues about (pi / n)^2 apart on a spectrum of width ~6, so plain
+// Lanczos misses its 120-row checkpoint there and the solver switches to
+// the Chebyshev-filtered factorization.
+SparseMatrix PathLaplacian(int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Triplet> upper;
+  std::vector<double> degree(n, 0.0);
+  for (int i = 0; i + 1 < n; ++i) {
+    const double w = 1.0 + 0.5 * rng.NextDouble();
+    upper.push_back({i, i + 1, -w});
+    degree[i] += w;
+    degree[i + 1] += w;
+  }
+  for (int i = 0; i < n; ++i) upper.push_back({i, i, degree[i]});
+  return SparseMatrix::SymmetricFromTriplets(n, upper).value();
+}
+
+// Column c of an n x k matrix.
+std::vector<double> Column(const DenseMatrix& x, int c) {
+  std::vector<double> v(x.rows());
+  for (int r = 0; r < x.rows(); ++r) v[r] = x(r, c);
+  return v;
+}
+
+TEST(LanczosFilterTest, PlainFactorizationMissesItsSecondCheckpoint) {
+  // The premise of the filtered tests below: 120 plain rows are not enough
+  // at either end of this spectrum.
+  SparseMatrix m = PathLaplacian(700, 4);
+  SparseOperator op(m);
+  for (SpectrumEnd end : {SpectrumEnd::kSmallest, SpectrumEnd::kLargest}) {
+    LanczosSolver solver(op, 5, end, LanczosOptions{});
+    ASSERT_TRUE(solver.Run(120, 1).ok());
+    EXPECT_FALSE(solver.converged());
+  }
+}
+
+TEST(LanczosFilterTest, FilteredSolveMatchesDenseAtBothEnds) {
+  const int n = 700;
+  const int k = 5;
+  SparseMatrix m = PathLaplacian(n, 4);
+  SparseOperator base(m);
+  auto dense = SymmetricEigenDecompose(m.ToDense());
+  ASSERT_TRUE(dense.ok());
+  for (SpectrumEnd end : {SpectrumEnd::kSmallest, SpectrumEnd::kLargest}) {
+    const bool smallest = end == SpectrumEnd::kSmallest;
+    CountingOperator op(base);
+    auto eig = LanczosEigen(op, k, end);
+    ASSERT_TRUE(eig.ok());
+    EXPECT_TRUE(eig->converged);
+    // Past the 120 plain rows, every step costs kFilterDegree applies.
+    EXPECT_GT(op.applies(), 120 + kFilterDegree * 60);
+    for (int i = 0; i < k; ++i) {
+      const int j = smallest ? i : n - k + i;
+      EXPECT_NEAR(eig->eigenvalues[i], dense->eigenvalues[j], 1e-8)
+          << "eigenvalue " << i << (smallest ? " smallest" : " largest");
+    }
+    // Span: every wanted dense eigenvector lies in the returned subspace.
+    for (int i = 0; i < k; ++i) {
+      const int j = smallest ? i : n - k + i;
+      const std::vector<double> u = Column(dense->eigenvectors, j);
+      double inside = 0.0;
+      for (int c = 0; c < k; ++c) {
+        const double d = Dot(Column(eig->eigenvectors, c), u);
+        inside += d * d;
+      }
+      EXPECT_NEAR(inside, 1.0, 1e-10) << "dense eigenvector " << j;
+    }
+  }
+}
+
+TEST(LanczosFilterTest, ForwardingDecoratorGivesIdenticalBits) {
+  // The filter reaches the operator only through Apply, so wrapping it in a
+  // forwarding decorator (as perfbench's traced replay does) changes no bit.
+  SparseMatrix m = PathLaplacian(700, 4);
+  SparseOperator base(m);
+  CountingOperator wrapped(base);
+  for (SpectrumEnd end : {SpectrumEnd::kSmallest, SpectrumEnd::kLargest}) {
+    auto direct = LanczosEigen(base, 5, end);
+    auto decorated = LanczosEigen(wrapped, 5, end);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_TRUE(decorated.ok());
+    EXPECT_TRUE(SameBits(direct->eigenvalues, decorated->eigenvalues));
+    EXPECT_TRUE(SameBits(direct->eigenvectors.data(),
+                         decorated->eigenvectors.data()));
+    EXPECT_EQ(direct->max_residual, decorated->max_residual);
+    EXPECT_EQ(direct->restarts_used, decorated->restarts_used);
+  }
+  EXPECT_GT(wrapped.applies(), 2 * (120 + kFilterDegree * 60));
+}
+
+TEST(LanczosFilterTest, SplitBudgetEqualsOneRun) {
+  // Run(200) then Run(400) against one Run(400), with a zero tolerance so
+  // the filtered factorization grows through both calls: plain checkpoints
+  // 60 and 120, then filtered ones at 60 and 120 in the first call and at
+  // 240 and 400 in the second. Same checkpoints, same bits, same applies.
+  SparseMatrix m = PathLaplacian(700, 4);
+  SparseOperator base(m);
+  LanczosOptions options;
+  options.tolerance = 0.0;
+  const int k = 5;
+
+  CountingOperator split_op(base);
+  LanczosSolver split(split_op, k, SpectrumEnd::kSmallest, options);
+  ASSERT_TRUE(split.Run(200, 3).ok());
+  EXPECT_EQ(split_op.applies(), 120 + kFilterDegree * 120 + 2 * k);
+  ASSERT_TRUE(split.Run(400, 3).ok());
+  auto split_eig = split.Eigenpairs();
+  ASSERT_TRUE(split_eig.ok());
+
+  CountingOperator once_op(base);
+  LanczosSolver once(once_op, k, SpectrumEnd::kSmallest, options);
+  ASSERT_TRUE(once.Run(400, 5).ok());
+  auto once_eig = once.Eigenpairs();
+  ASSERT_TRUE(once_eig.ok());
+
+  EXPECT_FALSE(once_eig->converged);
+  EXPECT_EQ(split_eig->restarts_used, 5);
+  EXPECT_EQ(once_eig->restarts_used, 5);
+  EXPECT_EQ(once_op.applies(), 120 + kFilterDegree * 400 + 4 * k);
+  EXPECT_EQ(split_op.applies(), once_op.applies());
+  EXPECT_TRUE(SameBits(split_eig->eigenvalues, once_eig->eigenvalues));
+  EXPECT_TRUE(SameBits(split_eig->eigenvectors.data(),
+                       once_eig->eigenvectors.data()));
+  EXPECT_EQ(split_eig->max_residual, once_eig->max_residual);
+}
+
+TEST(LanczosFilterTest, ZeroToleranceReturnsRayleighQuotientsOfTheOperator) {
+  // A zero tolerance is never met: the solve returns its best checkpoint,
+  // unconverged. Past the switch that is a Rayleigh-Ritz result of the
+  // operator itself, so each eigenvalue is the Rayleigh quotient of its
+  // vector and max_residual the worst true residual ||A z - theta z||, not
+  // the filter's. At this order two filtered checkpoints leave a residual
+  // of ~1e-3, far above rounding, so the comparison is a real one.
+  const int n = 3000;
+  const int k = 5;
+  SparseMatrix m = PathLaplacian(n, 4);
+  SparseOperator base(m);
+  CountingOperator op(base);
+  LanczosOptions options;
+  options.tolerance = 0.0;
+  auto eig = LanczosEigen(op, k, SpectrumEnd::kSmallest, options);
+  ASSERT_TRUE(eig.ok());
+  EXPECT_FALSE(eig->converged);
+  EXPECT_EQ(eig->restarts_used, 3);  // plain 60, 120; filtered 60, 120
+  EXPECT_EQ(op.applies(), 120 + kFilterDegree * 120 + 2 * k);
+  std::vector<double> az(n);
+  double worst = 0.0;
+  for (int c = 0; c < k; ++c) {
+    const std::vector<double> z = Column(eig->eigenvectors, c);
+    base.Apply(z.data(), az.data());
+    EXPECT_NEAR(eig->eigenvalues[c], Dot(z, az) / Dot(z, z), 1e-13)
+        << "pair " << c;
+    double sq = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const double r = az[i] - eig->eigenvalues[c] * z[i];
+      sq += r * r;
+    }
+    worst = std::max(worst, std::sqrt(sq));
+  }
+  EXPECT_GT(worst, 1e-6);
+  EXPECT_NEAR(eig->max_residual, worst, 1e-6 * worst);
 }
 
 // The scalar Gram-Schmidt pass the vectorized kernels replaced, kept as
