@@ -66,11 +66,6 @@ inline int NumRuns(int fallback = 13) {
   return fallback;
 }
 
-/// Worker-thread count the benches run with. Honors RP_THREADS (through
-/// DefaultParallelism); thread counts never change benchmark *results*, only
-/// wall-clock, because every kernel is deterministic by construction.
-inline int BenchThreads() { return DefaultParallelism(); }
-
 /// Aggregates RunDiagnostics over the repeated executions of a bench sweep,
 /// so a scheme that silently leaned on the eigensolver fallback ladder (or
 /// on input repairs) is visible next to its quality numbers.

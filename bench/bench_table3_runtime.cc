@@ -58,8 +58,7 @@ int main() {
               module1[1] + module2[1] + module3[1],
               module1[2] + module2[2] + module3[2],
               module1[3] + module2[3] + module3[3]);
-  std::printf("\nModule 2 breakdown (mining fast path; see "
-              "results/BENCH_mining_fastpath.json):\n");
+  std::printf("\nModule 2 breakdown (mining fast path):\n");
   std::printf("%-8s %10.3f %10.3f %10.3f %10.3f   kappa sweep (Phase A)\n",
               "2a", mine_sweep[0], mine_sweep[1], mine_sweep[2],
               mine_sweep[3]);

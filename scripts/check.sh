@@ -22,7 +22,8 @@
 #      serve differential suites (the ones that exercise the deterministic
 #      parallel runtime), plus the mining component-count and dual-graph
 #      oracle suites. Set RP_CHECK_TSAN_ALL=1 to run the *entire* suite
-#      under TSan (slow: TSan costs ~5-15x).
+#      under TSan (slow: TSan costs ~5-15x). scripts/tsan.supp suppresses
+#      one sanitizer-runtime report (UBSan's vptr memory probe); see there.
 #   5. Configure + build the ASan+UBSan tree (build-check-asan, Debug) —
 #      TSan and ASan cannot be combined, hence the separate tree.
 #   6. ctest: the complete suite under AddressSanitizer (heap/stack
@@ -39,8 +40,11 @@
 #      self-containment, capture-aware ParallelFor audit). The
 #      machine-readable report is archived at
 #      ${RELEASE_DIR}/analyze_findings.json; any non-baselined finding
-#      fails the gate. clang-tidy (driven by .clang-tidy) runs when the
-#      binary is available and is skipped with a notice otherwise.
+#      fails the gate. A doc-citation guard then fails if README.md,
+#      DESIGN.md, EXPERIMENTS.md or a file under src/, bench/ or tools/ names
+#      a bench_* program or a results/ file that is not in the tree.
+#      clang-tidy (driven by .clang-tidy) runs when the binary is available
+#      and is skipped with a notice otherwise.
 #
 # Usage: scripts/check.sh [jobs]        (default: nproc)
 
@@ -106,7 +110,9 @@ cmake --build "${TSAN_DIR}" -j "${JOBS}"
 
 echo "==> [4/7] ctest under ThreadSanitizer"
 # halt_on_error makes any race fail the test run instead of just logging.
-export TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:${TSAN_OPTIONS}}"
+# The suppressions file is absolute because the tests (and the rp_pipeline
+# children they start) run from the build tree.
+export TSAN_OPTIONS="halt_on_error=1:suppressions=${PWD}/scripts/tsan.supp${TSAN_OPTIONS:+:${TSAN_OPTIONS}}"
 export UBSAN_OPTIONS="halt_on_error=1${UBSAN_OPTIONS:+:${UBSAN_OPTIONS}}"
 if [[ "${RP_CHECK_TSAN_ALL:-0}" == "1" ]]; then
   ctest --test-dir "${TSAN_DIR}" --output-on-failure -j "${JOBS}"
@@ -212,6 +218,32 @@ if ! "${RELEASE_DIR}/tools/rp_analyze" --root . --format=json \
   exit 1
 fi
 echo "    clean; JSON report at ${RELEASE_DIR}/analyze_findings.json"
+
+# Doc-citation guard: every bench_* program (brace lists expanded) and every
+# results/ path that the docs or sources name must exist in the tree.
+# CHANGES.md and ROADMAP.md are history and are not scanned.
+cited=(README.md DESIGN.md EXPERIMENTS.md src bench tools)
+stale=0
+while IFS=: read -r file line token; do
+  token="bench_${token#*bench_}"
+  for name in $(eval "echo ${token}"); do  # token is [a-z0-9_{},] only
+    [[ -e "bench/${name}.cc" || -e "bench/${name}.h" ]] && continue
+    echo "    ${file}:${line}: names ${name}, which is not in bench/"
+    stale=1
+  done
+done < <(grep -rnoIE '(^|[^A-Za-z0-9_.])bench_[a-z0-9_]+(\{[a-z0-9_,]+\}[a-z0-9_]*)?' "${cited[@]}")
+while IFS=: read -r file line path; do
+  path="results/${path#*results/}"
+  path="${path%.}"  # a sentence-ending period
+  compgen -G "${path}" >/dev/null && continue
+  echo "    ${file}:${line}: names ${path}, which is not in the tree"
+  stale=1
+done < <(grep -rnoIE '(^|[^A-Za-z0-9_.])results/[A-Za-z0-9_.*-]+' "${cited[@]}")
+if [[ "${stale}" != 0 ]]; then
+  echo "    doc-citation guard: the lines above cite files that do not exist"
+  exit 1
+fi
+echo "    doc-citation guard: every cited bench program and results file exists"
 
 if command -v clang-tidy >/dev/null 2>&1; then
   # clang-tidy needs a compilation database; the Release tree exports one.

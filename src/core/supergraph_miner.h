@@ -69,9 +69,9 @@ struct SupergraphMiningReport {
   int supernodes_before_stability = 0;
   int supernodes_after_stability = 0;
   std::vector<double> stability_values;  ///< eta per final supernode
-  /// Wall-clock breakdown of the mining fast path (bench_micro_mining /
-  /// bench_table3_runtime): Phase A sampled kappa sweep, Phase B full-data
-  /// clustering + components, Phase D superlink accumulation.
+  /// Wall-clock breakdown of the mining fast path (bench_table3_runtime):
+  /// Phase A sampled kappa sweep, Phase B full-data clustering +
+  /// components, Phase D superlink accumulation.
   double sweep_seconds = 0.0;
   double cluster_seconds = 0.0;
   double superlink_seconds = 0.0;

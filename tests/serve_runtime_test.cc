@@ -8,7 +8,8 @@
 //    order, and the injected overflow and timeout sites drive the shed
 //    paths without wall clocks;
 //  - hot snapshot swap: a reload-under-load session answers old-snapshot
-//    queries before the swap and new-snapshot queries after it; a corrupt
+//    queries before the swap and new-snapshot queries after it; reloading
+//    the file already serving changes no answer byte; a corrupt
 //    candidate — any single byte flip of the file, or the injected
 //    swap-corruption site on a valid file — NEVER becomes current and the
 //    old snapshot keeps serving;
@@ -309,6 +310,57 @@ TEST(ServeRuntimeTest, SessionReloadSwapsBetweenWindows) {
       "stats version=2 served=2 errored=0 shed=0 reloads_ok=2 "
       "reloads_failed=0\n";
   EXPECT_EQ(*out, expected);
+}
+
+TEST(ServeRuntimeTest, ReloadOfTheServingFileLeavesAnswersUnchanged) {
+  TwoSnapshots two = MakeTwoSnapshots("samefile");
+  std::string queries;
+  for (int i = 0; i < 12; ++i) {
+    queries += StrPrintf("point %.17g %.17g\n", 17.0 * i, 11.0 * i);
+  }
+  queries += "range 0 0 150 150\n";
+
+  // Reload-free reference. On clean input the strict and isolate policies
+  // answer the same bytes.
+  std::string plain;
+  {
+    ServeRuntime runtime(IsolateOptions());
+    ASSERT_TRUE(runtime.LoadSnapshot(two.path_a).ok());
+    ASSERT_TRUE(runtime.ServeBatch(queries, &plain).ok());
+  }
+  {
+    ServeRuntimeOptions strict;
+    strict.serve.on_malformed = MalformedQueryPolicy::kStrict;
+    ServeRuntime runtime(strict);
+    ASSERT_TRUE(runtime.LoadSnapshot(two.path_a).ok());
+    std::string out;
+    ASSERT_TRUE(runtime.ServeBatch(queries, &out).ok());
+    EXPECT_EQ(out, plain);
+  }
+
+  // The same queries in three windows separated by `!reload` of the file
+  // that is already serving: the query answers are the reload-free bytes.
+  const std::vector<std::string> query_lines = Split(queries, '\n');
+  const std::vector<std::string> answer_lines = Split(plain, '\n');
+  ASSERT_EQ(query_lines.size(), answer_lines.size());
+  std::string script, expected;
+  int version = 1;
+  for (size_t i = 0; i + 1 < query_lines.size(); ++i) {
+    if (i == 4 || i == 8) {
+      script += "!reload " + two.path_a + "\n";
+      expected += StrPrintf("reload ok version=%d segments=%d\n", ++version,
+                            two.a->num_segments());
+    }
+    script += query_lines[i] + "\n";
+    expected += answer_lines[i] + "\n";
+  }
+  ServeRuntime runtime(IsolateOptions());
+  ASSERT_TRUE(runtime.LoadSnapshot(two.path_a).ok());
+  auto out = runtime.RunSession(script);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(*out, expected);
+  EXPECT_EQ(runtime.snapshot_manager().diagnostics().version, 3);
+  EXPECT_EQ(runtime.snapshot_manager().diagnostics().reloads_failed, 0);
 }
 
 TEST(ServeRuntimeTest, CorruptCandidateKeepsOldSnapshotServing) {
