@@ -638,6 +638,147 @@ Result<std::vector<double>> ReadDoubleVec(LineCursor& cursor,
   return cursor.DoubleVecField();
 }
 
+// --- Plain-text records -----------------------------------------------------
+
+Result<TextRecords> TextRecords::Read(const std::string& path,
+                                      std::string_view format, char separator,
+                                      const RetryOptions& retry) {
+  TextRecords records;
+  ArtifactInfo info;
+  RP_ASSIGN_OR_RETURN(
+      records.payload_,
+      ReadArtifact(path, {.expected_format = std::string(format),
+                          .retry = retry},
+                   &info));
+  const std::string& payload = records.payload_;
+  records.path_ = path;
+  records.separator_ = separator;
+  records.next_line_ = info.enveloped ? 2 : 1;  // after the envelope header
+  // A tail torn mid-write can still parse ("0." reads as 0.0): only the final
+  // '\n' proves that the last record is whole.
+  const bool torn = !payload.empty() && payload.back() != '\n';
+  // Trim would silently eat a '\r', and one inside a field corrupts the value
+  // next to it: a file from Windows tooling must be converted, not guessed at.
+  const size_t cr = payload.find('\r');
+  if (!torn && cr == std::string::npos) return records;
+  const size_t at = torn ? payload.size() : cr;
+  records.line_ = records.next_line_ +
+                  std::count(payload.begin(), payload.begin() + at, '\n');
+  if (torn) {
+    return Status::Corruption(
+        records.At("no trailing newline: the last record is truncated"));
+  }
+  return records.Error(
+      "carriage return (CRLF line ending): convert the file to LF-only");
+}
+
+bool TextRecords::Done() {
+  while (next_ < payload_.size()) {
+    const size_t end = payload_.find('\n', next_);
+    const std::string_view line =
+        Trim(std::string_view(payload_).substr(next_, end - next_));
+    if (!line.empty() && line[0] != '#') return false;
+    next_ = end + 1;
+    ++next_line_;
+  }
+  return true;
+}
+
+Status TextRecords::Next(size_t min_fields, size_t max_fields) {
+  if (Done()) {
+    line_ = next_line_;
+    return Error("unexpected end of input");
+  }
+  const size_t end = payload_.find('\n', next_);
+  line_ = next_line_++;
+  ++records_;
+  fields_.clear();
+  // A ' ' separator also splits on tabs and drops the empty fields of a run.
+  const char* separators = separator_ == ' ' ? " \t" : ",";
+  auto blank = [this](size_t i) {
+    return payload_[i] == ' ' || payload_[i] == '\t';
+  };
+  for (size_t begin = next_; begin <= end;) {
+    const size_t stop =
+        std::min(payload_.find_first_of(separators, begin), end);
+    size_t b = begin;
+    size_t e = stop;
+    while (b < e && blank(b)) ++b;
+    while (e > b && blank(e - 1)) --e;
+    if (b < e || separator_ != ' ') fields_.emplace_back(b, e);
+    begin = stop + 1;
+  }
+  next_ = end + 1;
+  if (fields_.size() < min_fields || fields_.size() > max_fields) {
+    const std::string want =
+        min_fields == max_fields ? std::to_string(min_fields)
+        : max_fields == SIZE_MAX ? StrPrintf("%zu or more", min_fields)
+                                 : StrPrintf("%zu to %zu", min_fields,
+                                             max_fields);
+    return Error(StrPrintf("expected %s fields, got %zu", want.c_str(),
+                           fields_.size()));
+  }
+  return Status::OK();
+}
+
+Status TextRecords::Finish() {
+  if (Done()) return Status::OK();
+  line_ = next_line_;
+  return Error("record after the last one");
+}
+
+bool TextRecords::IsHeader() const {
+  if (records_ != 1) return false;
+  for (size_t i = 0; i < fields_.size(); ++i) {
+    if (ParseDouble(Field(i)).ok()) return false;
+  }
+  return true;
+}
+
+std::string_view TextRecords::Field(size_t i) const {
+  if (i >= fields_.size()) return {};
+  const auto [begin, end] = fields_[i];
+  return std::string_view(payload_).substr(begin, end - begin);
+}
+
+template <typename T>
+Result<T> TextRecords::IntField(size_t i, T min, T max) const {
+  auto value = ParseInt(Field(i));
+  if (!value.ok()) {
+    return Error(StrPrintf("field %zu: %s", i + 1,
+                           value.status().message().c_str()));
+  }
+  if (*value < min || *value > max) {
+    return Error(StrPrintf("field %zu: %lld outside [%lld, %lld]", i + 1,
+                           static_cast<long long>(*value),
+                           static_cast<long long>(min),
+                           static_cast<long long>(max)));
+  }
+  return static_cast<T>(*value);
+}
+
+template Result<int> TextRecords::IntField<int>(size_t, int, int) const;
+template Result<int64_t> TextRecords::IntField<int64_t>(size_t, int64_t,
+                                                        int64_t) const;
+
+Result<double> TextRecords::DoubleField(size_t i) const {
+  auto value = ParseDouble(Field(i));
+  if (!value.ok()) {
+    return Error(StrPrintf("field %zu: %s", i + 1,
+                           value.status().message().c_str()));
+  }
+  return *value;
+}
+
+std::string TextRecords::At(const std::string& what) const {
+  return StrPrintf("%s:%lld: %s", path_.c_str(),
+                   static_cast<long long>(line_), what.c_str());
+}
+
+Status TextRecords::Error(const std::string& what) const {
+  return Status::InvalidArgument(At(what));
+}
+
 // --- Keyed artifacts --------------------------------------------------------
 
 Result<LineCursor> ReadKeyedArtifact(const std::string& path,

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -274,6 +275,69 @@ Result<std::vector<T>> ReadIntVec(LineCursor& cursor, std::string_view tag) {
 }
 Result<std::vector<double>> ReadDoubleVec(LineCursor& cursor,
                                           std::string_view tag);
+
+// --- Plain-text records -----------------------------------------------------
+//
+// The one grammar of the hand-authored inputs (roadnet, densities, partition
+// and edge-list CSVs, snapshot series). A record is a line that is non-empty
+// after Trim and does not start with '#' (envelope lines read as comments);
+// its fields split on ',' (empty fields kept) or on runs of blanks. A '\r'
+// anywhere is InvalidArgument, a last line without its '\n' is Corruption,
+// and a malformed record is InvalidArgument naming the path and file line.
+// LineCursor stays separate: machine-written state, where any deviation from
+// its exact grammar is Corruption.
+
+/// Sequential reader over the records of one plain-text input.
+class TextRecords {
+ public:
+  /// Reads `path` through ReadArtifact (a well-formed envelope must name
+  /// `format`) and checks the CR and torn-tail rules over the whole payload.
+  static Result<TextRecords> Read(const std::string& path,
+                                  std::string_view format, char separator,
+                                  const RetryOptions& retry);
+
+  /// True when no record is left.
+  bool Done();
+
+  /// Moves to the next record, which must exist and have between
+  /// `min_fields` and `max_fields` fields.
+  Status Next(size_t min_fields, size_t max_fields);
+  Status Next(size_t fields) { return Next(fields, fields); }
+
+  /// No record may follow the last one read.
+  Status Finish();
+
+  /// True for the first record when none of its fields parses as a number:
+  /// a CSV header.
+  bool IsHeader() const;
+
+  size_t size() const { return fields_.size(); }
+  /// Field `i` of the current record; "" past the last field.
+  std::string_view Field(size_t i) const;
+  /// Field `i` as an integer in [min, max] (T is int or int64_t).
+  template <typename T = int>
+  Result<T> IntField(size_t i, T min = std::numeric_limits<T>::min(),
+                     T max = std::numeric_limits<T>::max()) const;
+  Result<double> DoubleField(size_t i) const;
+
+  /// "<path>:<line>: <what>" at the current record, and that message as an
+  /// InvalidArgument.
+  std::string At(const std::string& what) const;
+  Status Error(const std::string& what) const;
+
+ private:
+  TextRecords() = default;
+
+  std::string path_;
+  std::string payload_;
+  char separator_ = ',';
+  size_t next_ = 0;        // offset of the first unread line
+  int64_t next_line_ = 1;  // its 1-based line number in the file
+  int64_t line_ = 0;       // line of the current record
+  int64_t records_ = 0;    // records read so far
+  // Fields of the current record as [begin, end) offsets into payload_.
+  std::vector<std::pair<size_t, size_t>> fields_;
+};
 
 // --- Keyed artifacts --------------------------------------------------------
 

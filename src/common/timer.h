@@ -2,8 +2,6 @@
 #define ROADPART_COMMON_TIMER_H_
 
 #include <chrono>
-#include <string>
-#include <vector>
 
 namespace roadpart {
 
@@ -20,41 +18,8 @@ class Timer {
     return std::chrono::duration<double>(now - start_).count();
   }
 
-  double Millis() const { return Seconds() * 1e3; }
-
  private:
   std::chrono::steady_clock::time_point start_;
-};
-
-/// Accumulates named phase timings, used for Table-3 style module breakdowns.
-class PhaseTimer {
- public:
-  /// Ends any running phase and starts a new one under `name`.
-  void StartPhase(const std::string& name);
-
-  /// Ends the running phase (no-op if none).
-  void Stop();
-
-  /// Total seconds attributed to `name` across all StartPhase calls.
-  double PhaseSeconds(const std::string& name) const;
-
-  /// Sum over all phases.
-  double TotalSeconds() const;
-
-  /// Phase names in first-start order.
-  std::vector<std::string> PhaseNames() const;
-
- private:
-  struct Phase {
-    std::string name;
-    double seconds = 0.0;
-  };
-
-  int FindPhase(const std::string& name) const;
-
-  std::vector<Phase> phases_;
-  int running_ = -1;
-  Timer timer_;
 };
 
 }  // namespace roadpart

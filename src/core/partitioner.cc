@@ -59,6 +59,15 @@ const char* SchemeName(Scheme scheme) {
   return "?";
 }
 
+Result<Scheme> ParseScheme(std::string_view name) {
+  for (Scheme scheme : {Scheme::kAG, Scheme::kASG, Scheme::kNG, Scheme::kNSG,
+                        Scheme::kJiGeroliminis}) {
+    if (name == SchemeName(scheme)) return scheme;
+  }
+  if (name == "JIG") return Scheme::kJiGeroliminis;
+  return Status::InvalidArgument("unknown scheme '" + std::string(name) + "'");
+}
+
 std::string CanonicalOptionsString(const PartitionerOptions& o) {
   std::ostringstream s;
   auto bits = [](double v) { return DoubleToBitsHex(v); };

@@ -28,6 +28,8 @@ namespace roadpart {
 enum class Scheme { kAG, kASG, kNG, kNSG, kJiGeroliminis };
 
 const char* SchemeName(Scheme scheme);
+/// Inverse of SchemeName; "JIG" also names kJiGeroliminis.
+Result<Scheme> ParseScheme(std::string_view name);
 
 /// End-to-end framework configuration.
 struct PartitionerOptions {

@@ -17,20 +17,6 @@
 
 namespace roadpart {
 
-const char* NonConvergencePolicyName(NonConvergencePolicy policy) {
-  switch (policy) {
-    case NonConvergencePolicy::kFail:
-      return "fail";
-    case NonConvergencePolicy::kRetry:
-      return "retry";
-    case NonConvergencePolicy::kFallbackDense:
-      return "dense";
-    case NonConvergencePolicy::kBestEffort:
-      return "best-effort";
-  }
-  return "?";
-}
-
 const char* SolverPathName(SolverPath path) {
   switch (path) {
     case SolverPath::kNone:

@@ -21,8 +21,6 @@ enum class NonConvergencePolicy {
   kBestEffort,     ///< full ladder, then accept the best estimate with a warning
 };
 
-const char* NonConvergencePolicyName(NonConvergencePolicy policy);
-
 /// Which rung of the eigensolver ladder produced the returned vectors,
 /// ordered by escalation so diagnostics can merge with max().
 enum class SolverPath {

@@ -7,16 +7,6 @@
 
 namespace roadpart {
 
-const char* DensityPolicyName(DensityPolicy policy) {
-  switch (policy) {
-    case DensityPolicy::kReject:
-      return "reject";
-    case DensityPolicy::kClampAndWarn:
-      return "clamp-and-warn";
-  }
-  return "?";
-}
-
 Result<std::vector<double>> SanitizeDensities(std::vector<double> densities,
                                               DensityPolicy policy,
                                               int expected_count,

@@ -20,8 +20,6 @@ enum class DensityPolicy {
   kClampAndWarn,
 };
 
-const char* DensityPolicyName(DensityPolicy policy);
-
 /// Per-category repair counts from one SanitizeDensities pass.
 struct DensityRepairReport {
   int nan_replaced = 0;       ///< NaN entries zeroed

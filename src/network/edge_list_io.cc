@@ -17,91 +17,60 @@ constexpr char kNodesFormat[] = "edge-list-nodes";
 constexpr char kEdgesFormat[] = "edge-list-edges";
 constexpr int kEdgeListVersion = 1;
 
-// Reads non-empty, non-comment lines; skips an optional non-numeric header.
-// Files we wrote carry the artifact envelope and are checksum-verified;
-// foreign CSVs (real datasets) pass through unverified.
-Result<std::vector<std::vector<std::string>>> ReadCsv(
-    const std::string& path, std::string_view expected_format,
-    size_t min_fields, const RetryOptions& retry) {
-  ArtifactReadOptions read_options;
-  read_options.expected_format = std::string(expected_format);
-  read_options.retry = retry;
-  RP_ASSIGN_OR_RETURN(std::string payload, ReadArtifact(path, read_options));
-  std::istringstream in(payload);
-  std::vector<std::vector<std::string>> rows;
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    std::string_view t = Trim(line);
-    if (t.empty() || t[0] == '#') continue;
-    auto fields = Split(t, ',');
-    if (first) {
-      first = false;
-      // Header detection: the first field of a header is not a number.
-      if (!ParseInt(fields[0]).ok() && !ParseDouble(fields[0]).ok()) continue;
-    }
-    if (fields.size() < min_fields) {
-      return Status::IOError(
-          StrPrintf("%s: expected >= %zu fields, got %zu in '%s'",
-                    path.c_str(), min_fields, fields.size(), line.c_str()));
-    }
-    rows.push_back(std::move(fields));
-  }
-  return rows;
-}
-
 }  // namespace
 
 Result<RoadNetwork> LoadEdgeListNetwork(const std::string& nodes_csv_path,
                                         const std::string& edges_csv_path,
                                         const RetryOptions& retry) {
-  RP_ASSIGN_OR_RETURN(auto node_rows,
-                      ReadCsv(nodes_csv_path, kNodesFormat, 3, retry));
-  RP_ASSIGN_OR_RETURN(auto edge_rows,
-                      ReadCsv(edges_csv_path, kEdgesFormat, 2, retry));
-
+  RP_ASSIGN_OR_RETURN(
+      TextRecords nodes,
+      TextRecords::Read(nodes_csv_path, kNodesFormat, ',', retry));
   std::map<int64_t, int> id_map;
   std::vector<Intersection> intersections;
-  intersections.reserve(node_rows.size());
-  for (const auto& row : node_rows) {
-    RP_ASSIGN_OR_RETURN(int64_t id, ParseInt(row[0]));
-    RP_ASSIGN_OR_RETURN(double x, ParseDouble(row[1]));
-    RP_ASSIGN_OR_RETURN(double y, ParseDouble(row[2]));
+  while (!nodes.Done()) {
+    RP_RETURN_IF_ERROR(nodes.Next(3));
+    if (nodes.IsHeader()) continue;
+    RP_ASSIGN_OR_RETURN(const int64_t id, nodes.IntField<int64_t>(0));
+    RP_ASSIGN_OR_RETURN(const double x, nodes.DoubleField(1));
+    RP_ASSIGN_OR_RETURN(const double y, nodes.DoubleField(2));
     if (!id_map.emplace(id, static_cast<int>(intersections.size())).second) {
-      return Status::InvalidArgument(
+      return nodes.Error(
           StrPrintf("duplicate node id %lld", static_cast<long long>(id)));
     }
     intersections.push_back({Point{x, y}});
   }
 
+  RP_ASSIGN_OR_RETURN(
+      TextRecords edges,
+      TextRecords::Read(edges_csv_path, kEdgesFormat, ',', retry));
   std::vector<RoadSegment> segments;
-  segments.reserve(edge_rows.size() * 2);
-  for (const auto& row : edge_rows) {
-    RP_ASSIGN_OR_RETURN(int64_t from_id, ParseInt(row[0]));
-    RP_ASSIGN_OR_RETURN(int64_t to_id, ParseInt(row[1]));
+  while (!edges.Done()) {
+    RP_RETURN_IF_ERROR(edges.Next(2, 5));
+    if (edges.IsHeader()) continue;
+    RP_ASSIGN_OR_RETURN(const int64_t from_id, edges.IntField<int64_t>(0));
+    RP_ASSIGN_OR_RETURN(const int64_t to_id, edges.IntField<int64_t>(1));
     auto from_it = id_map.find(from_id);
     auto to_it = id_map.find(to_id);
     if (from_it == id_map.end() || to_it == id_map.end()) {
-      return Status::InvalidArgument(
-          StrPrintf("edge references unknown node (%lld,%lld)",
-                    static_cast<long long>(from_id),
-                    static_cast<long long>(to_id)));
+      return edges.Error(StrPrintf("edge references unknown node (%lld,%lld)",
+                                   static_cast<long long>(from_id),
+                                   static_cast<long long>(to_id)));
     }
-    int from = from_it->second;
-    int to = to_it->second;
+    const int from = from_it->second;
+    const int to = to_it->second;
     double length = Distance(intersections[from].position,
                              intersections[to].position);
-    if (row.size() >= 3 && !Trim(row[2]).empty()) {
-      RP_ASSIGN_OR_RETURN(length, ParseDouble(row[2]));
+    if (!edges.Field(2).empty()) {
+      RP_ASSIGN_OR_RETURN(length, edges.DoubleField(2));
     }
     if (length <= 0.0) length = 1.0;  // degenerate geometry
-    int64_t oneway = 0;
-    if (row.size() >= 4 && !Trim(row[3]).empty()) {
-      RP_ASSIGN_OR_RETURN(oneway, ParseInt(row[3]));
+    int oneway = 0;
+    if (!edges.Field(3).empty()) {
+      RP_ASSIGN_OR_RETURN(oneway, edges.IntField(3, 0, 1));
     }
     double density = 0.0;
-    if (row.size() >= 5 && !Trim(row[4]).empty()) {
-      RP_ASSIGN_OR_RETURN(density, ParseDouble(row[4]));
+    if (!edges.Field(4).empty()) {
+      RP_ASSIGN_OR_RETURN(density, edges.DoubleField(4));
     }
     segments.push_back({from, to, length, density});
     if (oneway == 0) segments.push_back({to, from, length, density});

@@ -15,9 +15,11 @@ namespace roadpart {
 ///   nodes.csv:  node_id,x,y                    (header optional)
 ///   edges.csv:  from_id,to_id[,length[,oneway[,density]]]
 ///
+/// Both are TextRecords (common/durable_io.h): a first row with no numeric
+/// field is a header, and an empty optional field takes its default.
 /// - `node_id`s may be arbitrary integers; they are remapped densely.
 /// - `length` defaults to the Euclidean endpoint distance (metres).
-/// - `oneway` is 0/1 (default 0): 0 adds both directed segments.
+/// - `oneway` is 0 or 1 (default 0): 0 adds both directed segments.
 /// - `density` (vehicles/metre) defaults to 0 and applies to both
 ///   directions of a two-way road.
 Result<RoadNetwork> LoadEdgeListNetwork(const std::string& nodes_csv_path,

@@ -13,6 +13,17 @@ constexpr char kRoadnetFormat[] = "roadnet";
 constexpr char kDensitiesFormat[] = "densities";
 constexpr char kPartitionFormat[] = "partition-csv";
 constexpr int kNetworkIoVersion = 1;
+
+// Reads a "<tag> <count>" line. The count sizes nothing, so a forged one
+// meets the end of input rather than a huge allocation.
+Result<int> ReadCount(TextRecords& records, std::string_view tag) {
+  RP_RETURN_IF_ERROR(records.Next(2));
+  if (records.Field(0) != tag) {
+    return records.Error("expected '" + std::string(tag) + " <count>'");
+  }
+  return records.IntField(1, 0);
+}
+
 }  // namespace
 
 Status SaveRoadNetwork(const RoadNetwork& network, const std::string& path,
@@ -33,57 +44,27 @@ Status SaveRoadNetwork(const RoadNetwork& network, const std::string& path,
 
 Result<RoadNetwork> LoadRoadNetwork(const std::string& path,
                                     const RetryOptions& retry) {
-  ArtifactReadOptions read_options;
-  read_options.expected_format = kRoadnetFormat;
-  read_options.retry = retry;
-  RP_ASSIGN_OR_RETURN(std::string payload, ReadArtifact(path, read_options));
-  std::istringstream in(payload);
-  std::string line;
-
-  auto next_line = [&](std::string& out_line) -> bool {
-    while (std::getline(in, out_line)) {
-      std::string_view t = Trim(out_line);
-      if (!t.empty() && t[0] != '#') {
-        out_line = std::string(t);
-        return true;
-      }
-    }
-    return false;
-  };
-
-  if (!next_line(line)) return Status::IOError("empty network file " + path);
-  std::istringstream header_i(line);
-  char tag = 0;
-  int ni = 0;
-  header_i >> tag >> ni;
-  if (tag != 'I' || ni < 0) {
-    return Status::IOError("malformed intersection header in " + path);
+  RP_ASSIGN_OR_RETURN(TextRecords records,
+                      TextRecords::Read(path, kRoadnetFormat, ' ', retry));
+  RP_ASSIGN_OR_RETURN(const int num_intersections, ReadCount(records, "I"));
+  std::vector<Intersection> intersections;
+  for (int i = 0; i < num_intersections; ++i) {
+    RP_RETURN_IF_ERROR(records.Next(2));
+    Intersection& it = intersections.emplace_back();
+    RP_ASSIGN_OR_RETURN(it.position.x, records.DoubleField(0));
+    RP_ASSIGN_OR_RETURN(it.position.y, records.DoubleField(1));
   }
-  std::vector<Intersection> intersections(ni);
-  for (int i = 0; i < ni; ++i) {
-    if (!next_line(line)) return Status::IOError("truncated intersections");
-    std::istringstream ss(line);
-    if (!(ss >> intersections[i].position.x >> intersections[i].position.y)) {
-      return Status::IOError(StrPrintf("bad intersection line %d", i));
-    }
+  RP_ASSIGN_OR_RETURN(const int num_segments, ReadCount(records, "S"));
+  std::vector<RoadSegment> segments;
+  for (int i = 0; i < num_segments; ++i) {
+    RP_RETURN_IF_ERROR(records.Next(4));
+    RoadSegment& s = segments.emplace_back();
+    RP_ASSIGN_OR_RETURN(s.from, records.IntField(0));
+    RP_ASSIGN_OR_RETURN(s.to, records.IntField(1));
+    RP_ASSIGN_OR_RETURN(s.length, records.DoubleField(2));
+    RP_ASSIGN_OR_RETURN(s.density, records.DoubleField(3));
   }
-
-  if (!next_line(line)) return Status::IOError("missing segment header");
-  std::istringstream header_s(line);
-  int ns = 0;
-  header_s >> tag >> ns;
-  if (tag != 'S' || ns < 0) {
-    return Status::IOError("malformed segment header in " + path);
-  }
-  std::vector<RoadSegment> segments(ns);
-  for (int i = 0; i < ns; ++i) {
-    if (!next_line(line)) return Status::IOError("truncated segments");
-    std::istringstream ss(line);
-    if (!(ss >> segments[i].from >> segments[i].to >> segments[i].length >>
-          segments[i].density)) {
-      return Status::IOError(StrPrintf("bad segment line %d", i));
-    }
-  }
+  RP_RETURN_IF_ERROR(records.Finish());
   return RoadNetwork::Create(std::move(intersections), std::move(segments));
 }
 
@@ -97,18 +78,13 @@ Status SaveDensities(const std::vector<double>& densities,
 
 Result<std::vector<double>> LoadDensities(const std::string& path,
                                           const RetryOptions& retry) {
-  ArtifactReadOptions read_options;
-  read_options.expected_format = kDensitiesFormat;
-  read_options.retry = retry;
-  RP_ASSIGN_OR_RETURN(std::string payload, ReadArtifact(path, read_options));
-  std::istringstream in(payload);
+  RP_ASSIGN_OR_RETURN(TextRecords records,
+                      TextRecords::Read(path, kDensitiesFormat, ' ', retry));
   std::vector<double> densities;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string_view t = Trim(line);
-    if (t.empty() || t[0] == '#') continue;
-    RP_ASSIGN_OR_RETURN(double d, ParseDouble(t));
-    densities.push_back(d);
+  while (!records.Done()) {
+    RP_RETURN_IF_ERROR(records.Next(1));
+    RP_ASSIGN_OR_RETURN(const double density, records.DoubleField(0));
+    densities.push_back(density);
   }
   // Fault hooks (test-only; compiled to nothing under
   // RP_DISABLE_FAULT_INJECTION): simulate sensor corruption and a short read
@@ -145,39 +121,30 @@ Status SavePartitionCsv(const std::vector<int>& assignment,
 Result<std::vector<int>> LoadPartitionCsv(const std::string& path,
                                           int num_segments,
                                           const RetryOptions& retry) {
-  ArtifactReadOptions read_options;
-  read_options.expected_format = kPartitionFormat;
-  read_options.retry = retry;
-  RP_ASSIGN_OR_RETURN(std::string payload, ReadArtifact(path, read_options));
-  std::istringstream in(payload);
+  RP_ASSIGN_OR_RETURN(TextRecords records,
+                      TextRecords::Read(path, kPartitionFormat, ',', retry));
   std::vector<int> assignment(num_segments, -1);
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    std::string_view t = Trim(line);
-    if (t.empty() || t[0] == '#') continue;
-    if (first && StartsWith(t, "segment_id")) {
-      first = false;
-      continue;
-    }
-    first = false;
-    auto parts = Split(t, ',');
-    if (parts.size() != 2) {
-      return Status::IOError("malformed partition line: " + line);
-    }
-    RP_ASSIGN_OR_RETURN(int64_t id, ParseInt(parts[0]));
-    RP_ASSIGN_OR_RETURN(int64_t label, ParseInt(parts[1]));
+  while (!records.Done()) {
+    RP_RETURN_IF_ERROR(records.Next(2));
+    if (records.IsHeader()) continue;
+    RP_ASSIGN_OR_RETURN(const int64_t id, records.IntField<int64_t>(0));
+    RP_ASSIGN_OR_RETURN(const int label, records.IntField(1, 0));
     if (id < 0 || id >= num_segments) {
-      return Status::OutOfRange(
-          StrPrintf("segment id %lld outside [0,%d)",
-                    static_cast<long long>(id), num_segments));
+      return Status::OutOfRange(records.At(
+          StrPrintf("segment id %lld outside [0, %d)",
+                    static_cast<long long>(id), num_segments)));
     }
-    assignment[id] = static_cast<int>(label);
+    if (assignment[id] >= 0) {
+      return records.Error(StrPrintf("duplicate segment id %lld",
+                                     static_cast<long long>(id)));
+    }
+    assignment[id] = label;
   }
   for (int i = 0; i < num_segments; ++i) {
     if (assignment[i] < 0) {
       return Status::InvalidArgument(
-          StrPrintf("segment %d has no partition assignment", i));
+          StrPrintf("%s: segment %d has no partition assignment", path.c_str(),
+                    i));
     }
   }
   return assignment;

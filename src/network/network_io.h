@@ -24,7 +24,9 @@ Status SaveRoadNetwork(const RoadNetwork& network, const std::string& path,
 
 /// Loads a network saved by SaveRoadNetwork. Enveloped files are
 /// checksum-verified (torn/corrupt -> kCorruption); envelope-less files are
-/// accepted for hand-authored inputs.
+/// accepted for hand-authored inputs. Every reader in this header parses the
+/// TextRecords grammar (common/durable_io.h); a roadnet allows no record
+/// after its last segment.
 Result<RoadNetwork> LoadRoadNetwork(const std::string& path,
                                     const RetryOptions& retry = {});
 
@@ -42,8 +44,9 @@ Status SavePartitionCsv(const std::vector<int>& assignment,
                         const RetryOptions& retry = {});
 
 /// Reads a partition CSV written by SavePartitionCsv. Every segment in
-/// [0, num_segments) must be assigned exactly once; ids outside the range
-/// are kOutOfRange and missing ids are kInvalidArgument.
+/// [0, num_segments) must be assigned exactly once, to a label in
+/// [0, INT_MAX]; ids outside the range are kOutOfRange, and missing or
+/// duplicate ids are kInvalidArgument.
 Result<std::vector<int>> LoadPartitionCsv(const std::string& path,
                                           int num_segments,
                                           const RetryOptions& retry = {});

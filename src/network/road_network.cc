@@ -1,6 +1,7 @@
 #include "network/road_network.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/string_util.h"
 
@@ -9,6 +10,13 @@ namespace roadpart {
 Result<RoadNetwork> RoadNetwork::Create(std::vector<Intersection> intersections,
                                         std::vector<RoadSegment> segments) {
   const int ni = static_cast<int>(intersections.size());
+  for (size_t i = 0; i < intersections.size(); ++i) {
+    const Point& p = intersections[i].position;
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+      return Status::InvalidArgument(
+          StrPrintf("intersection %zu has a non-finite position", i));
+    }
+  }
   for (size_t i = 0; i < segments.size(); ++i) {
     const RoadSegment& s = segments[i];
     if (s.from < 0 || s.from >= ni || s.to < 0 || s.to >= ni) {
@@ -19,9 +27,9 @@ Result<RoadNetwork> RoadNetwork::Create(std::vector<Intersection> intersections,
       return Status::InvalidArgument(
           StrPrintf("segment %zu is a self-loop at intersection %d", i, s.from));
     }
-    if (!(s.length > 0.0)) {
+    if (!(s.length > 0.0) || !std::isfinite(s.length)) {
       return Status::InvalidArgument(
-          StrPrintf("segment %zu has non-positive length", i));
+          StrPrintf("segment %zu has a non-positive or non-finite length", i));
     }
     if (s.density < 0.0) {
       return Status::InvalidArgument(

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/durable_io.h"
 #include "common/fault_injection.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
@@ -238,15 +237,6 @@ Status ServeQueries(const Snapshot& snapshot, std::string_view queries,
       options.num_threads);
   for (const std::string& a : answers) output->append(a);
   return Status::OK();
-}
-
-Result<std::string> ServeQueryFile(const Snapshot& snapshot,
-                                   const std::string& query_path,
-                                   const ServeOptions& options) {
-  RP_ASSIGN_OR_RETURN(std::string queries, ReadFileBytes(query_path));
-  std::string output;
-  RP_RETURN_IF_ERROR(ServeQueries(snapshot, queries, options, &output));
-  return output;
 }
 
 }  // namespace roadpart

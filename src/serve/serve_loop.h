@@ -132,12 +132,6 @@ Status ServeQueries(const Snapshot& snapshot, std::string_view queries,
                     const ServeOptions& options, std::string* output,
                     ServeBatchStats* stats = nullptr);
 
-/// ServeQueries over the contents of `query_path` ("-" reads stdin is the
-/// CLI's job — this helper only reads real files).
-Result<std::string> ServeQueryFile(const Snapshot& snapshot,
-                                   const std::string& query_path,
-                                   const ServeOptions& options);
-
 }  // namespace roadpart
 
 #endif  // ROADPART_SERVE_SERVE_LOOP_H_

@@ -392,11 +392,6 @@ int32_t Snapshot::num_partitions() const {
 uint64_t Snapshot::source_fingerprint() const {
   return decoded_.source_fingerprint;
 }
-int32_t Snapshot::partition_of_segment(int32_t segment_id) const {
-  RP_CHECK_GE(segment_id, 0);
-  RP_CHECK_LT(segment_id, num_segments());
-  return Labels()[segment_id];
-}
 
 PointAnswer Snapshot::NearestSegment(const Point& q) const {
   RP_DCHECK(std::isfinite(q.x) && std::isfinite(q.y));

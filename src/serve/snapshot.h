@@ -106,7 +106,6 @@ class Snapshot {
   int32_t num_segments() const;
   int32_t num_partitions() const;
   uint64_t source_fingerprint() const;
-  int32_t partition_of_segment(int32_t segment_id) const;
 
   /// Nearest segment to `q` (grid ring scan; exactly the brute-force
   /// answer under the smallest-id tie-break). `q` must be finite. Typically

@@ -1,6 +1,9 @@
 #include "temporal/series_io.h"
 
+#include <cstdint>
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "common/durable_io.h"
 #include "common/string_util.h"
@@ -29,62 +32,27 @@ Status SaveSnapshotSeries(const SnapshotSeries& series,
 
 Result<SnapshotSeries> LoadSnapshotSeries(const std::string& path,
                                           const RetryOptions& retry) {
-  ArtifactReadOptions read_options;
-  read_options.expected_format = kSeriesFormat;
-  read_options.retry = retry;
-  RP_ASSIGN_OR_RETURN(std::string payload, ReadArtifact(path, read_options));
-
-  // A file that does not end in '\n' lost its tail mid-write: the last row
-  // would otherwise parse as a silently shortened (but numerically valid)
-  // snapshot — e.g. "120,0.1,0." reads as density 0.0. Refuse it outright.
-  if (!payload.empty() && payload.back() != '\n') {
-    return Status::Corruption(
-        path + ": no trailing newline — last snapshot row is truncated");
+  RP_ASSIGN_OR_RETURN(TextRecords records,
+                      TextRecords::Read(path, kSeriesFormat, ',', retry));
+  // The first row fixes the segment count; every later row must match it.
+  std::optional<SnapshotSeries> series;
+  while (!records.Done()) {
+    if (series) {
+      RP_RETURN_IF_ERROR(records.Next(series->num_segments() + 1));
+    } else {
+      RP_RETURN_IF_ERROR(records.Next(2, SIZE_MAX));
+      series.emplace(static_cast<int>(records.size() - 1));
+    }
+    RP_ASSIGN_OR_RETURN(const double timestamp, records.DoubleField(0));
+    std::vector<double> densities(records.size() - 1);
+    for (size_t i = 1; i < records.size(); ++i) {
+      RP_ASSIGN_OR_RETURN(densities[i - 1], records.DoubleField(i));
+    }
+    Status appended = series->Append(timestamp, std::move(densities));
+    if (!appended.ok()) return records.Error(appended.message());
   }
-
-  std::istringstream in(payload);
-  std::string line;
-  int num_segments = -1;
-  int row_number = 0;
-  std::vector<std::pair<double, std::vector<double>>> rows;
-  while (std::getline(in, line)) {
-    ++row_number;
-    // Reject CRLF before Trim (Trim would silently eat the '\r'): a series
-    // round-tripped through Windows tooling must be converted, not guessed
-    // at, because '\r' inside a field corrupts the final density of the row.
-    if (line.find('\r') != std::string::npos) {
-      return Status::InvalidArgument(
-          StrPrintf("%s line %d: CRLF line ending — convert the file to "
-                    "LF-only before loading",
-                    path.c_str(), row_number));
-    }
-    std::string_view t = Trim(line);
-    if (t.empty() || t[0] == '#') continue;
-    auto fields = Split(t, ',');
-    if (fields.size() < 2) {
-      return Status::IOError("snapshot row needs a timestamp and densities");
-    }
-    RP_ASSIGN_OR_RETURN(double timestamp, ParseDouble(fields[0]));
-    std::vector<double> densities(fields.size() - 1);
-    for (size_t i = 1; i < fields.size(); ++i) {
-      RP_ASSIGN_OR_RETURN(densities[i - 1], ParseDouble(fields[i]));
-    }
-    if (num_segments == -1) {
-      num_segments = static_cast<int>(densities.size());
-    } else if (static_cast<int>(densities.size()) != num_segments) {
-      return Status::IOError(
-          StrPrintf("snapshot rows disagree on segment count (%d vs %zu)",
-                    num_segments, densities.size()));
-    }
-    rows.emplace_back(timestamp, std::move(densities));
-  }
-  if (num_segments < 0) return Status::IOError("empty series file " + path);
-
-  SnapshotSeries series(num_segments);
-  for (auto& [timestamp, densities] : rows) {
-    RP_RETURN_IF_ERROR(series.Append(timestamp, std::move(densities)));
-  }
-  return series;
+  if (!series) return Status::InvalidArgument(path + ": no snapshot rows");
+  return std::move(*series);
 }
 
 }  // namespace roadpart

@@ -18,10 +18,9 @@ Status SaveSnapshotSeries(const SnapshotSeries& series,
                           const std::string& path,
                           const RetryOptions& retry = {});
 
-/// Loads a series saved by SaveSnapshotSeries (or any CSV in that layout).
-/// Enveloped files are checksum-verified; any file is rejected with a typed
-/// Status when the trailing row is truncated (kCorruption) or the line
-/// endings are CRLF (kInvalidArgument).
+/// Loads a series saved by SaveSnapshotSeries (or any CSV in that layout,
+/// read as TextRecords: a truncated last row is kCorruption, CRLF line
+/// endings are kInvalidArgument). Enveloped files are checksum-verified.
 Result<SnapshotSeries> LoadSnapshotSeries(const std::string& path,
                                           const RetryOptions& retry = {});
 

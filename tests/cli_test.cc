@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace roadpart {
@@ -223,6 +224,52 @@ TEST(CliTest, IntFlagsAreRangeChecked) {
             std::string::npos)
       << err;
   std::remove(path.c_str());
+}
+
+TEST(CliTest, DoubleFlagsAreTypedErrors) {
+  // An unparsable double flag is a typed error with exit 1, as an int flag
+  // is, not a bare usage screen with exit 2.
+  const std::string cli = RP_CLI_PATH;
+  const std::string pipeline = RP_PIPELINE_PATH;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {cli + " partition", "stability"},
+      {cli + " partition", "deadline-seconds"},
+      {cli + " mine", "stability"},
+      {cli + " simulate", "horizon"},
+      {cli + " simulate", "interval"},
+      {cli + " refresh", "trigger-ratio"},
+      {cli + " refresh", "boundary-delta-ratio"},
+      {cli + " refresh", "deadline-seconds"},
+      {pipeline, "trigger-ratio"},
+      {pipeline, "boundary-delta-ratio"},
+      {pipeline, "deadline-seconds"},
+      {pipeline, "ans-margin"},
+      {pipeline, "churn-ceiling"},
+  };
+  const std::string path = testing::TempDir() + "/cli_double_flags.net";
+  for (const auto& [command, flag] : cases) {
+    int code = 0;
+    const std::string err = RunForStderr(
+        command, "--" + flag + "=abc " + path + " " + path, &code);
+    EXPECT_EQ(code, 1) << command << " --" << flag;
+    EXPECT_NE(err.find("not a number: 'abc'"), std::string::npos)
+        << command << " --" << flag << ": " << err;
+  }
+}
+
+TEST(CliTest, NegativeDeadlineIsRejected) {
+  // A negative deadline would otherwise run silently with no deadline.
+  const std::string path = testing::TempDir() + "/cli_deadline.net";
+  for (const std::string& command :
+       {std::string(RP_CLI_PATH) + " partition",
+        std::string(RP_CLI_PATH) + " refresh", std::string(RP_PIPELINE_PATH)}) {
+    int code = 0;
+    const std::string err = RunForStderr(
+        command, "--deadline-seconds=-1 " + path + " " + path, &code);
+    EXPECT_EQ(code, 1) << command;
+    EXPECT_NE(err.find("--deadline-seconds must be >= 0"), std::string::npos)
+        << command << ": " << err;
+  }
 }
 
 TEST(CliTest, TearDownNetwork) {

@@ -21,6 +21,7 @@
 
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -37,18 +38,27 @@ namespace {
 #endif
 
 constexpr int kIntervals = 20;
-
-int RunPipelineBin(const std::string& args, const std::string& stdout_path) {
-  std::string command = std::string(RP_PIPELINE_PATH) + " " + args + " > " +
-                        (stdout_path.empty() ? "/dev/null" : stdout_path) +
-                        " 2>&1";
-  int status = std::system(command.c_str());
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
+// rp_pipeline's exit code under --crash-after-interval.
+constexpr int kCrashExit = 42;
 
 std::string Slurp(const std::string& path) {
   auto bytes = ReadFileBytes(path);
   return bytes.ok() ? *bytes : std::string();
+}
+
+// Runs rp_pipeline with its stdout and stderr in `log_path`. An exit other
+// than success or the crash hook's prints the log, so a child that dies under
+// a sanitizer shows its report.
+int RunPipelineBin(const std::string& args, const std::string& log_path) {
+  const std::string command =
+      std::string(RP_PIPELINE_PATH) + " " + args + " > " + log_path + " 2>&1";
+  const int status = std::system(command.c_str());
+  const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  if (code != 0 && code != kCrashExit) {
+    std::fprintf(stderr, "rp_pipeline %s exited %d; its output:\n%s\n",
+                 args.c_str(), code, Slurp(log_path).c_str());
+  }
+  return code;
 }
 
 void ExpectNoTempFiles(const std::string& dir) {
@@ -101,6 +111,8 @@ class PipelineChaosTest : public ::testing::Test {
   }
 
   std::string JournalPath() const { return state_dir_ + "/journal.rpj"; }
+  // Next to the state dir, which some tests delete between runs.
+  std::string LogPath() const { return root_ + "/rp_pipeline.log"; }
 
   RoadNetwork network_;
   SnapshotSeries series_{0};
@@ -109,7 +121,7 @@ class PipelineChaosTest : public ::testing::Test {
 
 TEST_F(PipelineChaosTest, CrashAtEveryIntervalBoundaryThenResumeBitIdentical) {
   // Uninterrupted reference run.
-  ASSERT_EQ(RunPipelineBin(Args("--threads=2"), ""), 0);
+  ASSERT_EQ(RunPipelineBin(Args("--threads=2"), LogPath()), 0);
   const std::string reference = Slurp(JournalPath());
   ASSERT_FALSE(reference.empty());
 
@@ -120,8 +132,8 @@ TEST_F(PipelineChaosTest, CrashAtEveryIntervalBoundaryThenResumeBitIdentical) {
     // Kill hard right after interval t's journal write became durable.
     ASSERT_EQ(RunPipelineBin(
                   Args(StrPrintf("--threads=2 --crash-after-interval=%d", t)),
-                  ""),
-              42)
+                  LogPath()),
+              kCrashExit)
         << "interval " << t;
     // The journal through interval t must be durably on disk, with no torn
     // temp files anywhere in the state dir.
@@ -132,7 +144,7 @@ TEST_F(PipelineChaosTest, CrashAtEveryIntervalBoundaryThenResumeBitIdentical) {
     // the uninterrupted run byte for byte.
     const int threads = resume_threads[t % 3];
     ASSERT_EQ(
-        RunPipelineBin(Args(StrPrintf("--threads=%d", threads)), ""), 0)
+        RunPipelineBin(Args(StrPrintf("--threads=%d", threads)), LogPath()), 0)
         << "interval " << t << " resume at " << threads << " threads";
     EXPECT_EQ(Slurp(JournalPath()), reference)
         << "interval " << t << " resume at " << threads << " threads";
@@ -140,7 +152,7 @@ TEST_F(PipelineChaosTest, CrashAtEveryIntervalBoundaryThenResumeBitIdentical) {
 }
 
 TEST_F(PipelineChaosTest, RerunOfCompletedSeriesIsANoOp) {
-  ASSERT_EQ(RunPipelineBin(Args("--threads=2"), ""), 0);
+  ASSERT_EQ(RunPipelineBin(Args("--threads=2"), LogPath()), 0);
   const std::string reference = Slurp(JournalPath());
 
   const std::string out = root_ + "/rerun.out";
@@ -155,7 +167,7 @@ TEST_F(PipelineChaosTest, RerunOfCompletedSeriesIsANoOp) {
 }
 
 TEST_F(PipelineChaosTest, CorruptJournalColdRestartsAndHeals) {
-  ASSERT_EQ(RunPipelineBin(Args("--threads=2"), ""), 0);
+  ASSERT_EQ(RunPipelineBin(Args("--threads=2"), LogPath()), 0);
   const std::string reference = Slurp(JournalPath());
 
   // Flip one byte in the middle of the journal artifact.
@@ -175,7 +187,7 @@ TEST_F(PipelineChaosTest, CorruptJournalColdRestartsAndHeals) {
 }
 
 TEST_F(PipelineChaosTest, DifferentlyKeyedJournalColdRestarts) {
-  ASSERT_EQ(RunPipelineBin(Args("--threads=2"), ""), 0);
+  ASSERT_EQ(RunPipelineBin(Args("--threads=2"), LogPath()), 0);
 
   // A different seed changes the pipeline key: the on-disk journal is
   // someone else's history and must be rejected with a warning.

@@ -7,6 +7,9 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "roadpart/roadpart.h"
 
@@ -54,6 +57,158 @@ TEST(RobustnessTest, NonNumericDensityFile) {
   std::string path = WriteTemp("bad.densities", "0.1\nnope\n0.2\n");
   EXPECT_FALSE(LoadDensities(path).ok());
   std::remove(path.c_str());
+}
+
+// --- Malformed plain text: one table over all five loaders ---
+
+Status LoadNet(const std::string& path) {
+  return LoadRoadNetwork(path).status();
+}
+Status LoadDens(const std::string& path) {
+  return LoadDensities(path).status();
+}
+Status LoadTwoSegmentPartition(const std::string& path) {
+  return LoadPartitionCsv(path, 2).status();
+}
+// The row is the nodes file; the edges file is empty.
+Status LoadNodes(const std::string& path) {
+  const std::string edges = WriteTemp("malformed_edges_empty.csv", "");
+  Status st = LoadEdgeListNetwork(path, edges).status();
+  std::remove(edges.c_str());
+  return st;
+}
+// The row is the edges file over nodes 0 and 1.
+Status LoadEdges(const std::string& path) {
+  const std::string nodes = WriteTemp("malformed_nodes.csv", "0,0,0\n1,5,0\n");
+  Status st = LoadEdgeListNetwork(nodes, path).status();
+  std::remove(nodes.c_str());
+  return st;
+}
+
+TEST(RobustnessTest, MalformedTextIsATypedErrorNamingTheLine) {
+  struct Row {
+    const char* name;
+    std::string text;
+    Status (*load)(const std::string&);
+    StatusCode code;
+    int line;
+  };
+  const std::vector<Row> rows = {
+      // A forged count must meet the end of input, not size an allocation.
+      {"count-beyond-input", "I 2000000000\n0 0\n", LoadNet,
+       StatusCode::kInvalidArgument, 3},
+      {"count-not-a-number", "I abc\nS 0\n", LoadNet,
+       StatusCode::kInvalidArgument, 1},
+      {"junk-field", "I 2\n0 0 junk\n1 1\nS 1\n0 1 10 0.5\n", LoadNet,
+       StatusCode::kInvalidArgument, 2},
+      {"extra-segment-field", "I 2\n0 0\n1 1\nS 1\n0 1 10 0.5 7\n", LoadNet,
+       StatusCode::kInvalidArgument, 5},
+      {"record-after-last-segment",
+       "I 2\n0 0\n1 1\nS 1\n0 1 10 0.5\n0 1 10 0.5\n", LoadNet,
+       StatusCode::kInvalidArgument, 6},
+      {"torn-last-number", "I 2\n0 0\n1 1\nS 1\n0 1 10 0.", LoadNet,
+       StatusCode::kCorruption, 5},
+      {"cr-in-densities", "0.1\r\n0.2\n", LoadDens,
+       StatusCode::kInvalidArgument, 1},
+      {"torn-densities", "0.1\n0.", LoadDens, StatusCode::kCorruption, 2},
+      {"duplicate-partition-id", "segment_id,partition_id\n0,0\n0,1\n1,0\n",
+       LoadTwoSegmentPartition, StatusCode::kInvalidArgument, 3},
+      {"partition-label-past-int", "0,4294967297\n1,0\n",
+       LoadTwoSegmentPartition, StatusCode::kInvalidArgument, 1},
+      {"cr-in-partition", "0,0\r\n1,1\r\n", LoadTwoSegmentPartition,
+       StatusCode::kInvalidArgument, 1},
+      // A first row with one numeric field is data, not a header.
+      {"typo-in-first-node-row", "x0,0,0\n1,5,0\n", LoadNodes,
+       StatusCode::kInvalidArgument, 1},
+      {"extra-node-field", "0,0,0,9\n", LoadNodes,
+       StatusCode::kInvalidArgument, 1},
+      {"torn-node-row", "0,0,0\n1,5,0.", LoadNodes, StatusCode::kCorruption, 2},
+      {"oneway-not-0-or-1", "from_id,to_id,length,oneway\n0,1,5,2\n",
+       LoadEdges, StatusCode::kInvalidArgument, 2},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    const std::string path = WriteTemp("malformed.txt", row.text);
+    const Status st = row.load(path);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), row.code) << st.ToString();
+    EXPECT_NE(st.message().find(path + ":" + std::to_string(row.line) + ":"),
+              std::string::npos)
+        << st.ToString();
+    std::remove(path.c_str());
+  }
+}
+
+TEST(RobustnessTest, NonFiniteGeometryIsRejected) {
+  // ParseDouble reads "nan" and "inf"; a network must not hold them, or a
+  // serving snapshot built from it fails its own grid validation.
+  const std::vector<std::pair<std::string, Status (*)(const std::string&)>>
+      cases = {{"I 2\nnan 0\n1 1\nS 1\n0 1 10 0.5\n", LoadNet},
+               {"I 2\n0 0\n1 1\nS 1\n0 1 inf 0.5\n", LoadNet},
+               {"0,0,inf\n1,5,0\n", LoadNodes},
+               {"0,1,inf\n", LoadEdges}};
+  for (const auto& [text, load] : cases) {
+    const std::string path = WriteTemp("nonfinite.txt", text);
+    EXPECT_EQ(load(path).code(), StatusCode::kInvalidArgument) << text;
+    std::remove(path.c_str());
+  }
+}
+
+// Saving what was loaded writes the same bytes: every loader reads back
+// exactly the values its saver printed.
+TEST(RobustnessTest, PlainTextRoundTripsAreFixedPoints) {
+  RoadNetwork net = GenerateDataset(DatasetPreset::kD1, 5).value();
+  auto same_bytes = [](const std::string& a, const std::string& b) {
+    EXPECT_EQ(ReadFileBytes(a).value(), ReadFileBytes(b).value()) << a;
+    std::remove(a.c_str());
+    std::remove(b.c_str());
+  };
+  const std::string dir = testing::TempDir() + "/";
+
+  ASSERT_TRUE(SaveRoadNetwork(net, dir + "rt1.net").ok());
+  RoadNetwork loaded = LoadRoadNetwork(dir + "rt1.net").value();
+  ASSERT_TRUE(SaveRoadNetwork(loaded, dir + "rt2.net").ok());
+  same_bytes(dir + "rt1.net", dir + "rt2.net");
+
+  std::vector<double> densities;
+  std::vector<int> labels;
+  for (const RoadSegment& s : net.segments()) {
+    densities.push_back(s.density);
+    labels.push_back(static_cast<int>(labels.size()) % 5);
+  }
+  ASSERT_TRUE(SaveDensities(densities, dir + "rt1.dens").ok());
+  ASSERT_TRUE(
+      SaveDensities(LoadDensities(dir + "rt1.dens").value(), dir + "rt2.dens")
+          .ok());
+  same_bytes(dir + "rt1.dens", dir + "rt2.dens");
+
+  ASSERT_TRUE(SavePartitionCsv(labels, dir + "rt1.csv").ok());
+  const std::vector<int> labels_back =
+      LoadPartitionCsv(dir + "rt1.csv", net.num_segments()).value();
+  EXPECT_EQ(labels_back, labels);
+  ASSERT_TRUE(SavePartitionCsv(labels_back, dir + "rt2.csv").ok());
+  same_bytes(dir + "rt1.csv", dir + "rt2.csv");
+
+  ASSERT_TRUE(
+      SaveEdgeListNetwork(net, dir + "rt1.nodes", dir + "rt1.edges").ok());
+  RoadNetwork from_csv =
+      LoadEdgeListNetwork(dir + "rt1.nodes", dir + "rt1.edges").value();
+  ASSERT_TRUE(
+      SaveEdgeListNetwork(from_csv, dir + "rt2.nodes", dir + "rt2.edges")
+          .ok());
+  same_bytes(dir + "rt1.nodes", dir + "rt2.nodes");
+  same_bytes(dir + "rt1.edges", dir + "rt2.edges");
+
+  SnapshotSeries series(net.num_segments());
+  ASSERT_TRUE(series.Append(120.0, densities).ok());
+  ASSERT_TRUE(series.Append(240.5, std::vector<double>(densities.size(),
+                                                       1.0 / 3.0))
+                  .ok());
+  ASSERT_TRUE(SaveSnapshotSeries(series, dir + "rt1.series").ok());
+  ASSERT_TRUE(SaveSnapshotSeries(LoadSnapshotSeries(dir + "rt1.series").value(),
+                                 dir + "rt2.series")
+                  .ok());
+  same_bytes(dir + "rt1.series", dir + "rt2.series");
 }
 
 // --- Degenerate partitioning inputs ---

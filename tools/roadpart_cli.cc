@@ -76,17 +76,6 @@ int Usage() {
   return 2;
 }
 
-Result<Scheme> ParseScheme(const std::string& name) {
-  if (name == "AG") return Scheme::kAG;
-  if (name == "ASG") return Scheme::kASG;
-  if (name == "NG") return Scheme::kNG;
-  if (name == "NSG") return Scheme::kNSG;
-  if (name == "JIG" || name == "JiGeroliminis") {
-    return Scheme::kJiGeroliminis;
-  }
-  return Status::InvalidArgument("unknown scheme '" + name + "'");
-}
-
 Result<NonConvergencePolicy> ParseNonConvergencePolicy(
     const std::string& name) {
   if (name == "fail") return NonConvergencePolicy::kFail;
@@ -183,6 +172,9 @@ int CmdPartition(const FlagParser& flags) {
   if (!stability.ok()) return Fail(stability.status());
   auto deadline = flags.GetDouble("deadline-seconds", 0.0);
   if (!deadline.ok()) return Fail(deadline.status());
+  if (*deadline < 0.0) {
+    return Fail(Status::InvalidArgument("--deadline-seconds must be >= 0"));
+  }
   auto nonconv =
       ParseNonConvergencePolicy(flags.GetString("on-nonconvergence",
                                                 "best-effort"));
@@ -282,7 +274,7 @@ int CmdEvaluate(const FlagParser& flags) {
 int CmdMine(const FlagParser& flags) {
   if (flags.positional().size() != 2) return Usage();
   auto stability = flags.GetDouble("stability", 0.0);
-  if (!stability.ok()) return Usage();
+  if (!stability.ok()) return Fail(stability.status());
   auto seed = flags.GetIntInRange("seed", 1, 0, INT64_MAX);
   if (!seed.ok()) return Fail(seed.status());
 
@@ -318,7 +310,9 @@ int CmdSimulate(const FlagParser& flags) {
   if (!snapshot.ok()) return Fail(snapshot.status());
   auto horizon = flags.GetDouble("horizon", 3600.0);
   auto interval = flags.GetDouble("interval", 120.0);
-  if (!horizon.ok() || !interval.ok()) return Usage();
+  for (const Result<double>* value : {&horizon, &interval}) {
+    if (!value->ok()) return Fail(value->status());
+  }
   auto seed = flags.GetIntInRange("seed", 1, 0, INT64_MAX);
   if (!seed.ok()) return Fail(seed.status());
 
@@ -432,7 +426,9 @@ int CmdRefresh(const FlagParser& flags) {
   auto trigger = flags.GetDouble("trigger-ratio", 0.05);
   auto boundary = flags.GetDouble("boundary-delta-ratio", 0.05);
   auto deadline = flags.GetDouble("deadline-seconds", 0.0);
-  if (!trigger.ok() || !boundary.ok() || !deadline.ok()) return Usage();
+  for (const Result<double>* value : {&trigger, &boundary, &deadline}) {
+    if (!value->ok()) return Fail(value->status());
+  }
   if (*deadline < 0.0) {
     return Fail(Status::InvalidArgument("--deadline-seconds must be >= 0"));
   }

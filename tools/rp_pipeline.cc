@@ -72,17 +72,6 @@ int Usage() {
   return 2;
 }
 
-Result<Scheme> ParseScheme(const std::string& name) {
-  if (name == "AG") return Scheme::kAG;
-  if (name == "ASG") return Scheme::kASG;
-  if (name == "NG") return Scheme::kNG;
-  if (name == "NSG") return Scheme::kNSG;
-  if (name == "JIG" || name == "JiGeroliminis") {
-    return Scheme::kJiGeroliminis;
-  }
-  return Status::InvalidArgument("unknown scheme '" + name + "'");
-}
-
 int Main(int argc, char** argv) {
   auto flags = FlagParser::Parse(
       argc - 1, argv + 1,
@@ -119,9 +108,9 @@ int Main(int argc, char** argv) {
   auto deadline = flags->GetDouble("deadline-seconds", 0.0);
   auto ans_margin = flags->GetDouble("ans-margin", 0.05);
   auto churn_ceiling = flags->GetDouble("churn-ceiling", 0.75);
-  if (!trigger.ok() || !boundary.ok() || !deadline.ok() ||
-      !ans_margin.ok() || !churn_ceiling.ok()) {
-    return Usage();
+  for (const Result<double>* value :
+       {&trigger, &boundary, &deadline, &ans_margin, &churn_ceiling}) {
+    if (!value->ok()) return Fail(value->status());
   }
   if (*deadline < 0.0) {
     return Fail(Status::InvalidArgument("--deadline-seconds must be >= 0"));
