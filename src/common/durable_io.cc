@@ -640,6 +640,21 @@ Result<std::vector<double>> ReadDoubleVec(LineCursor& cursor,
 
 // --- Plain-text records -----------------------------------------------------
 
+namespace {
+
+// The fields of a ' '-separated record: runs of blanks (' ', '\t').
+std::vector<std::string> SplitBlanks(std::string_view line) {
+  std::vector<std::string> fields;
+  for (size_t begin = line.find_first_not_of(" \t"); begin != line.npos;) {
+    const size_t stop = line.find_first_of(" \t", begin);  // npos: to the end
+    fields.emplace_back(line.substr(begin, stop - begin));
+    begin = line.find_first_not_of(" \t", stop);
+  }
+  return fields;
+}
+
+}  // namespace
+
 Result<TextRecords> TextRecords::Read(const std::string& path,
                                       std::string_view format, char separator,
                                       const RetryOptions& retry) {
@@ -690,24 +705,11 @@ Status TextRecords::Next(size_t min_fields, size_t max_fields) {
     return Error("unexpected end of input");
   }
   const size_t end = payload_.find('\n', next_);
+  const std::string_view line =
+      std::string_view(payload_).substr(next_, end - next_);
   line_ = next_line_++;
   ++records_;
-  fields_.clear();
-  // A ' ' separator also splits on tabs and drops the empty fields of a run.
-  const char* separators = separator_ == ' ' ? " \t" : ",";
-  auto blank = [this](size_t i) {
-    return payload_[i] == ' ' || payload_[i] == '\t';
-  };
-  for (size_t begin = next_; begin <= end;) {
-    const size_t stop =
-        std::min(payload_.find_first_of(separators, begin), end);
-    size_t b = begin;
-    size_t e = stop;
-    while (b < e && blank(b)) ++b;
-    while (e > b && blank(e - 1)) --e;
-    if (b < e || separator_ != ' ') fields_.emplace_back(b, e);
-    begin = stop + 1;
-  }
+  fields_ = separator_ == ' ' ? SplitBlanks(line) : Split(line, separator_);
   next_ = end + 1;
   if (fields_.size() < min_fields || fields_.size() > max_fields) {
     const std::string want =
@@ -736,9 +738,7 @@ bool TextRecords::IsHeader() const {
 }
 
 std::string_view TextRecords::Field(size_t i) const {
-  if (i >= fields_.size()) return {};
-  const auto [begin, end] = fields_[i];
-  return std::string_view(payload_).substr(begin, end - begin);
+  return i < fields_.size() ? Trim(fields_[i]) : std::string_view();
 }
 
 template <typename T>

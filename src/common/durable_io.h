@@ -335,8 +335,7 @@ class TextRecords {
   int64_t next_line_ = 1;  // its 1-based line number in the file
   int64_t line_ = 0;       // line of the current record
   int64_t records_ = 0;    // records read so far
-  // Fields of the current record as [begin, end) offsets into payload_.
-  std::vector<std::pair<size_t, size_t>> fields_;
+  std::vector<std::string> fields_;  // of the current record, untrimmed
 };
 
 // --- Keyed artifacts --------------------------------------------------------

@@ -258,17 +258,21 @@ TEST(CliTest, DoubleFlagsAreTypedErrors) {
 }
 
 TEST(CliTest, NegativeDeadlineIsRejected) {
-  // A negative deadline would otherwise run silently with no deadline.
+  // A negative or NaN deadline would otherwise run silently with no deadline
+  // (NaN never compares as expired).
   const std::string path = testing::TempDir() + "/cli_deadline.net";
   for (const std::string& command :
        {std::string(RP_CLI_PATH) + " partition",
         std::string(RP_CLI_PATH) + " refresh", std::string(RP_PIPELINE_PATH)}) {
-    int code = 0;
-    const std::string err = RunForStderr(
-        command, "--deadline-seconds=-1 " + path + " " + path, &code);
-    EXPECT_EQ(code, 1) << command;
-    EXPECT_NE(err.find("--deadline-seconds must be >= 0"), std::string::npos)
-        << command << ": " << err;
+    for (const std::string value : {"-1", "nan"}) {
+      int code = 0;
+      const std::string err = RunForStderr(
+          command, "--deadline-seconds=" + value + " " + path + " " + path,
+          &code);
+      EXPECT_EQ(code, 1) << command << " " << value;
+      EXPECT_NE(err.find("--deadline-seconds must be >= 0"), std::string::npos)
+          << command << " " << value << ": " << err;
+    }
   }
 }
 

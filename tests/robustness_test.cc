@@ -211,6 +211,26 @@ TEST(RobustnessTest, PlainTextRoundTripsAreFixedPoints) {
   same_bytes(dir + "rt1.series", dir + "rt2.series");
 }
 
+// A record's fields are split within its own line: a reader that searched
+// the rest of the payload for each field separator would take time growing
+// with the square of the file (minutes for these 100k blank-free lines).
+TEST(RobustnessTest, LargeDensitiesFileLoadsInLinearTime) {
+  std::vector<double> densities(100000);
+  // Quarters print exactly with SaveDensities' nine decimals.
+  for (size_t i = 0; i < densities.size(); ++i) {
+    densities[i] = 0.25 * static_cast<double>(i % 4096);
+  }
+  const std::string path = testing::TempDir() + "/large.densities";
+  ASSERT_TRUE(SaveDensities(densities, path).ok());
+  Timer timer;
+  auto loaded = LoadDensities(path);
+  const double seconds = timer.Seconds();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded, densities);
+  EXPECT_LT(seconds, 10.0);
+  std::remove(path.c_str());
+}
+
 // --- Degenerate partitioning inputs ---
 
 RoadGraph TinyGraph(int n) {

@@ -638,6 +638,9 @@ TEST(ServeTextTest, RpServeRejectsFlagsThatDoNotFitInt) {
                 "--threads must be in [0, 2147483647], got 2147483648"},
            Case{"--threads=99999999999999999999",
                 "integer out of range: '99999999999999999999'"},
+           // NaN never compares as expired: it would serve with no deadline.
+           Case{"--deadline-seconds=-1", "--deadline-seconds must be >= 0"},
+           Case{"--deadline-seconds=nan", "--deadline-seconds must be >= 0"},
        }) {
     const ToolRun run = RunServe(std::string(c.flag) + " " + snap + " " +
                                  queries);

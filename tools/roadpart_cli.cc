@@ -172,7 +172,7 @@ int CmdPartition(const FlagParser& flags) {
   if (!stability.ok()) return Fail(stability.status());
   auto deadline = flags.GetDouble("deadline-seconds", 0.0);
   if (!deadline.ok()) return Fail(deadline.status());
-  if (*deadline < 0.0) {
+  if (!(*deadline >= 0.0)) {
     return Fail(Status::InvalidArgument("--deadline-seconds must be >= 0"));
   }
   auto nonconv =
@@ -429,7 +429,7 @@ int CmdRefresh(const FlagParser& flags) {
   for (const Result<double>* value : {&trigger, &boundary, &deadline}) {
     if (!value->ok()) return Fail(value->status());
   }
-  if (*deadline < 0.0) {
+  if (!(*deadline >= 0.0)) {
     return Fail(Status::InvalidArgument("--deadline-seconds must be >= 0"));
   }
 

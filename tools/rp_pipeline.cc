@@ -112,7 +112,7 @@ int Main(int argc, char** argv) {
        {&trigger, &boundary, &deadline, &ans_margin, &churn_ceiling}) {
     if (!value->ok()) return Fail(value->status());
   }
-  if (*deadline < 0.0) {
+  if (!(*deadline >= 0.0)) {
     return Fail(Status::InvalidArgument("--deadline-seconds must be >= 0"));
   }
   const std::string state_dir = flags->GetString("state-dir", "rp-pipeline");

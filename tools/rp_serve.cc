@@ -93,7 +93,7 @@ int Main(int argc, char** argv) {
   }
   auto deadline = flags->GetDouble("deadline-seconds", 0.0);
   if (!deadline.ok()) return Fail(deadline.status());
-  if (*deadline < 0.0) {
+  if (!(*deadline >= 0.0)) {
     return Fail(Status::InvalidArgument("--deadline-seconds must be >= 0"));
   }
   const bool session = flags->GetBool("session", false);
