@@ -42,7 +42,10 @@
 #      ${RELEASE_DIR}/analyze_findings.json; any non-baselined finding
 #      fails the gate. A doc-citation guard then fails if README.md,
 #      DESIGN.md, EXPERIMENTS.md or a file under src/, bench/ or tools/ names
-#      a bench_* program or a results/ file that is not in the tree.
+#      a bench_* program or a results/ file that is not in the tree, and a
+#      snapshot version guard fails unless the rpsnap version in kMagic
+#      (serve/snapshot.cc), the envelope version Snapshot::Save writes and
+#      DESIGN.md's "rpsnap snapshot format (vN)" heading agree.
 #      clang-tidy (driven by .clang-tidy) runs when the binary is available
 #      and is skipped with a notice otherwise.
 #
@@ -244,6 +247,22 @@ if [[ "${stale}" != 0 ]]; then
   exit 1
 fi
 echo "    doc-citation guard: every cited bench program and results file exists"
+
+# Snapshot version guard: the rpsnap version is written in three places that
+# must move together: the magic in serve/snapshot.cc, the envelope version
+# Snapshot::Save passes to WriteArtifact, and DESIGN.md's format heading.
+magic_version=$(sed -nE "s/^constexpr char kMagic\[8\] = \{'r', 'p', 's', 'n', 'a', 'p', '([0-9])', '([0-9])'\};$/\1\2/p" src/serve/snapshot.cc)
+envelope_version=$(sed -nE 's/^ *return WriteArtifact\(path, "rpsnap", ([0-9]+), buffer_, retry\);$/\1/p' src/serve/snapshot.cc)
+design_version=$(sed -nE 's/^### `?rpsnap`? snapshot format \(v([0-9]+)\)$/\1/p' DESIGN.md)
+if [[ -z "${magic_version}" || -z "${envelope_version}" || -z "${design_version}" ||
+      "$((10#${magic_version}))" != "${envelope_version}" ||
+      "${envelope_version}" != "${design_version}" ]]; then
+  echo "    snapshot version guard: kMagic says '${magic_version}', Snapshot::Save"
+  echo "    writes envelope version '${envelope_version}', DESIGN.md says" \
+    "'v${design_version}'; they must agree"
+  exit 1
+fi
+echo "    snapshot version guard: rpsnap v${design_version} in kMagic, Save and DESIGN.md"
 
 if command -v clang-tidy >/dev/null 2>&1; then
   # clang-tidy needs a compilation database; the Release tree exports one.

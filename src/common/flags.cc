@@ -5,6 +5,17 @@
 #include "common/string_util.h"
 
 namespace roadpart {
+namespace {
+
+// A flag value's parse error, prefixed with the flag: "--<name>: <error>".
+template <typename T>
+Result<T> NameFlag(const std::string& name, Result<T> value) {
+  if (value.ok()) return value;
+  return Status::InvalidArgument("--" + name + ": " +
+                                 value.status().message());
+}
+
+}  // namespace
 
 Result<FlagParser> FlagParser::Parse(
     int argc, const char* const* argv,
@@ -56,7 +67,7 @@ Result<int64_t> FlagParser::GetInt(const std::string& name,
                                    int64_t fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return ParseInt(it->second);
+  return NameFlag(name, ParseInt(it->second));
 }
 
 Result<int64_t> FlagParser::GetIntInRange(const std::string& name,
@@ -76,7 +87,7 @@ Result<double> FlagParser::GetDouble(const std::string& name,
                                      double fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return ParseDouble(it->second);
+  return NameFlag(name, ParseDouble(it->second));
 }
 
 bool FlagParser::GetBool(const std::string& name, bool fallback) const {

@@ -1,5 +1,6 @@
 #include "network/edge_list_io.h"
 
+#include <cmath>
 #include <map>
 #include <set>
 #include <sstream>
@@ -62,8 +63,14 @@ Result<RoadNetwork> LoadEdgeListNetwork(const std::string& nodes_csv_path,
                              intersections[to].position);
     if (!edges.Field(2).empty()) {
       RP_ASSIGN_OR_RETURN(length, edges.DoubleField(2));
+      if (!(length > 0.0 && std::isfinite(length))) {
+        return edges.Error(StrPrintf(
+            "field 3: length must be positive and finite, got %.17g",
+            length));
+      }
+    } else if (length <= 0.0) {
+      length = 1.0;  // blank length over degenerate geometry
     }
-    if (length <= 0.0) length = 1.0;  // degenerate geometry
     int oneway = 0;
     if (!edges.Field(3).empty()) {
       RP_ASSIGN_OR_RETURN(oneway, edges.IntField(3, 0, 1));

@@ -18,7 +18,9 @@ namespace roadpart {
 /// Both are TextRecords (common/durable_io.h): a first row with no numeric
 /// field is a header, and an empty optional field takes its default.
 /// - `node_id`s may be arbitrary integers; they are remapped densely.
-/// - `length` defaults to the Euclidean endpoint distance (metres).
+/// - `length` defaults to the Euclidean endpoint distance (metres), or 1.0
+///   when that distance is 0; an explicit length must be positive and
+///   finite.
 /// - `oneway` is 0 or 1 (default 0): 0 adds both directed segments.
 /// - `density` (vehicles/metre) defaults to 0 and applies to both
 ///   directions of a two-way road.

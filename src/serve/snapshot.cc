@@ -11,7 +11,7 @@
 namespace roadpart {
 namespace {
 
-constexpr char kMagic[8] = {'r', 'p', 's', 'n', 'a', 'p', '0', '2'};
+constexpr char kMagic[8] = {'r', 'p', 's', 'n', 'a', 'p', '0', '3'};
 constexpr uint32_t kEndianTag = 0x01020304u;
 constexpr int64_t kMaxCount = int64_t(1) << 30;  // sanity cap on any count
 constexpr double kGridTargetPerCell = 4.0;
@@ -37,23 +37,22 @@ struct SnapshotHeader {
   uint64_t sections_fnv;
   uint64_t off_points;
   uint64_t off_endpoints;
-  uint64_t off_midpoints;
+  uint64_t off_grid_home_ends;
   uint64_t off_grid_starts;
   uint64_t off_grid_entries;
   uint64_t off_labels;
   uint64_t total_size;
 };
 static_assert(sizeof(SnapshotHeader) == 168,
-              "rpsnap v2 header layout must be exactly 168 bytes");
+              "rpsnap v3 header layout must be exactly 168 bytes");
 
-/// The unique section layout implied by the counts. Section order
-/// (f64-sized sections before i32-sized ones is not required; what matters
-/// is that every f64 section offset stays 8-aligned, which holds because
-/// the header is 168 bytes and endpoint pairs are 8 bytes each).
+/// The unique section layout implied by the counts, in header-slot order.
+/// The one f64 section, points, comes first, so it sits at the 8-aligned
+/// offset 168.
 struct Layout {
   uint64_t off_points;
   uint64_t off_endpoints;
-  uint64_t off_midpoints;
+  uint64_t off_grid_home_ends;
   uint64_t off_grid_starts;
   uint64_t off_grid_entries;
   uint64_t off_labels;
@@ -64,8 +63,8 @@ Layout ComputeLayout(int64_t ni, int64_t ns, int64_t cells, int64_t entries) {
   Layout l;
   l.off_points = sizeof(SnapshotHeader);
   l.off_endpoints = l.off_points + uint64_t(ni) * 2 * sizeof(double);
-  l.off_midpoints = l.off_endpoints + uint64_t(ns) * 2 * sizeof(int32_t);
-  l.off_grid_starts = l.off_midpoints + uint64_t(ns) * 2 * sizeof(double);
+  l.off_grid_home_ends = l.off_endpoints + uint64_t(ns) * 2 * sizeof(int32_t);
+  l.off_grid_starts = l.off_grid_home_ends + uint64_t(cells) * sizeof(int32_t);
   l.off_grid_entries = l.off_grid_starts + uint64_t(cells + 1) * sizeof(int32_t);
   l.off_labels = l.off_grid_entries + uint64_t(entries) * sizeof(int32_t);
   l.total_size = l.off_labels + uint64_t(ns) * sizeof(int32_t) + 1;
@@ -137,24 +136,20 @@ Result<Snapshot> Snapshot::Build(const RoadNetwork& network,
     points_xy[2 * i + 1] = p.y;
   }
   std::vector<int32_t> endpoints(static_cast<size_t>(ns) * 2);
-  std::vector<double> midpoints_xy(static_cast<size_t>(ns) * 2);
   for (int32_t s = 0; s < ns; ++s) {
     endpoints[2 * s] = network.segment(s).from;
     endpoints[2 * s + 1] = network.segment(s).to;
-    const Point mid = SegmentMidpoint(network, s);
-    midpoints_xy[2 * s] = mid.x;
-    midpoints_xy[2 * s + 1] = mid.y;
   }
   std::vector<int32_t> labels32(labels.begin(), labels.end());
 
   // The index is a deterministic function of the geometry alone.
-  SegmentGeometryView view{points_xy.data(), endpoints.data(),
-                           midpoints_xy.data(), ns};
+  SegmentGeometryView view{points_xy.data(), endpoints.data(), ns};
   const GridSpec grid =
       ChooseGridSpec(network.Bounds(), ns, kGridTargetPerCell);
   std::vector<int32_t> grid_starts;
+  std::vector<int32_t> grid_home_ends;
   std::vector<int32_t> grid_entries;
-  BuildGridIndex(view, grid, &grid_starts, &grid_entries);
+  BuildGridIndex(view, grid, &grid_starts, &grid_home_ends, &grid_entries);
 
   const Layout layout =
       ComputeLayout(ni, ns, grid.NumCells(),
@@ -167,8 +162,8 @@ Result<Snapshot> Snapshot::Build(const RoadNetwork& network,
   put(layout.off_points, points_xy.data(), points_xy.size() * sizeof(double));
   put(layout.off_endpoints, endpoints.data(),
       endpoints.size() * sizeof(int32_t));
-  put(layout.off_midpoints, midpoints_xy.data(),
-      midpoints_xy.size() * sizeof(double));
+  put(layout.off_grid_home_ends, grid_home_ends.data(),
+      grid_home_ends.size() * sizeof(int32_t));
   put(layout.off_grid_starts, grid_starts.data(),
       grid_starts.size() * sizeof(int32_t));
   put(layout.off_grid_entries, grid_entries.data(),
@@ -194,7 +189,7 @@ Result<Snapshot> Snapshot::Build(const RoadNetwork& network,
                            layout.total_size - sizeof(SnapshotHeader) - 1);
   h.off_points = layout.off_points;
   h.off_endpoints = layout.off_endpoints;
-  h.off_midpoints = layout.off_midpoints;
+  h.off_grid_home_ends = layout.off_grid_home_ends;
   h.off_grid_starts = layout.off_grid_starts;
   h.off_grid_entries = layout.off_grid_entries;
   h.off_labels = layout.off_labels;
@@ -238,7 +233,7 @@ Result<Snapshot> Snapshot::FromBuffer(std::string buffer) {
                                       cells, h.num_grid_entries);
   if (h.off_points != layout.off_points ||
       h.off_endpoints != layout.off_endpoints ||
-      h.off_midpoints != layout.off_midpoints ||
+      h.off_grid_home_ends != layout.off_grid_home_ends ||
       h.off_grid_starts != layout.off_grid_starts ||
       h.off_grid_entries != layout.off_grid_entries ||
       h.off_labels != layout.off_labels ||
@@ -289,8 +284,12 @@ Result<Snapshot> Snapshot::FromBuffer(std::string buffer) {
       starts[cells] != static_cast<int32_t>(h.num_grid_entries)) {
     return CorruptField("grid CSR bounds");
   }
+  const int32_t* home_ends = snap.GridHomeEnds();
   for (int64_t c = 0; c < cells; ++c) {
     if (starts[c] > starts[c + 1]) return CorruptField("grid CSR monotonicity");
+    if (starts[c] > home_ends[c] || home_ends[c] > starts[c + 1]) {
+      return CorruptField("grid home ends");
+    }
   }
   const int32_t* entries = snap.GridEntries();
   for (int64_t e = 0; e < h.num_grid_entries; ++e) {
@@ -326,7 +325,7 @@ Status Snapshot::Save(const std::string& path,
                       const RetryOptions& retry) const {
   // buffer_ already ends in '\n', so WriteArtifact checksums it unchanged
   // and Load round-trips byte-identically.
-  return WriteArtifact(path, "rpsnap", 2, buffer_, retry);
+  return WriteArtifact(path, "rpsnap", 3, buffer_, retry);
 }
 
 // --- Typed views ------------------------------------------------------------
@@ -339,7 +338,7 @@ Snapshot::Snapshot(std::string buffer) : buffer_(std::move(buffer)) {
   decoded_.source_fingerprint = h.source_fingerprint;
   decoded_.off_points = h.off_points;
   decoded_.off_endpoints = h.off_endpoints;
-  decoded_.off_midpoints = h.off_midpoints;
+  decoded_.off_grid_home_ends = h.off_grid_home_ends;
   decoded_.off_grid_starts = h.off_grid_starts;
   decoded_.off_grid_entries = h.off_grid_entries;
   decoded_.off_labels = h.off_labels;
@@ -357,6 +356,9 @@ Snapshot::Snapshot(std::string buffer) : buffer_(std::move(buffer)) {
 const int32_t* Snapshot::Endpoints() const {
   return RP_SNAPSHOT_SECTION_VIEW(int32_t, off_endpoints);
 }
+const int32_t* Snapshot::GridHomeEnds() const {
+  return RP_SNAPSHOT_SECTION_VIEW(int32_t, off_grid_home_ends);
+}
 const int32_t* Snapshot::GridStarts() const {
   return RP_SNAPSHOT_SECTION_VIEW(int32_t, off_grid_starts);
 }
@@ -373,7 +375,6 @@ SegmentGeometryView Snapshot::Geometry() const {
   SegmentGeometryView view;
   view.points_xy = RP_SNAPSHOT_SECTION_VIEW(double, off_points);
   view.endpoints = RP_SNAPSHOT_SECTION_VIEW(int32_t, off_endpoints);
-  view.midpoints_xy = RP_SNAPSHOT_SECTION_VIEW(double, off_midpoints);
   view.num_segments = static_cast<int32_t>(decoded_.num_segments);
   return view;
 }
@@ -413,9 +414,11 @@ std::vector<int64_t> Snapshot::CountByPartition(const BoundingBox& box) const {
 
 void Snapshot::CountByPartitionInto(const BoundingBox& box,
                                     std::vector<int64_t>* counts) const {
+  RP_DCHECK(!std::isnan(box.min.x) && !std::isnan(box.min.y) &&
+            !std::isnan(box.max.x) && !std::isnan(box.max.y));
   counts->assign(static_cast<size_t>(decoded_.num_partitions), 0);
-  GridRangeCountByPartition(Geometry(), Grid(), GridStarts(), GridEntries(),
-                            box, Labels(), counts);
+  GridRangeCountByPartition(Geometry(), Grid(), GridStarts(), GridHomeEnds(),
+                            GridEntries(), box, Labels(), counts);
 }
 
 }  // namespace roadpart

@@ -10,29 +10,34 @@
 /// anywhere, and served from directly without a deserialization pass:
 /// accessors reinterpret the section bytes in place.
 ///
-/// Layout (rpsnap v2, little-endian, all sections 8-byte aligned relative to
-/// offset 0; integer fields memcpy-encoded):
+/// Layout (rpsnap v3, little-endian, integer fields memcpy-encoded; the one
+/// f64 section sits at offset 168, so it is 8-aligned):
 ///
 ///   header (168 bytes)
-///     magic "rpsnap02" · endian tag 0x01020304 · counts (intersections,
+///     magic "rpsnap03" · endian tag 0x01020304 · counts (intersections,
 ///     segments, partitions, grid cols/rows/entries) · grid geometry
 ///     (min_x/min_y, cell_w/cell_h) · source_fingerprint · sections_fnv ·
 ///     six section offsets · total_size
-///   points        num_intersections x {f64 x, f64 y}
-///   endpoints     num_segments x {i32 from, i32 to}
-///   midpoints     num_segments x {f64 x, f64 y}
-///   grid starts   (cols*rows + 1) x i32 (CSR offsets)
-///   grid entries  num_grid_entries x i32 (ascending segment ids per cell)
-///   labels        num_segments x i32 (partition id per segment)
-///   '\n'          final byte, so durable_io's envelope appends nothing
+///   points          num_intersections x {f64 x, f64 y}
+///   endpoints       num_segments x {i32 from, i32 to}
+///   grid home ends  cols*rows x i32 (end of each cell's home prefix)
+///   grid starts     (cols*rows + 1) x i32 (CSR offsets)
+///   grid entries    num_grid_entries x i32: per cell, the home segments
+///                   (midpoint in the cell) in ascending id, then the rest
+///                   in ascending id
+///   labels          num_segments x i32 (partition id per segment)
+///   '\n'            final byte, so durable_io's envelope appends nothing
 ///
-/// Versioning rules: the magic carries the version ("rpsnap02"); any layout
+/// Midpoints are not stored: 0.5·(a+b) from the endpoints recomputes them
+/// bit for bit (MidpointOf in spatial_index.h).
+///
+/// Versioning rules: the magic carries the version ("rpsnap03"); any layout
 /// change bumps it and old readers reject the file as corrupt rather than
-/// misread it, just as this reader refuses "rpsnap01" files (re-export
-/// them). The durable_io envelope independently records format "rpsnap"
-/// version 2 and checksums the whole buffer; `sections_fnv` additionally
-/// checksums the bytes after the header so header-only tampering and
-/// section tampering are distinguishable in error messages.
+/// misread it, just as this reader refuses "rpsnap01" and "rpsnap02" files
+/// (re-export them). The durable_io envelope independently records format
+/// "rpsnap" version 3 and checksums the whole buffer; `sections_fnv`
+/// additionally checksums the bytes after the header so header-only
+/// tampering and section tampering are distinguishable in error messages.
 ///
 /// `source_fingerprint` hashes the network geometry and labels the snapshot
 /// was built from; Load re-derives nothing, but callers holding the source
@@ -84,8 +89,8 @@ class Snapshot {
 
   /// Adopts a buffer produced by Build()+buffer() or read from disk,
   /// validating structure exhaustively (magic, offsets, section sizes, id
-  /// ranges, CSR bounds and monotonicity, section checksum). Any
-  /// violation is a typed kCorruption.
+  /// ranges, CSR bounds and monotonicity, home ends within their cell,
+  /// section checksum). Any violation is a typed kCorruption.
   static Result<Snapshot> FromBuffer(std::string buffer);
 
   /// Reads `path` through the durable_io envelope (format "rpsnap") and
@@ -115,8 +120,8 @@ class Snapshot {
   PointAnswer NearestSegment(const Point& q) const;
 
   /// Per-partition counts of segments whose midpoint lies in `box` (closed
-  /// bounds), from the grid cells the box overlaps. Vector has
-  /// num_partitions() slots.
+  /// bounds, not NaN), from the home prefixes of the grid cells the box
+  /// overlaps. Vector has num_partitions() slots.
   std::vector<int64_t> CountByPartition(const BoundingBox& box) const;
 
   /// CountByPartition into a caller-owned buffer, resized to
@@ -140,7 +145,7 @@ class Snapshot {
     uint64_t source_fingerprint = 0;
     uint64_t off_points = 0;
     uint64_t off_endpoints = 0;
-    uint64_t off_midpoints = 0;
+    uint64_t off_grid_home_ends = 0;
     uint64_t off_grid_starts = 0;
     uint64_t off_grid_entries = 0;
     uint64_t off_labels = 0;
@@ -150,6 +155,7 @@ class Snapshot {
   // Typed views into buffer_ (computed from cached offsets; the buffer owns
   // all storage, so moves stay valid).
   const int32_t* Endpoints() const;
+  const int32_t* GridHomeEnds() const;
   const int32_t* GridStarts() const;
   const int32_t* GridEntries() const;
   const int32_t* Labels() const;

@@ -7,24 +7,6 @@
 
 namespace roadpart {
 
-double PointSegmentDistanceSquared(const Point& q, const Point& a,
-                                   const Point& b) {
-  const double abx = b.x - a.x;
-  const double aby = b.y - a.y;
-  const double len2 = abx * abx + aby * aby;
-  double t = 0.0;
-  if (len2 > 0.0) {
-    t = ((q.x - a.x) * abx + (q.y - a.y) * aby) / len2;
-    // A query ~1e154 or more away overflows the dot product, possibly to
-    // inf - inf; pin that NaN to an endpoint so the distance is +inf, never
-    // NaN, and the tie-break's order stays total.
-    t = std::isnan(t) ? 0.0 : std::clamp(t, 0.0, 1.0);
-  }
-  const double dx = q.x - (a.x + t * abx);
-  const double dy = q.y - (a.y + t * aby);
-  return dx * dx + dy * dy;
-}
-
 NearestHit BruteForceNearestSegment(const RoadNetwork& network,
                                     const Point& q) {
   NearestHit best;
@@ -41,9 +23,8 @@ NearestHit BruteForceNearestSegment(const RoadNetwork& network,
 
 Point SegmentMidpoint(const RoadNetwork& network, int s) {
   const RoadSegment& seg = network.segment(s);
-  const Point& a = network.intersection(seg.from).position;
-  const Point& b = network.intersection(seg.to).position;
-  return {0.5 * (a.x + b.x), 0.5 * (a.y + b.y)};
+  return MidpointOf(network.intersection(seg.from).position,
+                    network.intersection(seg.to).position);
 }
 
 // --- Uniform grid over segment bounding boxes -------------------------------
@@ -103,9 +84,13 @@ GridSpec ChooseGridSpec(const BoundingBox& bounds, int32_t n,
 
 void BuildGridIndex(const SegmentGeometryView& view, const GridSpec& spec,
                     std::vector<int32_t>* starts,
+                    std::vector<int32_t>* home_ends,
                     std::vector<int32_t>* entries) {
   const int64_t num_cells = spec.NumCells();
   starts->assign(static_cast<size_t>(num_cells) + 1, 0);
+  home_ends->assign(static_cast<size_t>(num_cells), 0);
+  // Registered cell range of segment s, and the index of its home cell
+  // (the cell of its midpoint).
   auto cell_range = [&](int32_t s, int32_t* c0, int32_t* c1, int32_t* r0,
                         int32_t* r1) {
     const Point a = view.SegmentA(s);
@@ -114,29 +99,39 @@ void BuildGridIndex(const SegmentGeometryView& view, const GridSpec& spec,
     *c1 = spec.ColOf(std::max(a.x, b.x));
     *r0 = spec.RowOf(std::min(a.y, b.y));
     *r1 = spec.RowOf(std::max(a.y, b.y));
+    const Point m = MidpointOf(a, b);
+    return static_cast<size_t>(spec.RowOf(m.y)) * spec.cols + spec.ColOf(m.x);
   };
-  // Pass 1: per-cell occupancy counts.
+  // Counting pass: per-cell occupancy in starts[cell + 1], home entries in
+  // home_ends[cell].
   for (int32_t s = 0; s < view.num_segments; ++s) {
     int32_t c0, c1, r0, r1;
-    cell_range(s, &c0, &c1, &r0, &r1);
+    const size_t home = cell_range(s, &c0, &c1, &r0, &r1);
     for (int32_t r = r0; r <= r1; ++r) {
       for (int32_t c = c0; c <= c1; ++c) {
-        ++(*starts)[static_cast<size_t>(r) * spec.cols + c + 1];
+        const size_t cell = static_cast<size_t>(r) * spec.cols + c;
+        ++(*starts)[cell + 1];
+        if (cell == home) ++(*home_ends)[cell];
       }
     }
   }
   for (size_t i = 1; i < starts->size(); ++i) (*starts)[i] += (*starts)[i - 1];
-  // Pass 2: fill. Ascending segment order per cell falls out of the scan
-  // order, which is what keeps tie-breaks and scan order deterministic.
+  std::vector<int32_t> home_cursor(starts->begin(), starts->end() - 1);
+  for (size_t cell = 0; cell < home_ends->size(); ++cell) {
+    (*home_ends)[cell] += home_cursor[cell];
+  }
+  // Fill pass. Ascending segment order within each run falls out of the
+  // scan order, which is what keeps tie-breaks and scan order deterministic.
   entries->assign(static_cast<size_t>(starts->back()), 0);
-  std::vector<int32_t> cursor(starts->begin(), starts->end() - 1);
+  std::vector<int32_t> rest_cursor(*home_ends);
   for (int32_t s = 0; s < view.num_segments; ++s) {
     int32_t c0, c1, r0, r1;
-    cell_range(s, &c0, &c1, &r0, &r1);
+    const size_t home = cell_range(s, &c0, &c1, &r0, &r1);
     for (int32_t r = r0; r <= r1; ++r) {
       for (int32_t c = c0; c <= c1; ++c) {
         const size_t cell = static_cast<size_t>(r) * spec.cols + c;
-        (*entries)[static_cast<size_t>(cursor[cell]++)] = s;
+        int32_t& cursor = cell == home ? home_cursor[cell] : rest_cursor[cell];
+        (*entries)[static_cast<size_t>(cursor++)] = s;
       }
     }
   }
@@ -202,6 +197,7 @@ NearestHit GridRefineNearest(const SegmentGeometryView& view,
 
 void GridRangeCountByPartition(const SegmentGeometryView& view,
                                const GridSpec& spec, const int32_t* starts,
+                               const int32_t* home_ends,
                                const int32_t* entries, const BoundingBox& box,
                                const int32_t* labels,
                                std::vector<int64_t>* counts) {
@@ -212,17 +208,19 @@ void GridRangeCountByPartition(const SegmentGeometryView& view,
   for (int32_t r = r0; r <= r1; ++r) {
     for (int32_t c = c0; c <= c1; ++c) {
       const size_t cell = static_cast<size_t>(r) * spec.cols + c;
-      const int32_t end = starts[cell + 1];
+      // Only the home prefix: every other entry is counted in its own
+      // midpoint's cell, if that cell is scanned at all.
+      const int32_t end = home_ends[cell];
+      const bool interior = c0 < c && c < c1 && r0 < r && r < r1;
       for (int32_t i = starts[cell]; i < end; ++i) {
         const int32_t s = entries[i];
-        const Point m = view.Midpoint(s);
-        if (!(m.x >= box.min.x && m.x <= box.max.x && m.y >= box.min.y &&
-              m.y <= box.max.y)) {
-          continue;
+        if (!interior) {
+          const Point m = view.Midpoint(s);
+          if (!(m.x >= box.min.x && m.x <= box.max.x && m.y >= box.min.y &&
+                m.y <= box.max.y)) {
+            continue;
+          }
         }
-        // A segment spanning several cells is registered in each; only the
-        // cell holding its midpoint counts it.
-        if (spec.ColOf(m.x) != c || spec.RowOf(m.y) != r) continue;
         const int32_t label = labels[s];
         RP_DCHECK_GE(label, 0);
         RP_DCHECK_LT(static_cast<size_t>(label), counts->size());

@@ -254,6 +254,10 @@ TEST(CliTest, DoubleFlagsAreTypedErrors) {
     EXPECT_EQ(code, 1) << command << " --" << flag;
     EXPECT_NE(err.find("not a number: 'abc'"), std::string::npos)
         << command << " --" << flag << ": " << err;
+    // The error names the flag it came from.
+    EXPECT_NE(err.find("--" + flag + ": not a number: 'abc'"),
+              std::string::npos)
+        << command << " --" << flag << ": " << err;
   }
 }
 

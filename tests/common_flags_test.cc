@@ -50,8 +50,12 @@ TEST(FlagParserTest, UnknownFlagRejected) {
 }
 
 TEST(FlagParserTest, MalformedNumberReported) {
-  FlagParser p = ParseOk({"--k=abc"});
-  EXPECT_FALSE(p.GetInt("k", 0).ok());
+  FlagParser p = ParseOk({"--k=abc", "--ratio=x"});
+  EXPECT_EQ(p.GetInt("k", 0).status().message(), "--k: not an integer: 'abc'");
+  EXPECT_EQ(p.GetIntInRange("k", 1, 1, 10).status().message(),
+            "--k: not an integer: 'abc'");
+  EXPECT_EQ(p.GetDouble("ratio", 0.0).status().message(),
+            "--ratio: not a number: 'x'");
 }
 
 TEST(FlagParserTest, IntInRangeRejectsValuesThatWouldNarrow) {

@@ -125,6 +125,11 @@ TEST(RobustnessTest, MalformedTextIsATypedErrorNamingTheLine) {
       {"torn-node-row", "0,0,0\n1,5,0.", LoadNodes, StatusCode::kCorruption, 2},
       {"oneway-not-0-or-1", "from_id,to_id,length,oneway\n0,1,5,2\n",
        LoadEdges, StatusCode::kInvalidArgument, 2},
+      // An explicit length is the road's length: it must be positive.
+      {"negative-edge-length", "0,1,-5,1\n", LoadEdges,
+       StatusCode::kInvalidArgument, 1},
+      {"zero-edge-length", "0,1,0,1\n", LoadEdges,
+       StatusCode::kInvalidArgument, 1},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.name);

@@ -6,7 +6,9 @@
 // segments, collinear chains, single-segment and zero-area networks,
 // queries far outside the bounding box or in empty cells between far-apart
 // clusters). Range counts must equal a brute-force midpoint count, also for
-// boxes whose edges lie on cell lines or on midpoint coordinates.
+// boxes whose edges lie on cell lines or on midpoint coordinates, boxes that
+// cover the whole grid or sit inside one cell, midpoints exactly on the
+// lines of cells whose box test is skipped, and a 1-cell grid.
 //
 // The tie-break rule under test (documented in serve/spatial_index.h): among
 // segments at bit-identical squared distance, the smallest segment id wins.
@@ -15,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -419,6 +422,158 @@ TEST(ServePropertyTest, RangeCountsMatchBruteForce) {
       RandomLabels(two_way->num_segments(), k, 18);
   ExpectRangeCountsMatchBruteForce(MustBuild(*two_way, grid_labels), *two_way,
                                    grid_labels, k, EdgeBoxes(*two_way, 19));
+}
+
+/// 256 segments over [0, 64]^2, so ChooseGridSpec gives 8 x 8 cells of side
+/// 8 and every cell line is an exact integer. Two diagonals fix the bounds.
+/// Every other segment has its midpoint exactly on an interior cell line
+/// (vertical, horizontal or both), and integer endpoint offsets keep
+/// 0.5·(a+b) exact.
+RoadNetwork MidpointsOnCellLines() {
+  Rng rng(71);
+  std::vector<Intersection> nodes;
+  std::vector<RoadSegment> segs;
+  auto add = [&](Point a, Point b) {
+    const int i = static_cast<int>(nodes.size());
+    nodes.push_back({a});
+    nodes.push_back({b});
+    segs.push_back({i, i + 1, 1.0, 0.0});
+  };
+  add({0.0, 0.0}, {64.0, 64.0});
+  add({64.0, 0.0}, {0.0, 64.0});
+  while (segs.size() < 256) {
+    const double line_x = 8.0 * double(1 + rng.NextBounded(7));
+    const double line_y = 8.0 * double(1 + rng.NextBounded(7));
+    const double free_x = double(4 + rng.NextBounded(57));
+    const double free_y = double(4 + rng.NextBounded(57));
+    const size_t kind = segs.size() % 3;
+    const Point m = kind == 0   ? Point{line_x, free_y}
+                    : kind == 1 ? Point{free_x, line_y}
+                                : Point{line_x, line_y};
+    const double dx = double(1 + rng.NextBounded(3)) *
+                      (rng.NextBounded(2) == 0 ? -1.0 : 1.0);
+    const double dy = double(rng.NextBounded(7)) - 3.0;
+    add({m.x - dx, m.y - dy}, {m.x + dx, m.y + dy});
+  }
+  return RoadNetwork::Create(std::move(nodes), std::move(segs)).value();
+}
+
+TEST(ServePropertyTest, RangeCountEdgeCasesMatchBruteForce) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const int k = 5;
+
+  // Boxes covering the whole grid, and boxes strictly inside one cell, on a
+  // city network.
+  CityOptions city;
+  city.num_intersections = 300;
+  city.target_segments = 520;
+  city.seed = 73;
+  auto net = GenerateCityNetwork(city);
+  ASSERT_TRUE(net.ok()) << net.status().ToString();
+  const std::vector<int> labels = RandomLabels(net->num_segments(), k, 74);
+  const GridSpec spec = ChooseGridSpec(net->Bounds(), net->num_segments(), 4.0);
+  ASSERT_GE(spec.cols, 5);
+  ASSERT_GE(spec.rows, 5);
+  const BoundingBox grid_box = {
+      {spec.min_x, spec.min_y},
+      {spec.min_x + spec.cols * spec.cell_w,
+       spec.min_y + spec.rows * spec.cell_h}};
+  std::vector<BoundingBox> boxes = {
+      {{-inf, -inf}, {inf, inf}},
+      grid_box,
+      net->Bounds(),
+      {{grid_box.min.x - 1e3, grid_box.min.y - 1e3},
+       {grid_box.max.x + 1e3, grid_box.max.y + 1e3}}};
+  for (int32_t r = 0; r < spec.rows; ++r) {
+    for (int32_t c = 0; c < spec.cols; ++c) {
+      const double x = spec.min_x + c * spec.cell_w;
+      const double y = spec.min_y + r * spec.cell_h;
+      boxes.push_back({{x + 0.25 * spec.cell_w, y + 0.25 * spec.cell_h},
+                       {x + 0.75 * spec.cell_w, y + 0.75 * spec.cell_h}});
+    }
+  }
+  const Snapshot snap = MustBuild(*net, labels);
+  ExpectRangeCountsMatchBruteForce(snap, *net, labels, k, boxes);
+  int64_t total = 0;
+  for (int64_t c : snap.CountByPartition(boxes[0])) total += c;
+  EXPECT_EQ(total, net->num_segments());
+
+  // Midpoints exactly on interior cell lines, under boxes with at least
+  // 3 x 3 interior cells (where the box test is skipped). Box edges lie on
+  // cell lines, or one ulp inside or outside them.
+  const RoadNetwork lines = MidpointsOnCellLines();
+  const GridSpec lines_spec =
+      ChooseGridSpec(lines.Bounds(), lines.num_segments(), 4.0);
+  ASSERT_EQ(lines_spec.cols, 8);
+  ASSERT_EQ(lines_spec.rows, 8);
+  ASSERT_EQ(lines_spec.cell_w, 8.0);
+  ASSERT_EQ(lines_spec.cell_h, 8.0);
+  const std::vector<int> lines_labels =
+      RandomLabels(lines.num_segments(), k, 75);
+  std::vector<BoundingBox> line_boxes;
+  int interior_on_line = 0;
+  // Column (or row) line pairs; even with the max edge one ulp inside its
+  // line, each spans at least 3 interior cells.
+  const std::vector<std::pair<int32_t, int32_t>> spans = {
+      {0, 5}, {0, 7}, {0, 8}, {1, 6}, {2, 7}, {3, 8}};
+  for (const auto& [c0, c1] : spans) {
+    for (const auto& [r0, r1] : spans) {
+      for (double nudge : {0.0, -inf, inf}) {
+        auto at = [nudge](double line, double inward) {
+          return nudge == 0.0 ? line
+                              : std::nextafter(line, nudge > 0 ? inward
+                                                               : -inward);
+        };
+        BoundingBox box = {{at(8.0 * c0, inf), at(8.0 * r0, inf)},
+                           {at(8.0 * c1, -inf), at(8.0 * r1, -inf)}};
+        const int32_t bc0 = lines_spec.ColOf(box.min.x);
+        const int32_t bc1 = lines_spec.ColOf(box.max.x);
+        const int32_t br0 = lines_spec.RowOf(box.min.y);
+        const int32_t br1 = lines_spec.RowOf(box.max.y);
+        ASSERT_GE(bc1 - bc0, 4);
+        ASSERT_GE(br1 - br0, 4);
+        for (int s = 0; s < lines.num_segments(); ++s) {
+          const Point m = SegmentMidpoint(lines, s);
+          const int32_t c = lines_spec.ColOf(m.x);
+          const int32_t r = lines_spec.RowOf(m.y);
+          if (bc0 < c && c < bc1 && br0 < r && r < br1 &&
+              (std::fmod(m.x, 8.0) == 0.0 || std::fmod(m.y, 8.0) == 0.0)) {
+            ++interior_on_line;
+          }
+        }
+        line_boxes.push_back(box);
+      }
+    }
+  }
+  EXPECT_GT(interior_on_line, 0);
+  ExpectRangeCountsMatchBruteForce(MustBuild(lines, lines_labels), lines,
+                                   lines_labels, k, line_boxes);
+
+  // A degenerate 1-cell grid: three segments over a 10 x 5 box.
+  std::vector<Intersection> nodes = {
+      {{0.0, 0.0}}, {{10.0, 0.0}}, {{10.0, 5.0}}, {{0.0, 5.0}}};
+  std::vector<RoadSegment> segs = {
+      {0, 1, 10.0, 0.1}, {1, 2, 5.0, 0.2}, {2, 3, 10.0, 0.3}};
+  auto one_cell = RoadNetwork::Create(nodes, segs);
+  ASSERT_TRUE(one_cell.ok()) << one_cell.status().ToString();
+  ASSERT_EQ(ChooseGridSpec(one_cell->Bounds(), 3, 4.0).NumCells(), 1);
+  const std::vector<int> one_labels = {0, 1, 0};
+  Rng rng(76);
+  std::vector<BoundingBox> one_boxes = {{{-inf, -inf}, {inf, inf}},
+                                        {{5.0, 0.0}, {5.0, 0.0}},
+                                        {{10.0, 2.5}, {10.0, 2.5}},
+                                        {{0.0, 0.0}, {10.0, 5.0}},
+                                        {{20.0, 20.0}, {30.0, 30.0}}};
+  for (int i = 0; i < 200; ++i) {
+    const double x0 = rng.NextDouble(-5.0, 15.0);
+    const double x1 = rng.NextDouble(-5.0, 15.0);
+    const double y0 = rng.NextDouble(-5.0, 10.0);
+    const double y1 = rng.NextDouble(-5.0, 10.0);
+    one_boxes.push_back({{std::min(x0, x1), std::min(y0, y1)},
+                         {std::max(x0, x1), std::max(y0, y1)}});
+  }
+  ExpectRangeCountsMatchBruteForce(MustBuild(*one_cell, one_labels),
+                                   *one_cell, one_labels, 2, one_boxes);
 }
 
 TEST(ServePropertyTest, ServeLoopMatchesDirectApiAndNamesBadLines) {

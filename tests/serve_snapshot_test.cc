@@ -7,17 +7,20 @@
 //    a crash, never a silently different snapshot;
 //  - section-level tampering with a *recomputed* section checksum is still
 //    rejected by FromBuffer's structural validators (CSR bounds and
-//    monotonicity, endpoint / grid-entry / label id ranges), so validation
-//    does not lean on the checksum alone;
-//  - the rpsnap02 bytes of a fixed network are pinned by a golden hash, and
-//    a buffer or file carrying the old rpsnap01 magic is refused as
-//    corruption naming the magic/version tag;
+//    monotonicity, home ends within their cell, endpoint / grid-entry /
+//    label id ranges), so validation does not lean on the checksum alone;
+//  - every grid cell of a built snapshot lists exactly its midpoint-home
+//    segments first, then the rest, each run in ascending id;
+//  - the rpsnap03 bytes of a fixed network are pinned by a golden hash, and
+//    a buffer or file carrying an older rpsnap01/rpsnap02 magic is refused
+//    as corruption naming the magic/version tag;
 //  - the builder rejects label/segment mismatches, and empty / zero-area
 //    networks round-trip as valid trivial snapshots (PR-4 regression
 //    class).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -47,21 +50,37 @@ std::vector<int> AlternatingLabels(int num_segments, int k) {
   return labels;
 }
 
-// rpsnap v2 layout constants, duplicated here on purpose: the test pins the
+// rpsnap v3 layout constants, duplicated here on purpose: the test pins the
 // on-disk format. If the layout changes, the format version must change too
 // and this test must be updated deliberately (see DESIGN.md versioning
 // rules).
 constexpr size_t kHeaderSize = 168;
+constexpr size_t kGridColsOffset = 40;
+constexpr size_t kGridRowsOffset = 48;
 constexpr size_t kNumGridEntriesOffset = 56;
 constexpr size_t kSectionsFnvOffset = 104;
+
+int64_t HeaderInt64(const Snapshot& snap, size_t offset) {
+  int64_t value;
+  std::memcpy(&value, snap.buffer().data() + offset, sizeof(value));
+  return value;
+}
+
+size_t NumCells(const Snapshot& snap) {
+  return size_t(HeaderInt64(snap, kGridColsOffset) *
+                HeaderInt64(snap, kGridRowsOffset));
+}
 
 size_t OffsetOfEndpoints(const Snapshot& snap) {
   return kHeaderSize + size_t(snap.num_intersections()) * 16;
 }
 
+size_t OffsetOfGridHomeEnds(const Snapshot& snap) {
+  return OffsetOfEndpoints(snap) + size_t(snap.num_segments()) * 8;
+}
+
 size_t OffsetOfGridStarts(const Snapshot& snap) {
-  return OffsetOfEndpoints(snap) + size_t(snap.num_segments()) * 8 +
-         size_t(snap.num_segments()) * 16;
+  return OffsetOfGridHomeEnds(snap) + NumCells(snap) * 4;
 }
 
 size_t OffsetOfLabels(const Snapshot& snap) {
@@ -69,10 +88,16 @@ size_t OffsetOfLabels(const Snapshot& snap) {
 }
 
 size_t OffsetOfGridEntries(const Snapshot& snap) {
-  int64_t entries;
-  std::memcpy(&entries, snap.buffer().data() + kNumGridEntriesOffset,
-              sizeof(entries));
-  return OffsetOfLabels(snap) - size_t(entries) * 4;
+  return OffsetOfLabels(snap) -
+         size_t(HeaderInt64(snap, kNumGridEntriesOffset)) * 4;
+}
+
+// `count` int32 values of the section at `offset`.
+std::vector<int32_t> Section(const Snapshot& snap, size_t offset,
+                             size_t count) {
+  std::vector<int32_t> values(count);
+  std::memcpy(values.data(), snap.buffer().data() + offset, count * 4);
+  return values;
 }
 
 // Rewrites the stored section checksum to match the (tampered) section
@@ -221,6 +246,14 @@ TEST(ServeSnapshotTest, StructuralValidatorsCatchTamperingBehindValidFnv) {
   // A label outside [0, num_partitions).
   tamper_int32(OffsetOfLabels(snap), -1, "negative partition label",
                "partition labels");
+  // A home end outside its cell's CSR range, below and above it.
+  const size_t cells = NumCells(snap);
+  const std::vector<int32_t> starts =
+      Section(snap, OffsetOfGridStarts(snap), cells + 1);
+  tamper_int32(OffsetOfGridHomeEnds(snap), starts[0] - 1,
+               "home end before its cell", "grid home ends");
+  tamper_int32(OffsetOfGridHomeEnds(snap) + (cells - 1) * 4,
+               starts[cells] + 1, "home end past its cell", "grid home ends");
 
   // Without the recomputed checksum, the same tampering dies earlier at the
   // section-checksum gate — also as Corruption.
@@ -234,37 +267,109 @@ TEST(ServeSnapshotTest, StructuralValidatorsCatchTamperingBehindValidFnv) {
       << st.ToString();
 }
 
-TEST(ServeSnapshotTest, GoldenBytesPinRpsnap02AndRpsnap01IsRefused) {
+TEST(ServeSnapshotTest, GridCellsListTheirHomeSegmentsFirst) {
+  // The range count scans only each cell's home prefix, so the prefix must
+  // be exactly the segments whose midpoint lies in the cell, and every
+  // registered segment must sit in its cell's prefix or rest.
+  CityOptions city;
+  city.num_intersections = 300;
+  city.target_segments = 520;
+  city.seed = 41;
+  auto city_net = GenerateCityNetwork(city);
+  ASSERT_TRUE(city_net.ok()) << city_net.status().ToString();
+  auto grid_net = SmallGridNetwork();
+  ASSERT_TRUE(grid_net.ok()) << grid_net.status().ToString();
+  for (const RoadNetwork* net : {&*city_net, &*grid_net}) {
+    auto snap = Snapshot::Build(*net, AlternatingLabels(net->num_segments(), 3));
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    const GridSpec spec =
+        ChooseGridSpec(net->Bounds(), net->num_segments(), 4.0);
+    const size_t cells = NumCells(*snap);
+    ASSERT_EQ(cells, size_t(spec.NumCells()));
+    const std::vector<int32_t> starts =
+        Section(*snap, OffsetOfGridStarts(*snap), cells + 1);
+    const std::vector<int32_t> home_ends =
+        Section(*snap, OffsetOfGridHomeEnds(*snap), cells);
+    const std::vector<int32_t> entries =
+        Section(*snap, OffsetOfGridEntries(*snap), size_t(starts[cells]));
+
+    // The expected runs, from the geometry alone.
+    std::vector<std::vector<int32_t>> home(cells);
+    std::vector<std::vector<int32_t>> rest(cells);
+    for (int32_t s = 0; s < net->num_segments(); ++s) {
+      const Point a = net->intersection(net->segment(s).from).position;
+      const Point b = net->intersection(net->segment(s).to).position;
+      const Point m = SegmentMidpoint(*net, s);
+      const size_t home_cell =
+          size_t(spec.RowOf(m.y)) * spec.cols + spec.ColOf(m.x);
+      for (int32_t r = spec.RowOf(std::min(a.y, b.y));
+           r <= spec.RowOf(std::max(a.y, b.y)); ++r) {
+        for (int32_t c = spec.ColOf(std::min(a.x, b.x));
+             c <= spec.ColOf(std::max(a.x, b.x)); ++c) {
+          const size_t cell = size_t(r) * spec.cols + c;
+          (cell == home_cell ? home : rest)[cell].push_back(s);
+        }
+      }
+    }
+    int homed = 0;
+    for (size_t c = 0; c < cells; ++c) {
+      ASSERT_LE(starts[c], home_ends[c]) << "cell " << c;
+      ASSERT_LE(home_ends[c], starts[c + 1]) << "cell " << c;
+      const std::vector<int32_t> got_home(entries.begin() + starts[c],
+                                          entries.begin() + home_ends[c]);
+      const std::vector<int32_t> got_rest(entries.begin() + home_ends[c],
+                                          entries.begin() + starts[c + 1]);
+      EXPECT_EQ(got_home, home[c]) << "cell " << c;
+      EXPECT_EQ(got_rest, rest[c]) << "cell " << c;
+      EXPECT_TRUE(std::is_sorted(got_home.begin(), got_home.end()));
+      EXPECT_TRUE(std::is_sorted(got_rest.begin(), got_rest.end()));
+      homed += static_cast<int>(got_home.size());
+    }
+    // Every segment is a home entry of exactly one cell.
+    EXPECT_EQ(homed, net->num_segments());
+  }
+}
+
+TEST(ServeSnapshotTest, GoldenBytesPinRpsnap03AndOlderVersionsAreRefused) {
   auto net = SmallGridNetwork();
   ASSERT_TRUE(net.ok()) << net.status().ToString();
   auto snap = Snapshot::Build(*net, AlternatingLabels(net->num_segments(), 2));
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   const std::string& buffer = snap->buffer();
-  EXPECT_EQ(buffer.substr(0, 8), "rpsnap02");
+  EXPECT_EQ(buffer.substr(0, 8), "rpsnap03");
   // Any change here is a format change: bump the magic, then re-pin.
-  EXPECT_EQ(Uint64ToHex(Fnv1a64(buffer)), "6c0d30fcfb8d2ccf");
+  EXPECT_EQ(Uint64ToHex(Fnv1a64(buffer)), "dc626ce326f4210a");
 
   // A v1-shaped buffer: the rpsnap01 magic in front of a 192-byte header
   // (v1 also stored max_x/max_y and the KD section offset).
   std::string v1 = buffer;
   v1.insert(kHeaderSize, 192 - kHeaderSize, '\0');
   std::memcpy(&v1[0], "rpsnap01", 8);
-  Status st = Snapshot::FromBuffer(v1).status();
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
-  EXPECT_NE(st.message().find("magic/version tag"), std::string::npos)
-      << st.ToString();
+  // A v2-shaped buffer: the same 168-byte header, with a midpoints section
+  // where v3 keeps the home ends.
+  std::string v2 = buffer;
+  v2.insert(OffsetOfGridHomeEnds(*snap),
+            size_t(snap->num_segments()) * 16 - NumCells(*snap) * 4, '\0');
+  std::memcpy(&v2[0], "rpsnap02", 8);
+  for (const auto& [old_buffer, version] : {std::pair{v1, 1}, {v2, 2}}) {
+    SCOPED_TRACE(version);
+    Status st = Snapshot::FromBuffer(old_buffer).status();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    EXPECT_NE(st.message().find("magic/version tag"), std::string::npos)
+        << st.ToString();
 
-  // The same bytes in a valid version-1 envelope, as an old Save wrote them:
-  // the envelope verifies, the payload does not.
-  const std::string path = TempPath("v1.rpsnap");
-  ASSERT_TRUE(WriteArtifact(path, "rpsnap", 1, v1).ok());
-  st = Snapshot::Load(path).status();
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
-  EXPECT_NE(st.message().find("magic/version tag"), std::string::npos)
-      << st.ToString();
-  std::remove(path.c_str());
+    // The same bytes in a valid envelope of their version, as an old Save
+    // wrote them: the envelope verifies, the payload does not.
+    const std::string path = TempPath("old.rpsnap");
+    ASSERT_TRUE(WriteArtifact(path, "rpsnap", version, old_buffer).ok());
+    st = Snapshot::Load(path).status();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    EXPECT_NE(st.message().find("magic/version tag"), std::string::npos)
+        << st.ToString();
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ServeSnapshotTest, FromBufferRejectsGarbage) {
