@@ -30,7 +30,8 @@
 #      overflows, use-after-free, leaks), then standalone verbose reruns:
 #      6b fault injection, 6c serving read path, 6d pipeline fault soak,
 #      6e keyed-state codec, 6f serve text path, 6g mining component counts
-#      and dual graph, 6h Lanczos solver (Chebyshev filter and pathological
+#      (grouped union-find walks, winner labelling, thread sweep) and dual
+#      graph, 6h Lanczos solver (Chebyshev filter and pathological
 #      spectra). Every injected fault path (corrupted densities,
 #      forced non-convergence, degenerate embeddings, torn snapshots,
 #      corrupt checkpoints) must be memory-clean, not just Status-clean.
@@ -194,11 +195,16 @@ echo "==> [6f/7] serve text path under AddressSanitizer (verbose)"
 "${ASAN_DIR}/tests/serve_text_test"
 
 echo "==> [6g/7] mining component counts + dual graph under AddressSanitizer (verbose)"
-# Both index flat arrays by computed positions: the union-find walks
-# rank-space rows cut at k-means bucket ends, and the dual graph writes
-# rows straight into CSR. Their oracle suites feed empty buckets, isolated
-# nodes, hubs and empty networks.
+# Both index flat arrays by computed positions. The component counter walks
+# its rank-space edges once per group of up to four cut vectors, each with
+# its own parent array (back to back in one buffer) and its own bucket
+# cursor, and labels the winner from one more walk; the dual graph writes
+# rows straight into CSR. Their oracle suites feed every group width and
+# remainder, empty buckets, isolated nodes, hubs and empty networks, and
+# mining_determinism_test runs the grouped count tasks at 1, 2 and 8
+# threads.
 "${ASAN_DIR}/tests/core_component_count_test"
+"${ASAN_DIR}/tests/mining_determinism_test"
 "${ASAN_DIR}/tests/network_dual_graph_test"
 
 echo "==> [6h/7] Lanczos solver under AddressSanitizer (verbose)"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 #include "common/logging.h"
@@ -48,6 +49,21 @@ Result<Supergraph> MineSupergraph(const RoadGraph& road_graph,
     return Status::InvalidArgument(StrPrintf(
         "sample_size=%d: need >= 3 (or <= 0 to disable sampling)",
         options.sample_size));
+  }
+  // eta lies in [0, 1]: a threshold outside it (or NaN) would silently turn
+  // Algorithm 2 off or split every non-uniform supernode.
+  const double stability = options.stability.threshold;
+  if (!(stability >= 0.0 && stability <= 1.0)) {
+    return Status::InvalidArgument(StrPrintf(
+        "stability threshold=%g: need a value in [0, 1] (0 disables "
+        "splitting)",
+        stability));
+  }
+  if (std::isnan(options.mcg_threshold_absolute) ||
+      std::isnan(options.mcg_threshold_fraction)) {
+    return Status::InvalidArgument(StrPrintf(
+        "MCG threshold is NaN (absolute=%g, fraction=%g)",
+        options.mcg_threshold_absolute, options.mcg_threshold_fraction));
   }
 
   SupergraphMiningReport local_report;
@@ -144,41 +160,50 @@ Result<Supergraph> MineSupergraph(const RoadGraph& road_graph,
   // scored by a count alone: 1-D k-means clusters are contiguous runs of
   // the shared sort order, and BucketComponentCounter counts components
   // over those cut points by union-find on a rank-space edge list built
-  // once. Same fan-out recipe as Phase A (one task per shortlisted kappa
-  // writing its own slot, winner selected afterwards in shortlist order),
-  // so the choice is identical to the serial scan at any thread count. The
-  // winner alone gets a per-node assignment and the BFS labelling, which
-  // fixes the supernode numbering.
+  // once. The counts share their walks over that list, one walk per group
+  // of kCountGroupWidth kappas. Same fan-out recipe as Phase A (one task
+  // per shortlisted kappa, then one per group, each writing its own slots;
+  // winner selected afterwards in shortlist order), so the choice is
+  // identical to the serial scan at any thread count. The winner alone is
+  // labelled, by the counter's union-find, numbered as the BFS of
+  // LabelConstrainedComponents would number it.
   Timer cluster_timer;
   const int num_shortlisted = static_cast<int>(rep.shortlisted_kappas.size());
-  std::vector<int> counts(num_shortlisted, 0);  // 0: skipped (kappa > n)
+  rep.component_counts.assign(num_shortlisted, 0);
+  std::vector<int>& counts = rep.component_counts;
   int best = -1;
   std::vector<int> best_cluster_of;
   std::vector<double> best_means;
+  ComponentLabels best_labels;
   {
     const Sorted1DWorkspace full_workspace(features);
     const BucketComponentCounter counter(graph, full_workspace.order());
-    std::vector<KMeans1DResult> clusterings(num_shortlisted);  // no assignment
+    // Every shortlisted kappa is at most max_kappa <= the sweep size <= n.
+    std::vector<std::vector<int>> cuts(num_shortlisted);
+    std::vector<std::vector<double>> means(num_shortlisted);
     std::vector<Status> cluster_status(num_shortlisted);
     ParallelForTasks(num_shortlisted, [&](int i) {
-      const int kappa = rep.shortlisted_kappas[i];
-      if (kappa > n) return;
-      auto km = KMeans1DCuts(full_workspace, kappa);
+      auto km = KMeans1DCuts(full_workspace, rep.shortlisted_kappas[i]);
       if (!km.ok()) {
         cluster_status[i] = km.status();
         return;
       }
-      counts[i] = counter.CountComponents(km->cuts);
-      clusterings[i] = std::move(km).value();
+      cuts[i] = std::move(km->cuts);
+      means[i] = std::move(km->means);
     });
     for (const Status& status : cluster_status) {
       if (!status.ok()) return status;
     }
+    constexpr int kWidth = BucketComponentCounter::kCountGroupWidth;
+    ParallelForTasks((num_shortlisted + kWidth - 1) / kWidth, [&](int g) {
+      const int begin = g * kWidth;
+      const int width = std::min(kWidth, num_shortlisted - begin);
+      counter.CountComponents(std::span(cuts).subspan(begin, width),
+                              std::span(counts).subspan(begin, width));
+    });
 
     bool best_qualifies = false;
     for (int i = 0; i < num_shortlisted; ++i) {
-      if (counts[i] == 0) continue;
-      rep.component_counts.push_back(counts[i]);
       bool qualifies = counts[i] >= options.min_supernodes;
       // Fewest components wins among qualifying configurations; if none
       // qualifies yet, the one with the MOST components is the best fallback.
@@ -194,16 +219,11 @@ Result<Supergraph> MineSupergraph(const RoadGraph& road_graph,
         best_qualifies = qualifies;
       }
     }
-    if (best < 0) {
-      return Status::Internal("no usable clustering configuration");
-    }
-    best_cluster_of = AssignFromCuts(full_workspace, clusterings[best].cuts);
-    best_means = std::move(clusterings[best].means);
+    best_labels = counter.Label(cuts[best]);
+    best_cluster_of = AssignFromCuts(full_workspace, cuts[best]);
+    best_means = std::move(means[best]);
   }
-  const int best_components = counts[best];
-  ComponentLabels best_labels =
-      LabelConstrainedComponents(graph, best_cluster_of);
-  RP_DCHECK(best_labels.num_components == best_components);
+  const int best_components = best_labels.num_components;
   const std::vector<int> best_component_of = std::move(best_labels.component);
   rep.chosen_kappa = rep.shortlisted_kappas[best];
   rep.supernodes_before_stability = best_components;

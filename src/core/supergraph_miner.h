@@ -49,7 +49,8 @@ struct SupergraphMinerOptions {
   /// level always has enough supernodes to partition. 0 = paper behaviour
   /// (always fewest components).
   int min_supernodes = 0;
-  /// Stability pass (Section 4.3.2); threshold 0 disables it.
+  /// Stability pass (Section 4.3.2); threshold 0 disables it. A threshold
+  /// outside [0, 1] or NaN is rejected, as is a NaN MCG threshold.
   StabilityOptions stability;
   SuperlinkWeightScheme weight_scheme = SuperlinkWeightScheme::kPaperEq3;
   uint64_t seed = 7;
@@ -60,7 +61,10 @@ struct SupergraphMiningReport {
   std::vector<int> kappas;             ///< evaluated kappa values
   std::vector<double> mcg;             ///< MCG at each kappa (sampled data)
   std::vector<int> shortlisted_kappas; ///< kappas with MCG >= threshold
-  std::vector<int> component_counts;   ///< supernode count per shortlisted kappa
+  /// Label-constrained component count of each shortlisted kappa's
+  /// full-data clustering, one per entry of shortlisted_kappas and in its
+  /// order; the winner's entry is supernodes_before_stability.
+  std::vector<int> component_counts;
   double threshold = 0.0;              ///< resolved epsilon_theta
   /// Inclusive ceiling of the sweep actually run: min(options.max_kappa,
   /// number of (sampled) sweep values).

@@ -1,6 +1,7 @@
 #include "graph/connected_components.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 
 #include "common/logging.h"
@@ -36,6 +37,50 @@ ComponentLabels BfsComponents(const CsrGraph& graph, EdgeFilter edge_allowed) {
   return out;
 }
 
+// One walk over the kept rank-space edges `edges` ((lo, hi) pairs by
+// ascending lo) for W cut vectors at once. `parent` holds W arrays of n ints
+// back to back, array k for cuts[k]; each ends as cut vector k's union-find
+// forest, and counts[k] as its component count.
+//
+// Edges are visited by descending lo, so lo is still a singleton when its
+// first edge comes and stays its set's root through its run of edges: every
+// union hangs the other root under lo. An edge leaving lo's bucket is turned
+// into the no-op union of lo with itself instead of a branch. The W finds of
+// one edge touch different arrays and do not depend on each other, so their
+// loads overlap; each array sees exactly the union sequence of a lone pass.
+template <int W>
+void UnionInBuckets(const std::vector<int>& edges, int n,
+                    const std::vector<int>* cuts, int* parent, int* counts) {
+  size_t bucket[W];
+  int components[W];
+  for (int k = 0; k < W; ++k) {
+    RP_CHECK(cuts[k].size() >= 2 && cuts[k].front() == 0 &&
+             cuts[k].back() == n);
+    std::iota(parent + static_cast<size_t>(k) * n,
+              parent + static_cast<size_t>(k + 1) * n, 0);
+    bucket[k] = cuts[k].size() - 2;
+    components[k] = n;
+  }
+  for (int64_t e = static_cast<int64_t>(edges.size()) / 2 - 1; e >= 0; --e) {
+    const int lo = edges[2 * e];
+    const int hi = edges[2 * e + 1];
+#pragma GCC unroll 4
+    for (int k = 0; k < W; ++k) {
+      const int* c = cuts[k].data();
+      while (c[bucket[k]] > lo) --bucket[k];
+      int* p = parent + static_cast<size_t>(k) * n;
+      int x = hi < c[bucket[k] + 1] ? hi : lo;
+      while (p[x] != x) {  // path halving
+        p[x] = p[p[x]];
+        x = p[x];
+      }
+      p[x] = lo;
+      components[k] -= x != lo;
+    }
+  }
+  for (int k = 0; k < W; ++k) counts[k] = components[k];
+}
+
 }  // namespace
 
 ComponentLabels ConnectedComponents(const CsrGraph& graph) {
@@ -54,10 +99,10 @@ BucketComponentCounter::BucketComponentCounter(const CsrGraph& graph,
     : num_nodes_(graph.num_nodes()) {
   const int n = num_nodes_;
   RP_CHECK(static_cast<int>(order.size()) == n);
-  std::vector<int> rank_of(n, -1);
+  rank_of_.assign(n, -1);
   for (int r = 0; r < n; ++r) {
-    RP_CHECK(order[r] >= 0 && order[r] < n && rank_of[order[r]] == -1);
-    rank_of[order[r]] = r;
+    RP_CHECK(order[r] >= 0 && order[r] < n && rank_of_[order[r]] == -1);
+    rank_of_[order[r]] = r;
   }
   // The graph in rank space, one row per rank, built in edges_. offsets[r+1]
   // starts at row r's begin and is its fill cursor, so it ends at row r's
@@ -70,7 +115,7 @@ BucketComponentCounter::BucketComponentCounter(const CsrGraph& graph,
   edges_.resize(static_cast<size_t>(2 * graph.num_edges()));
   for (int s = 0; s < n; ++s) {
     for (int v : graph.Neighbors(order[s])) {
-      edges_[offsets[rank_of[v] + 1]++] = s;
+      edges_[offsets[rank_of_[v] + 1]++] = s;
     }
   }
 
@@ -131,31 +176,51 @@ BucketComponentCounter::BucketComponentCounter(const CsrGraph& graph,
   edges_.shrink_to_fit();  // the rank-space graph's buffer is not needed
 }
 
-int BucketComponentCounter::CountComponents(
+void BucketComponentCounter::CountComponents(
+    std::span<const std::vector<int>> cuts, std::span<int> counts) const {
+  RP_CHECK(counts.size() == cuts.size());
+  // The walk for a group of w cut vectors is kernels[w - 1].
+  using Kernel = void (*)(const std::vector<int>&, int,
+                          const std::vector<int>*, int*, int*);
+  constexpr Kernel kernels[] = {UnionInBuckets<1>, UnionInBuckets<2>,
+                                UnionInBuckets<3>, UnionInBuckets<4>};
+  constexpr size_t kWidth = kCountGroupWidth;
+  static_assert(std::size(kernels) == kWidth);
+  std::vector<int> parent(std::min(kWidth, cuts.size()) *
+                          static_cast<size_t>(num_nodes_));
+  for (size_t g = 0; g < cuts.size(); g += kWidth) {
+    kernels[std::min(kWidth, cuts.size() - g) - 1](
+        edges_, num_nodes_, cuts.data() + g, parent.data(), counts.data() + g);
+  }
+}
+
+ComponentLabels BucketComponentCounter::Label(
     const std::vector<int>& cuts) const {
   const int n = num_nodes_;
-  RP_CHECK(cuts.size() >= 2 && cuts.front() == 0 && cuts.back() == n);
+  ComponentLabels out;
+  // The union-find forest, rank-indexed, from the same pass as a count.
   std::vector<int> parent(n);
-  std::iota(parent.begin(), parent.end(), 0);
-  // Edges are visited by descending lo, so lo is still a singleton when its
-  // first edge comes and stays its set's root through its run of edges:
-  // every union hangs the other root under lo. An edge leaving lo's bucket
-  // is turned into the no-op union of lo with itself instead of a branch.
-  int components = n;
-  size_t bucket = cuts.size() - 2;
-  for (int64_t e = kept_edges() - 1; e >= 0; --e) {
-    const int lo = edges_[2 * e];
-    const int hi = edges_[2 * e + 1];
-    while (cuts[bucket] > lo) --bucket;
-    int x = hi < cuts[bucket + 1] ? hi : lo;
-    while (parent[x] != x) {  // path halving
-      parent[x] = parent[parent[x]];
-      x = parent[x];
+  UnionInBuckets<1>(edges_, n, &cuts, parent.data(), &out.num_components);
+  // Number the roots in ascending order of their smallest node id: visit
+  // nodes by id and give a root the next id when it is first reached. A
+  // numbered root stores ~id (< 0) in place of itself; path splitting may
+  // copy that ~id into a node on the path, which then reads as the same
+  // numbered root. So the walk stops at a self-parent (an unnumbered root)
+  // or at a negative entry.
+  out.component.resize(n);
+  int next = 0;
+  for (int v = 0; v < n; ++v) {
+    int x = rank_of_[v];
+    while (parent[x] >= 0 && parent[x] != x) {  // path splitting
+      const int up = parent[x];
+      parent[x] = parent[up];
+      x = up;
     }
-    parent[x] = lo;
-    components -= x != lo;
+    if (parent[x] >= 0) parent[x] = ~next++;
+    out.component[v] = ~parent[x];
   }
-  return components;
+  RP_DCHECK(next == out.num_components);
+  return out;
 }
 
 std::vector<std::vector<int>> ComponentsOfSubset(

@@ -17,6 +17,23 @@ namespace {
 // cannot change any result bit — blocking only bounds dispatch overhead.
 constexpr int64_t kSpmvRowGrain = 256;
 
+// Rows [begin, end) of y = A x. Out of line, with its loops aligned to 32
+// bytes, so the inner loop (27 bytes with GCC 12 -O2) always sits in one
+// 32-byte fetch window, whatever code the linker places before it. Left
+// where it fell, an unrelated change once moved the loop across a 64-byte
+// line and every operator apply of the cut-ag benchmark ran ~20% slower.
+[[gnu::noinline, gnu::optimize("align-loops=32")]] void MultiplyRows(
+    const int64_t* offsets, const int* cols, const double* values,
+    const double* x, double* y, int64_t begin, int64_t end) {
+  for (int64_t r = begin; r < end; ++r) {
+    double acc = 0.0;
+    for (int64_t i = offsets[r]; i < offsets[r + 1]; ++i) {
+      acc += values[i] * x[cols[i]];
+    }
+    y[r] = acc;
+  }
+}
+
 }  // namespace
 
 Result<SparseMatrix> SparseMatrix::FromTriplets(
@@ -149,13 +166,8 @@ Result<SparseMatrix> SparseMatrix::SymmetricFromTriplets(
 
 void SparseMatrix::Multiply(const double* x, double* y) const {
   ParallelForBlocked(rows_, kSpmvRowGrain, [&](int64_t begin, int64_t end) {
-    for (int64_t r = begin; r < end; ++r) {
-      double acc = 0.0;
-      for (int64_t i = row_offsets_[r]; i < row_offsets_[r + 1]; ++i) {
-        acc += values_[i] * x[col_indices_[i]];
-      }
-      y[r] = acc;
-    }
+    MultiplyRows(row_offsets_.data(), col_indices_.data(), values_.data(), x,
+                 y, begin, end);
   });
 }
 

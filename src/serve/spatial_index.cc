@@ -72,9 +72,13 @@ GridSpec ChooseGridSpec(const BoundingBox& bounds, int32_t n,
   const double want_cells =
       std::clamp(static_cast<double>(n) / target_per_cell, 1.0,
                  4.0 * static_cast<double>(n) + 64.0);
+  // Columns are clamped to [1, want_cells] before rounding, so a wide, thin
+  // network (aspect up to +inf) stays within the cell budget and lround never
+  // sees a value outside int32; the rows then take what the budget leaves.
   const double aspect = width / height;
-  double cols = std::sqrt(want_cells * aspect);
-  spec.cols = std::max<int32_t>(1, static_cast<int32_t>(std::lround(cols)));
+  const double cols = std::clamp(std::sqrt(want_cells * aspect), 1.0,
+                                 want_cells);
+  spec.cols = static_cast<int32_t>(std::lround(cols));
   spec.rows = std::max<int32_t>(
       1, static_cast<int32_t>(std::lround(want_cells / spec.cols)));
   spec.cell_w = width / spec.cols;

@@ -151,7 +151,7 @@ struct GridSpec {
 
 /// Chooses the grid shape for `n` segments over `bounds`: roughly
 /// `target_per_cell` segments per cell, aspect following the box, never more
-/// than ~4n cells and never fewer than one.
+/// than ~4n cells (whatever the aspect ratio) and never fewer than one.
 GridSpec ChooseGridSpec(const BoundingBox& bounds, int32_t n,
                         double target_per_cell);
 

@@ -280,6 +280,35 @@ TEST(CliTest, NegativeDeadlineIsRejected) {
   }
 }
 
+TEST_F(CliWorkflowTest, StabilityOutsideTheUnitIntervalIsRejected) {
+  // eta lies in [0, 1]. A NaN or negative threshold used to turn Algorithm 2
+  // off silently, and inf or 2 split every non-uniform supernode; all four
+  // exited 0. Now each is exit 1 naming the threshold, and nothing is
+  // written.
+  const std::string out = dir_ + "/cli_stability.out";
+  for (const std::string command : {"partition", "mine"}) {
+    for (const std::string value : {"nan", "-1", "inf", "2"}) {
+      std::remove(out.c_str());
+      int code = 0;
+      const std::string err =
+          RunForStderr(std::string(RP_CLI_PATH) + " " + command,
+                       "--stability=" + value + " " + net_ + " " + out, &code);
+      EXPECT_EQ(code, 1) << command << " --stability=" << value;
+      EXPECT_NE(err.find("stability threshold=" + value +
+                         ": need a value in [0, 1]"),
+                std::string::npos)
+          << command << " --stability=" << value << ": " << err;
+      EXPECT_FALSE(FileNonEmpty(out)) << command << " " << value;
+    }
+  }
+  // Both ends of the interval still mine.
+  for (const std::string value : {"0", "1"}) {
+    EXPECT_EQ(RunCli("mine --stability=" + value + " " + net_ + " " + out), 0)
+        << value;
+  }
+  std::remove(out.c_str());
+}
+
 TEST(CliTest, TearDownNetwork) {
   // Cleanup of the shared network file after the suite (best effort).
   std::remove((testing::TempDir() + "/cli_city.net").c_str());

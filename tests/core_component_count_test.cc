@@ -1,13 +1,16 @@
 // Phase B of MineSupergraph scores every shortlisted kappa by a component
 // count alone: BucketComponentCounter unions, in sorted-rank space, the
-// edges that stay inside one 1-D k-means bucket, and only the winning kappa
-// is labelled by the BFS of LabelConstrainedComponents. This suite checks
-// the union-find count against that BFS for every kappa on seeded random
-// graphs (ties, isolated nodes, one bucket, all-singleton buckets) and on
-// city dual graphs, checks on hand-built graphs which edges the witness rule
-// drops, checks that KMeans1DCuts + AssignFromCuts reproduce KMeans1D, and
-// pins the full mining output on the congested D1 / M1 / M3 presets to
-// fingerprints recorded with the per-kappa BFS implementation.
+// edges that stay inside one 1-D k-means bucket, walking the edges once per
+// group of kCountGroupWidth kappas, and labels only the winning kappa from
+// the same union-find. This suite checks the counts against the BFS of
+// LabelConstrainedComponents for every kappa on seeded random graphs (ties,
+// isolated nodes, one bucket, all-singleton buckets) and on city dual
+// graphs, checks that a grouped count equals a lone count for every group
+// width and remainder (1 to 9 cut vectors), checks Label against the BFS
+// labelling element for element, checks on hand-built graphs which edges the
+// witness rule drops, checks that KMeans1DCuts + AssignFromCuts reproduce
+// KMeans1D, and pins the full mining output on the congested D1 / M1 / M3
+// presets to fingerprints recorded with the per-kappa BFS implementation.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,20 +65,71 @@ std::vector<int> LabelsFromCuts(const std::vector<int>& order,
   return labels;
 }
 
-int BfsCount(const CsrGraph& graph, const std::vector<int>& order,
-             const std::vector<int>& cuts) {
-  return LabelConstrainedComponents(graph, LabelsFromCuts(order, cuts))
-      .num_components;
+ComponentLabels BfsLabels(const CsrGraph& graph, const std::vector<int>& order,
+                          const std::vector<int>& cuts) {
+  return LabelConstrainedComponents(graph, LabelsFromCuts(order, cuts));
 }
 
-// For every kappa the k-means cut points admit: the union-find count equals
-// the BFS count, and the cuts form reproduces KMeans1D exactly.
+int BfsCount(const CsrGraph& graph, const std::vector<int>& order,
+             const std::vector<int>& cuts) {
+  return BfsLabels(graph, order, cuts).num_components;
+}
+
+// A lone count: one cut vector, so a one-wide walk.
+int CountOne(const BucketComponentCounter& counter,
+             const std::vector<int>& cuts) {
+  int count = -1;
+  counter.CountComponents(std::span(&cuts, 1), std::span(&count, 1));
+  return count;
+}
+
+// Every group width and remainder: for 1 to 9 cut vectors drawn from
+// `all_cuts` (cyclically, from two starting points so the mix varies), the
+// grouped counts equal `expected` (the BFS counts of `all_cuts`), and so do
+// the lone counts.
+void ExpectGroupedCountsMatch(const BucketComponentCounter& counter,
+                              const std::vector<std::vector<int>>& all_cuts,
+                              const std::vector<int>& expected) {
+  ASSERT_EQ(all_cuts.size(), expected.size());
+  if (all_cuts.empty()) return;
+  for (size_t i = 0; i < all_cuts.size(); ++i) {
+    EXPECT_EQ(CountOne(counter, all_cuts[i]), expected[i]) << "lone " << i;
+  }
+  for (size_t start : {size_t{0}, all_cuts.size() / 2}) {
+    for (size_t m = 1; m <= 9; ++m) {
+      std::vector<std::vector<int>> group;
+      std::vector<int> want;
+      for (size_t j = 0; j < m; ++j) {
+        const size_t i = (start + j) % all_cuts.size();
+        group.push_back(all_cuts[i]);
+        want.push_back(expected[i]);
+      }
+      std::vector<int> counts(m, -1);
+      counter.CountComponents(group, counts);
+      EXPECT_EQ(counts, want) << m << " cut vectors from " << start;
+    }
+  }
+}
+
+void ExpectLabelMatchesBfs(const BucketComponentCounter& counter,
+                           const std::vector<int>& cuts,
+                           const ComponentLabels& bfs) {
+  const ComponentLabels labels = counter.Label(cuts);
+  EXPECT_EQ(labels.num_components, bfs.num_components);
+  EXPECT_EQ(labels.component, bfs.component);
+}
+
+// For every kappa the k-means cut points admit: the union-find count, lone
+// and grouped, equals the BFS count, Label equals the BFS labelling, and the
+// cuts form reproduces KMeans1D exactly.
 void ExpectCountsMatchBfs(const CsrGraph& graph,
                           const std::vector<double>& values,
                           const std::string& what) {
   const int n = graph.num_nodes();
   const Sorted1DWorkspace workspace(values);
   const BucketComponentCounter counter(graph, workspace.order());
+  std::vector<std::vector<int>> all_cuts;
+  std::vector<int> bfs_counts;
   for (int kappa = 1; kappa <= std::min(n, 30); ++kappa) {
     SCOPED_TRACE(what + " kappa=" + std::to_string(kappa));
     auto cuts_only = KMeans1DCuts(workspace, kappa);
@@ -94,10 +149,14 @@ void ExpectCountsMatchBfs(const CsrGraph& graph,
     EXPECT_EQ(cuts.back(), n);
     for (size_t c = 0; c + 1 < cuts.size(); ++c) EXPECT_LT(cuts[c], cuts[c + 1]);
 
-    EXPECT_EQ(counter.CountComponents(cuts),
-              LabelConstrainedComponents(graph, full->assignment)
-                  .num_components);
+    const ComponentLabels bfs =
+        LabelConstrainedComponents(graph, full->assignment);
+    ExpectLabelMatchesBfs(counter, cuts, bfs);
+    all_cuts.push_back(cuts);
+    bfs_counts.push_back(bfs.num_components);
   }
+  SCOPED_TRACE(what);
+  ExpectGroupedCountsMatch(counter, all_cuts, bfs_counts);
 }
 
 TEST(BucketComponentCounter, MatchesBfsOnSeededRandomGraphs) {
@@ -146,13 +205,19 @@ TEST(BucketComponentCounter, OneBucketAndAllSingletons) {
     const BucketComponentCounter counter(graph, order);
 
     // One bucket: plain connected components.
-    EXPECT_EQ(counter.CountComponents({0, n}),
-              ConnectedComponents(graph).num_components);
+    const std::vector<int> one_bucket = {0, n};
+    const ComponentLabels whole = ConnectedComponents(graph);
+    EXPECT_EQ(CountOne(counter, one_bucket), whole.num_components);
+    ExpectLabelMatchesBfs(counter, one_bucket, whole);
     // Every node its own bucket: no edge survives.
     std::vector<int> singletons(n + 1);
     std::iota(singletons.begin(), singletons.end(), 0);
-    EXPECT_EQ(counter.CountComponents(singletons), n);
+    EXPECT_EQ(CountOne(counter, singletons), n);
     EXPECT_EQ(BfsCount(graph, order, singletons), n);
+    ExpectLabelMatchesBfs(counter, singletons,
+                          BfsLabels(graph, order, singletons));
+    ExpectGroupedCountsMatch(counter, {one_bucket, singletons},
+                             {whole.num_components, n});
   }
 }
 
@@ -168,16 +233,24 @@ TEST(BucketComponentCounter, ArbitraryCutsOverAnyOrder) {
     std::iota(order.begin(), order.end(), 0);
     rng.Shuffle(order);
     const BucketComponentCounter counter(graph, order);
+    std::vector<std::vector<int>> all_cuts;
+    std::vector<int> bfs_counts;
     for (int trial = 0; trial < 20; ++trial) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                   std::to_string(trial));
       const int interior = static_cast<int>(rng.NextInt(0, 10));
       std::vector<int> cuts = {0, n};
       for (int c = 0; c < interior; ++c) {
         cuts.push_back(static_cast<int>(rng.NextInt(0, n)));
       }
       std::sort(cuts.begin(), cuts.end());
-      EXPECT_EQ(counter.CountComponents(cuts), BfsCount(graph, order, cuts))
-          << "seed " << seed << " trial " << trial;
+      const ComponentLabels bfs = BfsLabels(graph, order, cuts);
+      ExpectLabelMatchesBfs(counter, cuts, bfs);
+      all_cuts.push_back(cuts);
+      bfs_counts.push_back(bfs.num_components);
     }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectGroupedCountsMatch(counter, all_cuts, bfs_counts);
   }
 }
 
@@ -203,8 +276,10 @@ void ExpectEveryCutSetMatchesBfs(const CsrGraph& graph,
       if ((mask >> (c - 1)) & 1) cuts.push_back(c);
     }
     cuts.push_back(n);
-    EXPECT_EQ(counter.CountComponents(cuts), BfsCount(graph, order, cuts))
-        << "cut mask " << mask;
+    SCOPED_TRACE("cut mask " + std::to_string(mask));
+    const ComponentLabels bfs = BfsLabels(graph, order, cuts);
+    EXPECT_EQ(CountOne(counter, cuts), bfs.num_components);
+    ExpectLabelMatchesBfs(counter, cuts, bfs);
   }
 }
 
@@ -218,8 +293,8 @@ TEST(BucketComponentCounter, DropsAnEdgeWithAWitnessAndKeepsOneWithout) {
       order, {{0, 1}, {1, 2}, {2, 3}, {0, 2}, {1, 3}});
   const BucketComponentCounter counter(graph, order);
   EXPECT_EQ(counter.kept_edges(), 3);
-  EXPECT_EQ(counter.CountComponents({0, 1, 3, 4}), 3);
-  EXPECT_EQ(counter.CountComponents({0, 2, 4}), 2);
+  EXPECT_EQ(CountOne(counter, {0, 1, 3, 4}), 3);
+  EXPECT_EQ(CountOne(counter, {0, 2, 4}), 2);
   ExpectEveryCutSetMatchesBfs(graph, order, counter);
 
   // A triangle keeps its two short edges; (0, 2) has the witness 1.
@@ -232,7 +307,12 @@ TEST(BucketComponentCounter, DropsAnEdgeWithAWitnessAndKeepsOneWithout) {
 
   const BucketComponentCounter empty(CsrGraph::FromEdges(0, {}).value(), {});
   EXPECT_EQ(empty.kept_edges(), 0);
-  EXPECT_EQ(empty.CountComponents({0, 0}), 0);
+  EXPECT_EQ(CountOne(empty, {0, 0}), 0);
+  const ComponentLabels empty_labels = empty.Label({0, 0});
+  EXPECT_EQ(empty_labels.num_components, 0);
+  EXPECT_TRUE(empty_labels.component.empty());
+  ExpectGroupedCountsMatch(empty, std::vector<std::vector<int>>(5, {0, 0}),
+                           std::vector<int>(5, 0));
 }
 
 TEST(BucketComponentCounter, CityDualGraphsWithTiesAndConstantDensities) {
@@ -375,6 +455,41 @@ TEST(MineSupergraphFingerprint, MatchesPerKappaBfsOutput) {
     ASSERT_EQ(report.component_counts.size(),
               report.shortlisted_kappas.size());
     EXPECT_EQ(MiningFingerprint(*sg, report), c.fingerprint);
+  }
+}
+
+TEST(MineSupergraphComponentCounts, OnePerShortlistedKappaEqualToTheBfs) {
+  // The report scores every shortlisted kappa, in shortlist order, and each
+  // score is the BFS count of that kappa's full-data clustering; the winner
+  // is labelled with as many supernodes as its score. The fallback case
+  // shortlists every kappa (threshold 0), so more than one group is walked.
+  RoadNetwork net = CongestedPreset(DatasetPreset::kD1, 3);
+  RoadGraph graph = RoadGraph::FromNetwork(net);
+  for (int min_supernodes : {0, 1000}) {
+    SCOPED_TRACE("min_supernodes " + std::to_string(min_supernodes));
+    SupergraphMinerOptions options;
+    options.min_supernodes = min_supernodes;
+    options.mcg_threshold_absolute = min_supernodes > 0 ? 0.0 : -1.0;
+    SupergraphMiningReport report;
+    ASSERT_TRUE(MineSupergraph(graph, options, &report).ok());
+    ASSERT_EQ(report.component_counts.size(),
+              report.shortlisted_kappas.size());
+    if (min_supernodes > 0) {
+      EXPECT_GT(report.shortlisted_kappas.size(),
+                static_cast<size_t>(BucketComponentCounter::kCountGroupWidth));
+    }
+    for (size_t i = 0; i < report.shortlisted_kappas.size(); ++i) {
+      auto km = KMeans1D(graph.features(), report.shortlisted_kappas[i]);
+      ASSERT_TRUE(km.ok());
+      EXPECT_EQ(report.component_counts[i],
+                LabelConstrainedComponents(graph.adjacency(), km->assignment)
+                    .num_components)
+          << "kappa " << report.shortlisted_kappas[i];
+      if (report.shortlisted_kappas[i] == report.chosen_kappa) {
+        EXPECT_EQ(report.component_counts[i],
+                  report.supernodes_before_stability);
+      }
+    }
   }
 }
 

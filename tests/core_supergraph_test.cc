@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "core/supergraph.h"
 #include "core/supergraph_miner.h"
@@ -228,6 +229,42 @@ TEST(SupergraphMinerTest, StabilityThresholdSplitsMore) {
 TEST(SupergraphMinerTest, EmptyGraphRejected) {
   RoadGraph rg;
   EXPECT_FALSE(MineSupergraph(rg, {}).ok());
+}
+
+TEST(SupergraphMinerTest, InvalidThresholdsRejected) {
+  // eta lies in [0, 1], so a stability threshold outside it (or NaN) is an
+  // InvalidArgument, as is a NaN MCG threshold in either form. Both ends of
+  // the interval are accepted.
+  const RoadGraph rg = PlateauRoadGraph();
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  for (double bad : {nan, -1.0, -1e-300, 1.0 + 1e-15, 2.0, inf, -inf}) {
+    SupergraphMinerOptions opt;
+    opt.stability.threshold = bad;
+    auto sg = MineSupergraph(rg, opt);
+    ASSERT_FALSE(sg.ok()) << bad;
+    EXPECT_EQ(sg.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(sg.status().message().find("stability threshold="),
+              std::string::npos)
+        << sg.status().ToString();
+  }
+  for (double good : {0.0, 0.5, 1.0}) {
+    SupergraphMinerOptions opt;
+    opt.stability.threshold = good;
+    EXPECT_TRUE(MineSupergraph(rg, opt).ok()) << good;
+  }
+  SupergraphMinerOptions absolute;
+  absolute.mcg_threshold_absolute = nan;
+  SupergraphMinerOptions fraction;
+  fraction.mcg_threshold_fraction = nan;
+  for (const SupergraphMinerOptions& opt : {absolute, fraction}) {
+    auto sg = MineSupergraph(rg, opt);
+    ASSERT_FALSE(sg.ok());
+    EXPECT_EQ(sg.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(sg.status().message().find("MCG threshold is NaN"),
+              std::string::npos)
+        << sg.status().ToString();
+  }
 }
 
 TEST(SupergraphMinerTest, SamplingPathStillWorks) {

@@ -2,9 +2,12 @@
 // run at every ThreadSweep() count (1, 2, 8) and every output — supernode
 // membership, features, superlink topology and weights, and the full mining
 // report including the MCG sweep curve — must be bit-identical to the serial
-// run. The Phase A kappa sweep and the Phase B per-shortlisted-kappa
-// clustering both fan out through ParallelForTasks, so this suite is the
-// regression check on that fast path's determinism contract.
+// run. The Phase A kappa sweep, the Phase B per-shortlisted-kappa
+// clustering and the Phase B component counts (one task per group of
+// BucketComponentCounter::kCountGroupWidth kappas, each writing only its
+// own slots) all fan out through ParallelForTasks, and the winner is
+// labelled from the counter's union-find, so this suite is the regression
+// check on that fast path's determinism contract.
 
 #include <gtest/gtest.h>
 
@@ -54,7 +57,8 @@ TEST(MiningDeterminism, SamplingDisabledFullSweep) {
 
 TEST(MiningDeterminism, AbsoluteThresholdWideShortlist) {
   // A tiny absolute threshold shortlists nearly every kappa, maximising the
-  // Phase B fan-out the parallel path must keep deterministic.
+  // Phase B fan-out (several count groups and a shorter last one) the
+  // parallel path must keep deterministic.
   SupergraphMinerOptions options;
   options.mcg_threshold_absolute = 1e-9;
   for (const NetworkCase& net : SeededNetworks(19)) {

@@ -267,6 +267,65 @@ TEST(ServePropertyTest, ZeroAreaNetworkAllPointsIdentical) {
   }
 }
 
+TEST(ServePropertyTest, ExtremeAspectGridsStayWithinTheCellBudget) {
+  // A wide, thin box used to get sqrt(cells * aspect) columns: 31,622,777
+  // for two segments over 1000 x 1e-12, and an lround overflow at a height
+  // of 1e-300. Both directions now stay within 4n + 64 cells.
+  for (int32_t n : {1, 2, 3, 50, 1000, 100000}) {
+    for (double thin : {1e-3, 1e-12, 1e-300, 5e-324}) {
+      for (bool wide : {true, false}) {
+        const BoundingBox box = {{-7.0, 3.0},
+                                 {-7.0 + (wide ? 1000.0 : thin),
+                                  3.0 + (wide ? thin : 1000.0)}};
+        const GridSpec spec = ChooseGridSpec(box, n, 4.0);
+        SCOPED_TRACE(std::to_string(n) + " segments, thin side " +
+                     std::to_string(thin) + (wide ? " wide" : " tall"));
+        EXPECT_GE(spec.cols, 1);
+        EXPECT_GE(spec.rows, 1);
+        EXPECT_LE(spec.NumCells(), 4 * static_cast<int64_t>(n) + 64);
+        EXPECT_GT(spec.cell_w, 0.0);
+        EXPECT_GT(spec.cell_h, 0.0);
+      }
+    }
+  }
+  // A square-ish city keeps the shape it always had.
+  for (DatasetPreset preset : {DatasetPreset::kM1, DatasetPreset::kM3}) {
+    const RoadNetwork net = GenerateDataset(preset, 1).value();
+    const BoundingBox box = net.Bounds();
+    const double want = net.num_segments() / 4.0;
+    const double aspect =
+        (box.max.x - box.min.x) / (box.max.y - box.min.y);
+    const GridSpec spec = ChooseGridSpec(box, net.num_segments(), 4.0);
+    EXPECT_EQ(spec.cols, std::lround(std::sqrt(want * aspect)));
+    EXPECT_EQ(spec.rows, std::lround(want / spec.cols));
+  }
+}
+
+TEST(ServePropertyTest, ThinNetworksAnswerLikeBruteForce) {
+  // A zig-zag chain of 40 segments 1e-12 high (and its transpose): the grid
+  // degenerates to one row (column), and every answer still equals brute
+  // force.
+  for (bool wide : {true, false}) {
+    std::vector<Intersection> nodes;
+    for (int i = 0; i <= 40; ++i) {
+      const double along = 25.0 * i;
+      const double across = (i % 2) * 1e-12;
+      nodes.push_back({wide ? Point{along, across} : Point{across, along}});
+    }
+    std::vector<RoadSegment> segs;
+    for (int i = 0; i < 40; ++i) segs.push_back({i, i + 1, 25.0, 0.1});
+    auto net = RoadNetwork::Create(nodes, segs);
+    ASSERT_TRUE(net.ok()) << net.status().ToString();
+    EXPECT_LE(ChooseGridSpec(net->Bounds(), net->num_segments(), 4.0)
+                  .NumCells(),
+              4 * 40 + 64);
+    const std::vector<int> labels = RandomLabels(net->num_segments(), 3, 88);
+    const Snapshot snap = MustBuild(*net, labels);
+    ExpectIndexMatchesBruteForce(snap, *net, labels,
+                                 QueryCloud(*net, 5000, wide ? 89 : 90));
+  }
+}
+
 TEST(ServePropertyTest, EmptyNetworkServesMisses) {
   auto net = RoadNetwork::Create({}, {});
   ASSERT_TRUE(net.ok()) << net.status().ToString();
