@@ -5,8 +5,9 @@
 #   1. Configure + build the -O2 Release tree (build-check-release).
 #   2. ctest: the complete suite on the Release tree, then standalone reruns:
 #      2b. the crash-injection harness (kill the CLI at every checkpoint
-#          stage boundary for ASG, and at 'cut' and 'final' for AG and NG;
-#          --resume must be byte-identical);
+#          stage boundary: 'mining' and 'final' for ASG and NSG, 'final' for
+#          AG, NG and JIG; --resume must be byte-identical in its output
+#          and in its stage files);
 #      2c. the serve-runtime chaos suite;
 #      2d. the pipeline chaos harness (_Exit rp_pipeline at every interval
 #          boundary; the resumed journal must be byte-identical at several
@@ -77,8 +78,9 @@ echo "==> [2b/7] crash-injection suite (Release, verbose)"
 # Part of the full Release run above, but re-run on its own so a durability
 # regression (torn output, stale checkpoint served, resume divergence) is
 # attributed unambiguously: this binary kills the CLI at every checkpoint
-# stage boundary (ASG; AG and NG at 'cut' and 'final') and demands --resume
-# reproduce the run byte for byte.
+# stage boundary ('mining' and 'final' for ASG and NSG; 'final' for AG, NG
+# and JIG) and demands --resume reproduce the run's output and stage files
+# byte for byte.
 "${RELEASE_DIR}/tests/checkpoint_crash_test"
 
 echo "==> [2c/7] serve-runtime chaos suite (Release, verbose)"
@@ -180,8 +182,8 @@ echo "==> [6d/7] pipeline fault soak under AddressSanitizer (verbose)"
 "${ASAN_DIR}/tests/pipeline_test"
 
 echo "==> [6e/7] keyed-state codec under AddressSanitizer (verbose)"
-# The checkpoint MANIFEST + stages, the rpinc cache and the pipeline journal
-# all decode through the one tag-line codec in common/durable_io, so a
+# The keyed checkpoint stages, the rpinc cache and the pipeline journal all
+# decode through the one tag-line codec in common/durable_io, so a
 # parser overrun there would hide under every keyed format; rerun the suites
 # that feed it torn, bit-flipped and trailing-data payloads standalone.
 "${ASAN_DIR}/tests/checkpoint_test"

@@ -191,9 +191,9 @@ Result<std::string> ReadFileBytes(const std::string& path);
 
 // --- Tag-line payload codec -------------------------------------------------
 //
-// The keyed state formats (checkpoint MANIFEST + stages, "rpinc",
-// "rpjournal") share one payload grammar: lines of single-space-separated
-// fields led by a tag word, with optional inline tags ("region 3 valid 1").
+// The keyed state formats (checkpoint stages, "rpinc", "rpjournal") share
+// one payload grammar: lines of single-space-separated fields led by a tag
+// word, with optional inline tags ("region 3 valid 1").
 // Integers are decimal, doubles IEEE-754 bit-pattern hex (bit-exact round
 // trips), vectors a count then that many values. LineCursor decodes
 // strictly: every field must be consumed and no non-empty line may follow

@@ -193,21 +193,15 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
   }
 
   // Checkpoint store, keyed to the *input* graph (pre-sanitization) so the
-  // manifest identifies what the caller handed us; a resumed run reruns the
+  // run key identifies what the caller handed us; a resumed run reruns the
   // (cheap, deterministic) sanitization itself and re-derives its warnings.
-  // A store that cannot initialize degrades to a plain uncheckpointed run.
   CheckpointStore store;
   if (!options_.checkpoint.dir.empty()) {
-    RunManifest manifest;
-    manifest.input_fingerprint = FingerprintRoadGraph(input_graph);
-    manifest.options_hash = Fnv1a64(CanonicalOptionsString(options_));
-    store = CheckpointStore(options_.checkpoint, manifest);
-    Status init = store.Initialize();
-    if (!init.ok()) {
-      outcome.diagnostics.warnings.push_back("checkpointing disabled: " +
-                                             init.ToString());
-      store = CheckpointStore();
-    }
+    const uint64_t options_hash = Fnv1a64(CanonicalOptionsString(options_));
+    store = CheckpointStore(
+        options_.checkpoint,
+        Fnv1a64(&options_hash, sizeof(options_hash),
+                FingerprintRoadGraph(input_graph)));
   }
   // Callers test store.enabled() first, so no payload is encoded for a
   // store that keeps nothing.
@@ -218,6 +212,24 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
           StrPrintf("checkpoint stage '%s' not saved (%s)",
                     CheckpointStageName(stage), saved.ToString().c_str()));
     }
+  };
+  // The one way a stage is adopted: loaded for this run and decoded against
+  // this graph, or recomputed. Only an absent stage (no file, or a run that
+  // does not resume) recomputes without a warning.
+  std::vector<std::string> checkpoint_warnings;
+  auto adopt = [&](CheckpointStage stage, auto decode) {
+    auto decoded = [&]() -> decltype(decode(std::declval<LineCursor>(), 0)) {
+      RP_ASSIGN_OR_RETURN(LineCursor cursor, store.LoadStage(stage));
+      return decode(std::move(cursor), graph.num_nodes());
+    }();
+    const StatusCode code = decoded.status().code();
+    if (code != StatusCode::kOk && code != StatusCode::kNotFound &&
+        code != StatusCode::kIOError) {
+      checkpoint_warnings.push_back(StrPrintf(
+          "checkpoint stage '%s' not adopted (%s); recomputing",
+          CheckpointStageName(stage), decoded.status().ToString().c_str()));
+    }
+    return decoded;
   };
 
   SpectralPipelineOptions pipeline;
@@ -231,60 +243,36 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
   const bool supergraph_scheme =
       options_.scheme == Scheme::kASG || options_.scheme == Scheme::kNSG;
 
-  // A stored 'final' checkpoint short-circuits modules 2-3 entirely; the run
+  // A stored 'final' stage short-circuits modules 2-3 entirely; the run
   // still flows through the deadline accounting, warning derivation, and
-  // label validation below, exactly like an uninterrupted run.
+  // label validation below, exactly like an uninterrupted run. The
+  // supergraph schemes adopt it only together with their 'mining' stage,
+  // which carries the mining report.
+  Timer timer;
+  std::optional<MiningCheckpoint> mined;
+  if (supergraph_scheme) {
+    auto stored = adopt(CheckpointStage::kMining, DecodeMiningCheckpoint);
+    if (stored.ok()) mined = std::move(*stored);
+  }
   bool resumed_final = false;
-  if (auto payload = store.LoadStage(CheckpointStage::kFinal)) {
-    auto decoded = DecodeFinalCheckpoint(*payload);
-    if (decoded.ok() &&
-        static_cast<int>(decoded->assignment.size()) == graph.num_nodes()) {
-      // This run's own diagnostics (deadline, repairs, store warnings) stay;
-      // only the solver record comes from the stored run.
+  if (mined.has_value() || !supergraph_scheme) {
+    auto stored = adopt(CheckpointStage::kFinal, DecodeFinalCheckpoint);
+    if (stored.ok()) {
+      // This run's own diagnostics (deadline, repairs) stay; only the solver
+      // record comes from the stored run. Module times stay 0: this run
+      // skipped both modules.
       RunDiagnostics diagnostics = std::move(outcome.diagnostics);
-      diagnostics.eigen = decoded->diagnostics.eigen;
-      outcome = std::move(*decoded);
+      diagnostics.eigen = stored->diagnostics.eigen;
+      outcome = std::move(*stored);
       outcome.diagnostics = std::move(diagnostics);
-      // The mining report rides in its own stage for the supergraph schemes.
-      if (supergraph_scheme) {
-        if (auto mining_payload = store.LoadStage(CheckpointStage::kMining)) {
-          auto mining = DecodeMiningCheckpoint(*mining_payload);
-          if (mining.ok()) outcome.mining_report = std::move(mining->report);
-        }
-      }
       resumed_final = true;
-    } else {
-      outcome.diagnostics.warnings.push_back(
-          decoded.ok() ? std::string("checkpoint stage 'final' does not "
-                                     "match this graph; recomputing")
-                       : "checkpoint stage 'final' undecodable (" +
-                             decoded.status().ToString() + "); recomputing");
     }
   }
+  if (mined.has_value()) outcome.mining_report = mined->report;
 
-  Timer timer;
   if (!resumed_final) {
     // Module 2, for the supergraph schemes only.
-    std::optional<MiningCheckpoint> mined;
     if (supergraph_scheme) {
-      timer.Restart();
-      if (auto payload = store.LoadStage(CheckpointStage::kMining)) {
-        auto decoded = DecodeMiningCheckpoint(*payload);
-        if (decoded.ok() &&
-            (decoded->roadgraph_fallback ||
-             (decoded->supergraph.has_value() &&
-              decoded->supergraph->num_road_nodes() == graph.num_nodes()))) {
-          mined = std::move(*decoded);
-          outcome.mining_report = mined->report;
-        } else {
-          outcome.diagnostics.warnings.push_back(
-              decoded.ok()
-                  ? std::string("checkpoint stage 'mining' does not match "
-                                "this graph; recomputing")
-                  : "checkpoint stage 'mining' undecodable (" +
-                        decoded.status().ToString() + "); recomputing");
-        }
-      }
       if (!mined.has_value()) {
         // The second level needs at least k supernodes to produce k
         // partitions.
@@ -305,7 +293,6 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
         MiningCheckpoint fresh;
         fresh.roadgraph_fallback = sg.num_supernodes() < k;
         fresh.num_supernodes = sg.num_supernodes();
-        fresh.module2_seconds = timer.Seconds();
         fresh.report = outcome.mining_report;
         if (!fresh.roadgraph_fallback) fresh.supergraph = std::move(sg);
         if (store.enabled()) {
@@ -313,7 +300,7 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
         }
         mined = std::move(fresh);
       }
-      outcome.module2_seconds = mined->module2_seconds;
+      outcome.module2_seconds = timer.Seconds();
       outcome.num_supernodes = mined->num_supernodes;
       if (deadline > 0.0) {
         outcome.diagnostics.slack_module2_seconds = remaining();
@@ -336,8 +323,6 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
     timer.Restart();
     GraphCutResult cut;
     if (options_.scheme == Scheme::kJiGeroliminis) {
-      // The baseline is an indivisible three-phase loop with no stable
-      // intermediate to persist: only the 'final' stage applies.
       JiGeroliminisOptions ji = options_.ji;
       ji.ncut.spectral = options_.spectral;
       ji.ncut.pipeline.kmeans = pipeline.kmeans;
@@ -350,32 +335,8 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
       } else {
         method = std::make_unique<NormalizedCutMethod>(options_.spectral);
       }
-      // A stored 'cut' stage stands in for the spectral cut. Which graph
-      // `target` is follows from the manifest-keyed options plus the mining
-      // stage, so a stored cut whose label count matches belongs to it.
-      bool cut_stored = false;
-      if (auto payload = store.LoadStage(CheckpointStage::kCut)) {
-        auto decoded = DecodeCutCheckpoint(*payload);
-        if (decoded.ok() && static_cast<int>(decoded->assignment.size()) ==
-                                target.num_nodes()) {
-          cut = std::move(*decoded);
-          cut_stored = true;
-        } else {
-          outcome.diagnostics.warnings.push_back(
-              decoded.ok()
-                  ? std::string("checkpoint stage 'cut' does not match "
-                                "this graph; recomputing")
-                  : "checkpoint stage 'cut' undecodable (" +
-                        decoded.status().ToString() + "); recomputing");
-        }
-      }
-      if (!cut_stored) {
-        RP_ASSIGN_OR_RETURN(
-            cut, SpectralKWayPartition(target, k, *method, pipeline));
-        if (store.enabled()) {
-          save_stage(CheckpointStage::kCut, EncodeCutCheckpoint(cut));
-        }
-      }
+      RP_ASSIGN_OR_RETURN(
+          cut, SpectralKWayPartition(target, k, *method, pipeline));
       if (options_.refine_boundary) {
         // On the supergraph, refinement keeps supernodes atomic, as the
         // supergraph semantics require.
@@ -415,8 +376,8 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
         "eigensolver escalated to %s before converging",
         SolverPathName(diag.eigen.solver_path)));
   }
-  diag.warnings.insert(diag.warnings.end(), store.warnings().begin(),
-                       store.warnings().end());
+  diag.warnings.insert(diag.warnings.end(), checkpoint_warnings.begin(),
+                       checkpoint_warnings.end());
 
   // Every scheme must hand back a complete, dense, non-empty labelling of the
   // road graph; ExpandAssignment and the k'->k reductions above are exactly

@@ -71,10 +71,10 @@ struct PartitionerOptions {
   int num_threads = 0;
   /// Stage-level checkpoint/resume (core/checkpoint.h). With a non-empty
   /// `checkpoint.dir` the run persists each completed pipeline stage as a
-  /// durable artifact; with `checkpoint.resume` it consumes valid completed
-  /// stages, producing output bit-identical to an uninterrupted run. A
-  /// missing/corrupt/mismatched checkpoint recomputes with a warning; it
-  /// never fails the run.
+  /// durable artifact keyed to this run; with `checkpoint.resume` it adopts
+  /// valid completed stages, producing output bit-identical to an
+  /// uninterrupted run. A corrupt, foreign or undecodable stage recomputes
+  /// with a warning; it never fails the run.
   CheckpointOptions checkpoint;
   /// When non-empty, PartitionNetwork exports the finished partition as an
   /// immutable serving snapshot (serve/snapshot.h, format "rpsnap") at this
@@ -99,7 +99,7 @@ struct PartitionerOptions {
 /// the run rather than altering it), the checkpoint policy itself, and
 /// snapshot_path (an output sink, not an input).
 /// Doubles are rendered as IEEE bit patterns, so equal strings mean exactly
-/// equal configurations. Hashed into the checkpoint RunManifest.
+/// equal configurations. Hashed into the run key of every checkpoint stage.
 std::string CanonicalOptionsString(const PartitionerOptions& options);
 
 /// Everything a caller needs to judge *how* a run succeeded: which rung of
@@ -143,13 +143,16 @@ struct PartitionOutcome {
 };
 
 /// Codec of the 'final' checkpoint stage (core/checkpoint.h): the finished
-/// run, minus what a resumed run re-derives or reports afresh. Module-1
-/// time, the mining report (its own stage) and every diagnostic except
+/// run, minus what a resumed run re-derives or reports afresh. Module
+/// times, the mining report (its own stage) and every diagnostic except
 /// `diagnostics.eigen` are not stored; the warnings in particular come back
 /// from the stored eigen record and the resumed run's own input
-/// sanitization, exactly as an uninterrupted run derives them.
+/// sanitization, exactly as an uninterrupted run derives them. Decoding
+/// rejects, as Corruption, an assignment that is not a dense labelling of
+/// `num_nodes` nodes by [0, k_final).
 std::string EncodeFinalCheckpoint(const PartitionOutcome& outcome);
-Result<PartitionOutcome> DecodeFinalCheckpoint(std::string_view payload);
+Result<PartitionOutcome> DecodeFinalCheckpoint(LineCursor cursor,
+                                               int num_nodes);
 
 /// Facade over the full framework of Figure 2. One instance is reusable
 /// across networks and timestamps.

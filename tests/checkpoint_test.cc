@@ -1,8 +1,10 @@
 // Suite for the stage-level checkpoint/resume layer (core/checkpoint.h):
-// bit-exact stage codecs, the manifest-keyed store policies (mismatch and
-// corruption degrade to recompute-with-warning, never failure), and the
+// bit-exact stage codecs and their checks against the graph, the store whose
+// stages each carry their run key (a foreign, keyless, corrupt or undecodable
+// stage degrades to recompute-with-warning, never failure), and the
 // end-to-end guarantee that a resumed Partitioner run is bit-identical to an
-// uninterrupted one — across stages, thread counts, and schemes.
+// uninterrupted one — across stages, thread counts, and schemes — and writes
+// byte-identical stage files.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +30,35 @@ bool BitEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+// Decodes a stage payload (the part after the store's key line).
+Result<PartitionOutcome> DecodeFinal(const std::string& payload,
+                                     int num_nodes) {
+  return DecodeFinalCheckpoint(LineCursor(payload), num_nodes);
+}
+Result<MiningCheckpoint> DecodeMining(const std::string& payload,
+                                      int num_road_nodes) {
+  return DecodeMiningCheckpoint(LineCursor(payload), num_road_nodes);
+}
+
+// Rewrites a stage file's payload through `edit`, with a valid envelope of
+// the same format and version: a checksum-valid stage with edited content.
+template <typename Edit>
+void EditStage(const std::string& path, Edit edit) {
+  ArtifactInfo info;
+  auto payload = ReadArtifact(path, {}, &info);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  ASSERT_TRUE(
+      WriteArtifact(path, info.format, info.version, edit(*payload)).ok());
+}
+
+// Replaces the first label of the "assignment" line with `label`.
+std::string WithFirstLabel(std::string payload, const std::string& label) {
+  size_t count = payload.find("\nassignment ") + 12;
+  size_t first = payload.find(' ', count) + 1;
+  size_t end = payload.find_first_of(" \n", first);
+  return payload.replace(first, end - first, label);
+}
+
 void ExpectEigenEqual(const EigenSolveDiagnostics& a,
                       const EigenSolveDiagnostics& b) {
   EXPECT_EQ(a.solver_path, b.solver_path);
@@ -38,13 +69,14 @@ void ExpectEigenEqual(const EigenSolveDiagnostics& a,
 }
 
 TEST(CheckpointStageTest, NamesRoundTrip) {
-  for (CheckpointStage stage : {CheckpointStage::kMining, CheckpointStage::kCut,
-                                CheckpointStage::kFinal}) {
+  for (CheckpointStage stage :
+       {CheckpointStage::kMining, CheckpointStage::kFinal}) {
     auto parsed = ParseCheckpointStage(CheckpointStageName(stage));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, stage);
   }
   EXPECT_FALSE(ParseCheckpointStage("bogus").ok());
+  EXPECT_FALSE(ParseCheckpointStage("cut").ok());
 }
 
 TEST(CheckpointTest, FingerprintTracksGraphContents) {
@@ -78,21 +110,8 @@ TEST(CheckpointTest, CanonicalOptionsStringIgnoresPureKnobs) {
   EXPECT_NE(CanonicalOptionsString(a), CanonicalOptionsString(d));
 }
 
-// --- Stage codecs ---
 
-GraphCutResult SampleCut() {
-  GraphCutResult cut;
-  cut.assignment = {0, 2, 1, 1, 0, 3};
-  cut.k_final = 4;
-  cut.k_prime = 5;
-  cut.objective = 1.0 / 3.0;
-  cut.eigen.solver_path = SolverPath::kLanczosRetry;
-  cut.eigen.solves = 3;
-  cut.eigen.lanczos_restarts = 7;
-  cut.eigen.worst_ritz_residual = 2.4061e-15;
-  cut.eigen.all_converged = false;
-  return cut;
-}
+// --- Stage codecs ---
 
 PartitionOutcome SampleFinal() {
   PartitionOutcome fin;
@@ -101,10 +120,10 @@ PartitionOutcome SampleFinal() {
   fin.k_prime = 3;
   fin.num_supernodes = 17;
   fin.objective = -0.0;  // sign of zero must survive
-  fin.module2_seconds = 0.123456789123456789;
-  fin.module3_seconds = 1e-308;  // denormal-adjacent must survive
   fin.diagnostics.eigen.solver_path = SolverPath::kDense;
   fin.diagnostics.eigen.solves = 4;
+  fin.diagnostics.eigen.lanczos_restarts = 7;
+  fin.diagnostics.eigen.worst_ritz_residual = 1e-308;  // denormal-adjacent
   fin.diagnostics.eigen.all_converged = true;
   return fin;
 }
@@ -113,7 +132,6 @@ PartitionOutcome SampleFinal() {
 MiningCheckpoint SampleMining() {
   MiningCheckpoint mining;
   mining.num_supernodes = 3;
-  mining.module2_seconds = 0.0421;
   SupergraphMiningReport& report = mining.report;
   report.kappas = {2, 3};
   report.mcg = {0.5, 0.75};
@@ -125,9 +143,6 @@ MiningCheckpoint SampleMining() {
   report.supernodes_before_stability = 3;
   report.supernodes_after_stability = 3;
   report.stability_values = {1.0, 0.5, 1.0};
-  report.sweep_seconds = 0.001;
-  report.cluster_seconds = 0.002;
-  report.superlink_seconds = 0.004;
   std::vector<Supernode> supernodes = {
       {{0, 1}, 0.25}, {{2}, 0.5}, {{3, 4}, 0.75}};
   CsrGraph links = CsrGraph::FromRawParts(3, {0, 1, 3, 4}, {1, 0, 2, 1},
@@ -137,34 +152,26 @@ MiningCheckpoint SampleMining() {
   return mining;
 }
 
-TEST(CheckpointCodecTest, CutRoundTripIsBitExact) {
-  const GraphCutResult cut = SampleCut();
-  auto back = DecodeCutCheckpoint(EncodeCutCheckpoint(cut));
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->assignment, cut.assignment);
-  EXPECT_EQ(back->k_final, cut.k_final);
-  EXPECT_EQ(back->k_prime, cut.k_prime);
-  EXPECT_TRUE(BitEqual(back->objective, cut.objective));
-  ExpectEigenEqual(back->eigen, cut.eigen);
-}
-
 TEST(CheckpointCodecTest, FinalRoundTripIsBitExact) {
   PartitionOutcome fin = SampleFinal();
-  // Fields outside the stage payload must not leak into it.
+  // Fields outside the stage payload must not leak into it: module times
+  // are wall-clock values, and a resumed run reports its own.
   fin.module1_seconds = 2.5;
+  fin.module2_seconds = 0.123456789123456789;
+  fin.module3_seconds = 1.5;
   fin.mining_report.chosen_kappa = 9;
   fin.diagnostics.warnings.push_back("not stored");
-  auto back = DecodeFinalCheckpoint(EncodeFinalCheckpoint(fin));
+  auto back = DecodeFinal(EncodeFinalCheckpoint(fin), 4);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->assignment, fin.assignment);
   EXPECT_EQ(back->k_final, fin.k_final);
   EXPECT_EQ(back->k_prime, fin.k_prime);
   EXPECT_EQ(back->num_supernodes, fin.num_supernodes);
   EXPECT_TRUE(BitEqual(back->objective, fin.objective));
-  EXPECT_TRUE(BitEqual(back->module2_seconds, fin.module2_seconds));
-  EXPECT_TRUE(BitEqual(back->module3_seconds, fin.module3_seconds));
   ExpectEigenEqual(back->diagnostics.eigen, fin.diagnostics.eigen);
   EXPECT_EQ(back->module1_seconds, 0.0);
+  EXPECT_EQ(back->module2_seconds, 0.0);
+  EXPECT_EQ(back->module3_seconds, 0.0);
   EXPECT_EQ(back->mining_report.chosen_kappa, 0);
   EXPECT_TRUE(back->diagnostics.warnings.empty());
   EXPECT_EQ(EncodeFinalCheckpoint(*back), EncodeFinalCheckpoint(SampleFinal()));
@@ -176,21 +183,23 @@ TEST(CheckpointCodecTest, MiningRoundTripReproducesSupergraphExactly) {
   RoadGraph rg = RoadGraph::FromNetwork(*net);
   MiningCheckpoint mining;
   mining.roadgraph_fallback = false;
-  mining.module2_seconds = 0.0421;
   auto sg = MineSupergraph(rg, {}, &mining.report);
   ASSERT_TRUE(sg.ok());
   mining.num_supernodes = sg->num_supernodes();
   mining.supergraph = *sg;
 
-  auto back = DecodeMiningCheckpoint(EncodeMiningCheckpoint(mining));
+  auto back = DecodeMining(EncodeMiningCheckpoint(mining), rg.num_nodes());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->roadgraph_fallback, mining.roadgraph_fallback);
   EXPECT_EQ(back->num_supernodes, mining.num_supernodes);
-  EXPECT_TRUE(BitEqual(back->module2_seconds, mining.module2_seconds));
   EXPECT_EQ(back->report.kappas, mining.report.kappas);
   EXPECT_EQ(back->report.shortlisted_kappas,
             mining.report.shortlisted_kappas);
   EXPECT_EQ(back->report.chosen_kappa, mining.report.chosen_kappa);
+  // The report's phase timings are wall-clock values and are not stored.
+  EXPECT_EQ(back->report.sweep_seconds, 0.0);
+  EXPECT_EQ(back->report.cluster_seconds, 0.0);
+  EXPECT_EQ(back->report.superlink_seconds, 0.0);
   ASSERT_EQ(back->report.mcg.size(), mining.report.mcg.size());
   for (size_t i = 0; i < mining.report.mcg.size(); ++i) {
     EXPECT_TRUE(BitEqual(back->report.mcg[i], mining.report.mcg[i]));
@@ -221,29 +230,21 @@ TEST(CheckpointCodecTest, MiningRoundTripReproducesSupergraphExactly) {
 }
 
 // The on-disk stage format is pinned byte for byte: a codec change that
-// alters these bytes strands every checkpoint written before it.
+// alters these bytes strands every checkpoint written before it, so it must
+// come with a version bump.
 TEST(CheckpointCodecTest, PayloadBytesArePinned) {
-  EXPECT_EQ(EncodeCutCheckpoint(SampleCut()),
-            "k-final 4\n"
-            "k-prime 5\n"
-            "objective 3fd5555555555555\n"
-            "eigen 3 3 7 3ce5ac16bfd2646e 0\n"
-            "assignment 6 0 2 1 1 0 3\n");
-  EXPECT_EQ(EncodeFinalCheckpoint(SampleFinal()),
-            "k-final 3\n"
-            "k-prime 3\n"
-            "supernodes 17\n"
-            "objective 8000000000000000\n"
-            "module2 3fbf9add37c1215e\n"
-            "module3 000730d67819e8d2\n"
-            "eigen 1 4 0 0000000000000000 1\n"
-            "assignment 4 1 0 0 2\n");
+  const std::string final_body =
+      "k-final 3\n"
+      "k-prime 3\n"
+      "supernodes 17\n"
+      "objective 8000000000000000\n"
+      "eigen 1 4 7 000730d67819e8d2 1\n"
+      "assignment 4 1 0 0 2\n";
+  EXPECT_EQ(EncodeFinalCheckpoint(SampleFinal()), final_body);
   const std::string report_lines =
       "supernodes 3\n"
-      "module2 3fa58e219652bd3c\n"
       "threshold 3fe4000000000000\n"
       "sweep-shape 3 3 3 3\n"
-      "phase-seconds 3f50624dd2f1a9fc 3f60624dd2f1a9fc 3f70624dd2f1a9fc\n"
       "kappas 2 2 3\n"
       "mcg 2 3fe0000000000000 3fe8000000000000\n"
       "shortlisted 1 3\n"
@@ -263,7 +264,7 @@ TEST(CheckpointCodecTest, PayloadBytesArePinned) {
                 "neighbors 4 1 0 2 1\n"
                 "weights 4 3fe0000000000000 3fe0000000000000 "
                 "3fc0000000000000 3fc0000000000000\n");
-  auto back = DecodeMiningCheckpoint(encoded);
+  auto back = DecodeMining(encoded, 5);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(EncodeMiningCheckpoint(*back), encoded);
 
@@ -271,123 +272,81 @@ TEST(CheckpointCodecTest, PayloadBytesArePinned) {
   fallback.roadgraph_fallback = true;
   fallback.supergraph.reset();
   EXPECT_EQ(EncodeMiningCheckpoint(fallback), "fallback 1\n" + report_lines);
+
+  // The store leads every stage file with its run key, in a version-2
+  // envelope named after the stage.
+  CheckpointOptions options;
+  options.dir = FreshDir("store_pinned") + "/nested";  // created on save
+  CheckpointStore store(options, 0x1234);
+  ASSERT_TRUE(store.SaveStage(CheckpointStage::kFinal, final_body).ok());
+  ArtifactInfo info;
+  auto stored = ReadArtifact(store.StagePath(CheckpointStage::kFinal), {},
+                             &info);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  EXPECT_EQ(info.format, "checkpoint-final");
+  EXPECT_EQ(info.version, 2);
+  EXPECT_EQ(*stored, "run 0000000000001234\n" + final_body);
+  EXPECT_EQ(store.StagePath(CheckpointStage::kMining),
+            options.dir + "/stage-mining.rpcp");
+  std::filesystem::remove_all(testing::TempDir() + "/store_pinned");
 }
 
 TEST(CheckpointCodecTest, GarbageDecodesAsCorruption) {
-  EXPECT_EQ(DecodeCutCheckpoint("").status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(DecodeCutCheckpoint("nonsense 1 2 3\n").status().code(),
+  EXPECT_EQ(DecodeFinal("", 4).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodeFinal("nonsense 1 2 3\n", 4).status().code(),
             StatusCode::kCorruption);
-  EXPECT_EQ(DecodeMiningCheckpoint("fallback maybe\n").status().code(),
+  EXPECT_EQ(DecodeMining("fallback maybe\n", 5).status().code(),
             StatusCode::kCorruption);
-  EXPECT_EQ(DecodeFinalCheckpoint("k-final notanint\n").status().code(),
+  EXPECT_EQ(DecodeFinal("k-final notanint\n", 4).status().code(),
             StatusCode::kCorruption);
   // Doubles are always written as 16 hex digits; a shorter field is torn.
-  std::string torn = EncodeCutCheckpoint(SampleCut());
-  torn.replace(torn.find("3fd5555555555555"), 16, "3fd5");
-  EXPECT_EQ(DecodeCutCheckpoint(torn).status().code(), StatusCode::kCorruption);
+  std::string torn = EncodeFinalCheckpoint(SampleFinal());
+  torn.replace(torn.find("000730d67819e8d2"), 16, "0007");
+  EXPECT_EQ(DecodeFinal(torn, 4).status().code(), StatusCode::kCorruption);
 }
 
-// --- Store policies ---
-
-TEST(CheckpointStoreTest, SaveThenResumeServesPayload) {
-  CheckpointOptions options;
-  options.dir = FreshDir("store_roundtrip");
-  RunManifest manifest{0x1234, 0x5678};
-
-  CheckpointStore writer(options, manifest);
-  ASSERT_TRUE(writer.Initialize().ok());
-  EXPECT_FALSE(writer.resuming());
-  EXPECT_FALSE(writer.LoadStage(CheckpointStage::kMining).has_value());
-  ASSERT_TRUE(
-      writer.SaveStage(CheckpointStage::kMining, "stage payload\n").ok());
-
-  options.resume = true;
-  CheckpointStore reader(options, manifest);
-  ASSERT_TRUE(reader.Initialize().ok());
-  EXPECT_TRUE(reader.resuming());
-  auto payload = reader.LoadStage(CheckpointStage::kMining);
-  ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(*payload, "stage payload\n");
-  EXPECT_TRUE(reader.warnings().empty());
-  std::filesystem::remove_all(options.dir);
+// A 'final' payload is served as the run's labels, so its decoder checks
+// them against the graph: a wrong length, a label outside [0, k_final) or
+// an unused label is Corruption in every build type.
+TEST(CheckpointCodecTest, FinalLabelsAreCheckedAgainstTheGraph) {
+  const std::string good = EncodeFinalCheckpoint(SampleFinal());
+  ASSERT_TRUE(DecodeFinal(good, 4).ok());
+  auto code = [](const Result<PartitionOutcome>& r) {
+    return r.status().code();
+  };
+  EXPECT_EQ(code(DecodeFinal(good, 5)), StatusCode::kCorruption);
+  EXPECT_EQ(code(DecodeFinal(good, 3)), StatusCode::kCorruption);
+  EXPECT_EQ(code(DecodeFinal(WithFirstLabel(good, "9"), 4)),
+            StatusCode::kCorruption);
+  EXPECT_EQ(code(DecodeFinal(WithFirstLabel(good, "-5"), 4)),
+            StatusCode::kCorruption);
+  EXPECT_EQ(code(DecodeFinal(WithFirstLabel(good, "3"), 4)),
+            StatusCode::kCorruption);
+  // Label 1 relabelled 0 leaves partition 1 of k_final = 3 empty.
+  EXPECT_EQ(code(DecodeFinal(WithFirstLabel(good, "0"), 4)),
+            StatusCode::kCorruption);
+  std::string k_zero = good;
+  k_zero.replace(0, k_zero.find('\n'), "k-final 0");
+  EXPECT_EQ(code(DecodeFinal(k_zero, 4)), StatusCode::kCorruption);
 }
 
-TEST(CheckpointStoreTest, ManifestMismatchInvalidatesStaleStages) {
-  CheckpointOptions options;
-  options.dir = FreshDir("store_mismatch");
-  CheckpointStore writer(options, RunManifest{1, 2});
-  ASSERT_TRUE(writer.Initialize().ok());
-  ASSERT_TRUE(writer.SaveStage(CheckpointStage::kCut, "stale\n").ok());
-
-  options.resume = true;
-  CheckpointStore reader(options, RunManifest{1, 3});  // options changed
-  ASSERT_TRUE(reader.Initialize().ok());
-  EXPECT_FALSE(reader.resuming());
-  EXPECT_FALSE(reader.LoadStage(CheckpointStage::kCut).has_value());
-  EXPECT_FALSE(reader.warnings().empty());
-  // The stale stage file must be gone, not waiting to ambush a later run.
-  EXPECT_FALSE(std::filesystem::exists(reader.StagePath(CheckpointStage::kCut)));
-  std::filesystem::remove_all(options.dir);
-}
-
-TEST(CheckpointStoreTest, WithoutResumeDirIsReinitialized) {
-  CheckpointOptions options;
-  options.dir = FreshDir("store_noresume");
-  RunManifest manifest{7, 8};
-  CheckpointStore writer(options, manifest);
-  ASSERT_TRUE(writer.Initialize().ok());
-  ASSERT_TRUE(writer.SaveStage(CheckpointStage::kFinal, "old run\n").ok());
-
-  CheckpointStore fresh(options, manifest);  // resume not requested
-  ASSERT_TRUE(fresh.Initialize().ok());
-  EXPECT_FALSE(fresh.resuming());
-  EXPECT_FALSE(fresh.LoadStage(CheckpointStage::kFinal).has_value());
-  std::filesystem::remove_all(options.dir);
-}
-
-TEST(CheckpointStoreTest, CorruptStageFileDegradesToRecompute) {
-  CheckpointOptions options;
-  options.dir = FreshDir("store_corrupt");
-  RunManifest manifest{42, 43};
-  CheckpointStore writer(options, manifest);
-  ASSERT_TRUE(writer.Initialize().ok());
-  ASSERT_TRUE(writer.SaveStage(CheckpointStage::kMining, "good bytes\n").ok());
-
-  // Flip one byte of the stage artifact on disk.
-  std::string stage_path = writer.StagePath(CheckpointStage::kMining);
-  auto bytes = ReadFileBytes(stage_path);
-  ASSERT_TRUE(bytes.ok());
-  std::string mutated = *bytes;
-  mutated[mutated.size() / 2] ^= 0x01;
-  ASSERT_TRUE(AtomicWriteFile(stage_path, mutated).ok());
-
-  options.resume = true;
-  CheckpointStore reader(options, manifest);
-  ASSERT_TRUE(reader.Initialize().ok());
-  EXPECT_TRUE(reader.resuming());
-  EXPECT_FALSE(reader.LoadStage(CheckpointStage::kMining).has_value());
-  EXPECT_FALSE(reader.warnings().empty());  // degradation is reported
-  std::filesystem::remove_all(options.dir);
-}
-
-TEST(CheckpointStoreTest, ManifestBytesArePinned) {
-  CheckpointOptions options;
-  options.dir = FreshDir("store_manifest_bytes");
-  CheckpointStore store(options, RunManifest{0x1234, 0x5678});
-  ASSERT_TRUE(store.Initialize().ok());
-  auto payload = ReadArtifact(store.ManifestPath());
-  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
-  EXPECT_EQ(*payload,
-            "input 0000000000001234\n"
-            "options 0000000000005678\n");
-  std::filesystem::remove_all(options.dir);
+// A 'mining' payload's supergraph must cover this graph's road nodes and
+// hold the supernode count the stage states.
+TEST(CheckpointCodecTest, MiningShapeIsCheckedAgainstTheGraph) {
+  const std::string good = EncodeMiningCheckpoint(SampleMining());
+  ASSERT_TRUE(DecodeMining(good, 5).ok());
+  EXPECT_EQ(DecodeMining(good, 6).status().code(), StatusCode::kCorruption);
+  std::string miscounted = good;
+  miscounted.replace(miscounted.find("supernodes 3"), 12, "supernodes 4");
+  EXPECT_EQ(DecodeMining(miscounted, 5).status().code(),
+            StatusCode::kCorruption);
 }
 
 // A mining stage whose envelope and sizes are intact but whose superlink
 // arrays are not an undirected graph — an asymmetric weight, a one-way
 // link, a neighbor out of range — decodes as Corruption in every build type
 // instead of reaching the graph's debug-only audit.
-TEST(CheckpointStoreTest, MalformedSuperlinksInValidEnvelopeAreCorruption) {
+TEST(CheckpointCodecTest, MalformedSuperlinksAreCorruption) {
   const std::string good = EncodeMiningCheckpoint(SampleMining());
   const std::string neighbors = "neighbors 4 1 0 2 1\n";
   const std::string weights =
@@ -407,82 +366,116 @@ TEST(CheckpointStoreTest, MalformedSuperlinksInValidEnvelopeAreCorruption) {
       edit(neighbors, "neighbors 4 1 0 2 0\n"),
       edit(neighbors, "neighbors 4 1 0 2 7\n"),
   };
-  CheckpointOptions options;
-  options.dir = FreshDir("store_malformed_links");
-  const RunManifest manifest{0x1234, 0x5678};
   for (const std::string& payload : malformed) {
-    CheckpointStore writer(options, manifest);
-    ASSERT_TRUE(writer.Initialize().ok());
-    ASSERT_TRUE(writer.SaveStage(CheckpointStage::kMining, payload).ok());
-    CheckpointOptions resume = options;
-    resume.resume = true;
-    CheckpointStore reader(resume, manifest);
-    ASSERT_TRUE(reader.Initialize().ok());
-    auto stage = reader.LoadStage(CheckpointStage::kMining);
-    ASSERT_TRUE(stage.has_value());
-    EXPECT_EQ(DecodeMiningCheckpoint(*stage).status().code(),
+    EXPECT_EQ(DecodeMining(payload, 5).status().code(),
               StatusCode::kCorruption);
   }
-  std::filesystem::remove_all(options.dir);
 }
 
-// Trailing data inside an intact envelope is corruption, not slack: extra
-// fields on a line and junk lines after the last record are both refused.
-TEST(CheckpointStoreTest, TrailingDataInValidEnvelopeIsCorruption) {
-  CheckpointOptions options;
-  options.dir = FreshDir("store_trailing");
-  const RunManifest manifest{0x1234, 0x5678};
-  CheckpointStore writer(options, manifest);
-  ASSERT_TRUE(writer.Initialize().ok());
-  const std::string cut = EncodeCutCheckpoint(SampleCut());
+// Trailing data is corruption, not slack: extra fields on a line and junk
+// lines after the last record are both refused.
+TEST(CheckpointCodecTest, TrailingDataIsCorruption) {
   const std::string final_payload = EncodeFinalCheckpoint(SampleFinal());
-  ASSERT_TRUE(WriteArtifact(writer.StagePath(CheckpointStage::kCut),
-                            "checkpoint-cut", 1,
-                            "k-final 4 99\n" + cut.substr(cut.find('\n') + 1) +
-                                "junk line\n")
-                  .ok());
-  ASSERT_TRUE(WriteArtifact(writer.StagePath(CheckpointStage::kFinal),
-                            "checkpoint-final", 1, final_payload + "junk\n")
-                  .ok());
-
-  options.resume = true;
-  CheckpointStore reader(options, manifest);
-  ASSERT_TRUE(reader.Initialize().ok());
-  ASSERT_TRUE(reader.resuming());
-  auto cut_payload = reader.LoadStage(CheckpointStage::kCut);
-  ASSERT_TRUE(cut_payload.has_value());
-  EXPECT_EQ(DecodeCutCheckpoint(*cut_payload).status().code(),
+  EXPECT_EQ(DecodeFinal(final_payload + "junk\n", 4).status().code(),
             StatusCode::kCorruption);
-  auto final_stage = reader.LoadStage(CheckpointStage::kFinal);
-  ASSERT_TRUE(final_stage.has_value());
-  EXPECT_EQ(DecodeFinalCheckpoint(*final_stage).status().code(),
-            StatusCode::kCorruption);
-  const std::string mining = EncodeMiningCheckpoint(SampleMining());
-  EXPECT_EQ(DecodeMiningCheckpoint(mining + "sn 3fd0000000000000 0\n")
+  EXPECT_EQ(DecodeFinal("k-final 3 99\n" +
+                            final_payload.substr(final_payload.find('\n') + 1),
+                        4)
                 .status()
                 .code(),
             StatusCode::kCorruption);
+  const std::string mining = EncodeMiningCheckpoint(SampleMining());
+  EXPECT_EQ(DecodeMining(mining + "sn 3fd0000000000000 0\n", 5).status().code(),
+            StatusCode::kCorruption);
+}
 
-  // A manifest with a junk line after its two fields fails verification
-  // instead of reading as a different run.
-  ASSERT_TRUE(WriteArtifact(reader.ManifestPath(), "checkpoint-manifest", 1,
-                            "input 0000000000001234\n"
-                            "options 0000000000005678\n"
-                            "junk\n")
+// --- Store policies ---
+
+TEST(CheckpointStoreTest, SaveThenResumeServesPayload) {
+  CheckpointOptions options;
+  options.dir = FreshDir("store_roundtrip");
+  const uint64_t run_key = 0x5678;
+
+  CheckpointStore writer(options, run_key);
+  ASSERT_TRUE(writer.SaveStage(CheckpointStage::kMining, "stage 7\n").ok());
+
+  options.resume = true;
+  CheckpointStore reader(options, run_key);
+  auto cursor = reader.LoadStage(CheckpointStage::kMining);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  auto value = ReadInt(*cursor, "stage");
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(*value, 7);
+  EXPECT_TRUE(cursor->Finish().ok());
+  // A stage never saved is simply missing.
+  EXPECT_EQ(reader.LoadStage(CheckpointStage::kFinal).status().code(),
+            StatusCode::kIOError);
+  std::filesystem::remove_all(options.dir);
+}
+
+TEST(CheckpointStoreTest, StageKeyedByAnotherRunIsRefused) {
+  CheckpointOptions options;
+  options.dir = FreshDir("store_other_run");
+  CheckpointStore writer(options, 0x1111);
+  ASSERT_TRUE(writer.SaveStage(CheckpointStage::kFinal, "stale\n").ok());
+
+  options.resume = true;
+  CheckpointStore reader(options, 0x2222);
+  EXPECT_EQ(reader.LoadStage(CheckpointStage::kFinal).status().code(),
+            StatusCode::kFailedPrecondition);
+  std::filesystem::remove_all(options.dir);
+}
+
+TEST(CheckpointStoreTest, StageWithoutKeyLineIsCorruption) {
+  CheckpointOptions options;
+  options.dir = FreshDir("store_keyless");
+  options.resume = true;
+  CheckpointStore store(options, 0x1234);
+  std::filesystem::create_directories(options.dir);
+  ASSERT_TRUE(WriteArtifact(store.StagePath(CheckpointStage::kFinal),
+                            "checkpoint-final", 2,
+                            EncodeFinalCheckpoint(SampleFinal()))
                   .ok());
-  CheckpointStore junk(options, manifest);
-  ASSERT_TRUE(junk.Initialize().ok());
-  EXPECT_FALSE(junk.resuming());
-  ASSERT_EQ(junk.warnings().size(), 1u);
-  EXPECT_NE(junk.warnings()[0].find("failed verification"), std::string::npos)
-      << junk.warnings()[0];
+  EXPECT_EQ(store.LoadStage(CheckpointStage::kFinal).status().code(),
+            StatusCode::kCorruption);
+  std::filesystem::remove_all(options.dir);
+}
+
+TEST(CheckpointStoreTest, NonResumingStoreNeverLoads) {
+  CheckpointOptions options;
+  options.dir = FreshDir("store_noresume");
+  CheckpointStore store(options, 0x7);
+  ASSERT_TRUE(store.SaveStage(CheckpointStage::kFinal, "old run\n").ok());
+  EXPECT_EQ(store.LoadStage(CheckpointStage::kFinal).status().code(),
+            StatusCode::kNotFound);
+  std::filesystem::remove_all(options.dir);
+}
+
+TEST(CheckpointStoreTest, CorruptStageFileIsCorruption) {
+  CheckpointOptions options;
+  options.dir = FreshDir("store_corrupt");
+  CheckpointStore writer(options, 42);
+  ASSERT_TRUE(writer.SaveStage(CheckpointStage::kMining, "good bytes\n").ok());
+
+  // Flip one byte of the stage artifact on disk.
+  std::string stage_path = writer.StagePath(CheckpointStage::kMining);
+  auto bytes = ReadFileBytes(stage_path);
+  ASSERT_TRUE(bytes.ok());
+  std::string mutated = *bytes;
+  mutated[mutated.size() / 2] ^= 0x01;
+  ASSERT_TRUE(AtomicWriteFile(stage_path, mutated).ok());
+
+  options.resume = true;
+  CheckpointStore reader(options, 42);
+  EXPECT_EQ(reader.LoadStage(CheckpointStage::kMining).status().code(),
+            StatusCode::kCorruption);
   std::filesystem::remove_all(options.dir);
 }
 
 TEST(CheckpointStoreTest, DisabledStoreIsInert) {
   CheckpointStore store;
   EXPECT_FALSE(store.enabled());
-  EXPECT_FALSE(store.LoadStage(CheckpointStage::kMining).has_value());
+  EXPECT_FALSE(store.LoadStage(CheckpointStage::kMining).ok());
   EXPECT_TRUE(store.SaveStage(CheckpointStage::kMining, "ignored").ok());
 }
 
@@ -505,12 +498,34 @@ class CheckpointResumeTest : public ::testing::Test {
     return options;
   }
 
+  // The run's result with no checkpoint directory at all.
+  PartitionOutcome GroundTruth(PartitionerOptions options) {
+    options.checkpoint = CheckpointOptions{};
+    auto outcome = Partitioner(options).PartitionRoadGraph(graph_);
+    EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+    return outcome.ok() ? std::move(*outcome) : PartitionOutcome{};
+  }
+
+  // Number of warnings naming `stage` as not adopted.
+  static int NotAdopted(const PartitionOutcome& outcome,
+                        const std::string& stage) {
+    int count = 0;
+    for (const std::string& w : outcome.diagnostics.warnings) {
+      if (w.find("checkpoint stage '" + stage + "' not adopted") !=
+          std::string::npos) {
+        ++count;
+      }
+    }
+    return count;
+  }
+
   RoadGraph graph_;
 };
 
-// Every scheme, resumed from 'final' and from 'cut' (the 'final' stage
-// deleted, so the stored cut is refined and adopted again), with refinement
-// on and off where it changes the module-3 path.
+// Every scheme, resumed from 'final' and from 'mining' (the 'final' stage
+// deleted, so module 3 runs again on the stored supergraph, or from scratch
+// for the road-graph schemes), with refinement on and off where it changes
+// the module-3 path. The resumed run also rewrites 'final' byte for byte.
 TEST_F(CheckpointResumeTest, ResumeReproducesFreshRunBitExactly) {
   struct Case {
     Scheme scheme;
@@ -521,7 +536,7 @@ TEST_F(CheckpointResumeTest, ResumeReproducesFreshRunBitExactly) {
                         {Scheme::kNG, false},  {Scheme::kNSG, false},
                         {Scheme::kJiGeroliminis, false}};
   for (const Case& c : cases) {
-    for (const std::string from : {"final", "cut"}) {
+    for (const std::string from : {"final", "mining"}) {
       SCOPED_TRACE(std::string(SchemeName(c.scheme)) +
                    (c.refine ? " refine" : "") + " from " + from);
       const std::string dir = FreshDir("resume_matrix");
@@ -530,11 +545,12 @@ TEST_F(CheckpointResumeTest, ResumeReproducesFreshRunBitExactly) {
 
       auto fresh = Partitioner(options).PartitionRoadGraph(graph_);
       ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-      if (from == "cut") {
-        // JiGeroliminis has no 'cut' stage; its resume recomputes module 3.
-        EXPECT_EQ(std::filesystem::exists(dir + "/stage-cut.rpcp"),
-                  c.scheme != Scheme::kJiGeroliminis);
-        ASSERT_TRUE(std::filesystem::remove(dir + "/stage-final.rpcp"));
+      const std::string final_path = dir + "/stage-final.rpcp";
+      const std::string final_bytes = ReadFileBytes(final_path).value();
+      EXPECT_EQ(std::filesystem::exists(dir + "/stage-mining.rpcp"),
+                c.scheme == Scheme::kASG || c.scheme == Scheme::kNSG);
+      if (from == "mining") {
+        ASSERT_TRUE(std::filesystem::remove(final_path));
       }
 
       options.checkpoint.resume = true;
@@ -549,28 +565,35 @@ TEST_F(CheckpointResumeTest, ResumeReproducesFreshRunBitExactly) {
       EXPECT_TRUE(BitEqual(resumed->objective, fresh->objective));
       ExpectEigenEqual(resumed->diagnostics.eigen, fresh->diagnostics.eigen);
       EXPECT_EQ(resumed->diagnostics.warnings, fresh->diagnostics.warnings);
+      EXPECT_EQ(resumed->mining_report.chosen_kappa,
+                fresh->mining_report.chosen_kappa);
+      EXPECT_EQ(resumed->mining_report.kappas, fresh->mining_report.kappas);
+      EXPECT_EQ(ReadFileBytes(final_path).value(), final_bytes);
       std::filesystem::remove_all(dir);
     }
   }
 }
 
-TEST_F(CheckpointResumeTest, PartialCheckpointsResumeMidPipeline) {
-  std::string dir = FreshDir("resume_partial");
-  PartitionerOptions options = BaseOptions(Scheme::kASG, dir);
-
-  auto fresh = Partitioner(options).PartitionRoadGraph(graph_);
-  ASSERT_TRUE(fresh.ok());
-
-  // Simulate a crash between 'cut' and 'final': delete the later stages and
-  // resume with only the mining checkpoint surviving.
-  std::filesystem::remove(dir + "/stage-cut.rpcp");
-  std::filesystem::remove(dir + "/stage-final.rpcp");
-  options.checkpoint.resume = true;
-  auto resumed = Partitioner(options).PartitionRoadGraph(graph_);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->assignment, fresh->assignment);
-  EXPECT_TRUE(BitEqual(resumed->objective, fresh->objective));
-  std::filesystem::remove_all(dir);
+// Stage files are a pure function of the run key: two uninterrupted runs,
+// at different thread counts, write the same bytes.
+TEST_F(CheckpointResumeTest, UninterruptedRunsWriteByteIdenticalStages) {
+  const std::string a = FreshDir("stages_a");
+  const std::string b = FreshDir("stages_b");
+  PartitionerOptions options = BaseOptions(Scheme::kASG, a);
+  options.num_threads = 1;
+  ASSERT_TRUE(Partitioner(options).PartitionRoadGraph(graph_).ok());
+  options.checkpoint.dir = b;
+  options.num_threads = 3;
+  ASSERT_TRUE(Partitioner(options).PartitionRoadGraph(graph_).ok());
+  for (const std::string stage : {"mining", "final"}) {
+    const std::string name = "/stage-" + stage + ".rpcp";
+    auto bytes_a = ReadFileBytes(a + name);
+    auto bytes_b = ReadFileBytes(b + name);
+    ASSERT_TRUE(bytes_a.ok() && bytes_b.ok()) << stage;
+    EXPECT_EQ(*bytes_a, *bytes_b) << stage;
+  }
+  std::filesystem::remove_all(a);
+  std::filesystem::remove_all(b);
 }
 
 TEST_F(CheckpointResumeTest, ChangedOptionsInvalidateAndRecompute) {
@@ -585,18 +608,105 @@ TEST_F(CheckpointResumeTest, ChangedOptionsInvalidateAndRecompute) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->k_final, 5);
   // The mismatch is surfaced as a warning, not silently absorbed.
-  bool warned = false;
-  for (const std::string& w : second->diagnostics.warnings) {
-    if (w.find("checkpoint") != std::string::npos) warned = true;
-  }
-  EXPECT_TRUE(warned);
-
+  EXPECT_EQ(NotAdopted(*second, "mining"), 1);
   // And the uncheckpointed ground truth agrees with the recomputed run.
-  PartitionerOptions plain = options;
-  plain.checkpoint = CheckpointOptions{};
-  auto ground = Partitioner(plain).PartitionRoadGraph(graph_);
-  ASSERT_TRUE(ground.ok());
-  EXPECT_EQ(second->assignment, ground->assignment);
+  EXPECT_EQ(second->assignment, GroundTruth(options).assignment);
+  std::filesystem::remove_all(dir);
+}
+
+// A stage that a run of another key left behind — here 'final' of another
+// seed under this run's own 'mining' — fails its key check: it is not
+// adopted, a warning names it, and the stage is recomputed.
+TEST_F(CheckpointResumeTest, StageOfAnotherRunIsRecomputed) {
+  const std::string dir = FreshDir("resume_other_run");
+  const std::string other = FreshDir("resume_other_run_b");
+  PartitionerOptions options = BaseOptions(Scheme::kASG, dir);
+  ASSERT_TRUE(Partitioner(options).PartitionRoadGraph(graph_).ok());
+  PartitionerOptions other_options = options;
+  other_options.seed = 12;
+  other_options.checkpoint.dir = other;
+  ASSERT_TRUE(Partitioner(other_options).PartitionRoadGraph(graph_).ok());
+  std::filesystem::copy_file(other + "/stage-final.rpcp",
+                             dir + "/stage-final.rpcp",
+                             std::filesystem::copy_options::overwrite_existing);
+
+  options.checkpoint.resume = true;
+  auto resumed = Partitioner(options).PartitionRoadGraph(graph_);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(NotAdopted(*resumed, "final"), 1);
+  EXPECT_EQ(NotAdopted(*resumed, "mining"), 0);
+  EXPECT_EQ(resumed->assignment, GroundTruth(options).assignment);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(other);
+}
+
+// A fresh (non-resume) run of key B over a directory that holds key A's
+// stages, killed after saving 'mining', leaves B's 'mining' next to A's
+// 'final'. Neither key ever adopts the other's stage.
+TEST_F(CheckpointResumeTest, CrashedFreshRunNeverPairsKeys) {
+  const std::string dir = FreshDir("resume_pairing");
+  const std::string scratch = FreshDir("resume_pairing_b");
+  PartitionerOptions a = BaseOptions(Scheme::kASG, dir);
+  ASSERT_TRUE(Partitioner(a).PartitionRoadGraph(graph_).ok());
+  // Key B's run up to its 'mining' save: the stage it would have written
+  // before the kill.
+  PartitionerOptions b = a;
+  b.seed = 12;
+  b.miner.seed = 5;
+  b.checkpoint.dir = scratch;
+  ASSERT_TRUE(Partitioner(b).PartitionRoadGraph(graph_).ok());
+  std::filesystem::copy_file(scratch + "/stage-mining.rpcp",
+                             dir + "/stage-mining.rpcp",
+                             std::filesystem::copy_options::overwrite_existing);
+  b.checkpoint.dir = dir;
+
+  b.checkpoint.resume = true;
+  auto resumed_b = Partitioner(b).PartitionRoadGraph(graph_);
+  ASSERT_TRUE(resumed_b.ok()) << resumed_b.status().ToString();
+  EXPECT_EQ(NotAdopted(*resumed_b, "mining"), 0);
+  EXPECT_EQ(NotAdopted(*resumed_b, "final"), 1);
+  EXPECT_EQ(resumed_b->assignment, GroundTruth(b).assignment);
+
+  // B's resumed run rewrote 'final' under key B; key A now finds only
+  // foreign stages and recomputes everything.
+  a.checkpoint.resume = true;
+  auto resumed_a = Partitioner(a).PartitionRoadGraph(graph_);
+  ASSERT_TRUE(resumed_a.ok()) << resumed_a.status().ToString();
+  EXPECT_EQ(NotAdopted(*resumed_a, "mining"), 1);
+  EXPECT_EQ(resumed_a->assignment, GroundTruth(a).assignment);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(scratch);
+}
+
+// A run without --resume never reads a stage, even one of its own key: a
+// valid-looking 'final' with other labels does not leak into the result.
+TEST_F(CheckpointResumeTest, NonResumeRunNeverLoadsAStage) {
+  const std::string dir = FreshDir("resume_never");
+  PartitionerOptions options = BaseOptions(Scheme::kAG, dir);
+  auto fresh = Partitioner(options).PartitionRoadGraph(graph_);
+  ASSERT_TRUE(fresh.ok());
+  // The same stage with every label shifted by one: still a valid labelling.
+  PartitionOutcome shifted = *fresh;
+  for (int& label : shifted.assignment) label = (label + 1) % shifted.k_final;
+  const std::string final_path = dir + "/stage-final.rpcp";
+  auto plant = [&] {
+    EditStage(final_path, [&](const std::string& payload) {
+      return payload.substr(0, payload.find('\n') + 1) +
+             EncodeFinalCheckpoint(shifted);
+    });
+  };
+  plant();
+
+  auto again = Partitioner(options).PartitionRoadGraph(graph_);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->assignment, fresh->assignment);
+  EXPECT_TRUE(again->diagnostics.warnings.empty());
+  // ...while a resumed run of the same key would have served it.
+  plant();
+  options.checkpoint.resume = true;
+  auto resumed = Partitioner(options).PartitionRoadGraph(graph_);
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(resumed->assignment, shifted.assignment);
   std::filesystem::remove_all(dir);
 }
 
@@ -606,27 +716,44 @@ TEST_F(CheckpointResumeTest, CorruptStageRecomputesIdenticalResult) {
   auto fresh = Partitioner(options).PartitionRoadGraph(graph_);
   ASSERT_TRUE(fresh.ok());
 
-  // Corrupt the mining checkpoint and delete the downstream stages: the
-  // resumed run must detect the damage, recompute, and still match.
+  // Corrupt the mining checkpoint and delete the final stage: the resumed
+  // run must detect the damage, recompute, and still match.
   std::string mining_path = dir + "/stage-mining.rpcp";
   auto bytes = ReadFileBytes(mining_path);
   ASSERT_TRUE(bytes.ok());
   std::string mutated = *bytes;
   mutated[mutated.size() / 3] ^= 0x04;
   ASSERT_TRUE(AtomicWriteFile(mining_path, mutated).ok());
-  std::filesystem::remove(dir + "/stage-cut.rpcp");
   std::filesystem::remove(dir + "/stage-final.rpcp");
 
   options.checkpoint.resume = true;
   auto resumed = Partitioner(options).PartitionRoadGraph(graph_);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed->assignment, fresh->assignment);
-  bool warned = false;
-  for (const std::string& w : resumed->diagnostics.warnings) {
-    if (w.find("recomputing") != std::string::npos) warned = true;
-  }
-  EXPECT_TRUE(warned);
+  EXPECT_EQ(NotAdopted(*resumed, "mining"), 1);
   std::filesystem::remove_all(dir);
+}
+
+// A checksum-valid 'final' stage whose labels this graph cannot carry is
+// not served: the resumed run warns, recomputes module 3 and matches.
+TEST_F(CheckpointResumeTest, FinalStageWithBadLabelsIsRecomputed) {
+  for (const std::string label : {"9", "-5"}) {
+    SCOPED_TRACE("first label " + label);
+    const std::string dir = FreshDir("resume_bad_labels");
+    PartitionerOptions options = BaseOptions(Scheme::kASG, dir);
+    auto fresh = Partitioner(options).PartitionRoadGraph(graph_);
+    ASSERT_TRUE(fresh.ok());
+    EditStage(dir + "/stage-final.rpcp", [&](const std::string& payload) {
+      return WithFirstLabel(payload, label);
+    });
+
+    options.checkpoint.resume = true;
+    auto resumed = Partitioner(options).PartitionRoadGraph(graph_);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(resumed->assignment, fresh->assignment);
+    EXPECT_EQ(NotAdopted(*resumed, "final"), 1);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 }  // namespace

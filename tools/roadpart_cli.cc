@@ -67,9 +67,11 @@ int Usage() {
       "  --threads=T sets worker threads for every command (0 = RP_THREADS\n"
       "  env or hardware default); results are identical for any value.\n"
       "  --output-dir=DIR places relative output files under DIR (created\n"
-      "  on demand). --checkpoint-dir=DIR persists each completed pipeline\n"
-      "  stage; --resume consumes valid stages and is bit-identical to an\n"
-      "  uninterrupted run. --io-retry-attempts=N and\n"
+      "  on demand). --checkpoint-dir=DIR persists the 'mining' (ASG/NSG)\n"
+      "  and 'final' stages, each keyed to the input and options; --resume\n"
+      "  adopts valid stages of the same run and is bit-identical to an\n"
+      "  uninterrupted run, reporting its own module timings (near zero for\n"
+      "  a module it skipped). --io-retry-attempts=N and\n"
       "  --io-retry-base-delay=S retry transient I/O failures with\n"
       "  deterministic backoff. --snapshot-out=PATH additionally exports the\n"
       "  partition as an immutable rp_serve snapshot (rpsnap format).\n");
